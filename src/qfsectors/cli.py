@@ -600,10 +600,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _bind_sign_lists(argv: list[str]) -> list[str]:
+    """argparse takes a value starting with '-' for an option, so a sign
+    list such as "--signs -,+,+" is bound here as "--signs=-,+,+"."""
+    out = []
+    for tok in argv:
+        if out and out[-1] == "--signs" and tok.startswith("-") and not tok.startswith("--"):
+            out[-1] = f"--signs={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_bind_sign_lists(argv))
     args._argv = argv
     try:
         return args.func(args)

@@ -14,7 +14,9 @@ thread pool parallelizes.  All arithmetic is overflow-checked: bounds
 that could exceed the accumulator width raise instead of wrapping.
 
 Supported norms: "max" (largest absolute entry) and "frobenius" (entry
-2-norm of the full symmetric matrix).  Thresholds are strict: norm < T.
+2-norm of the full symmetric matrix).  Thresholds are strict: norm < T,
+decided exactly on integer norm keys (the largest |entry|, or the
+integer norm squared against the exact square of the float T).
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -44,16 +47,24 @@ def entry_bound(t: float) -> int:
     return int(c) - 1 if c == t else int(math.floor(t))
 
 
-def _strict_int_sqrt(x: float) -> int:
-    """Largest n >= 0 with n*n < x, or -1 when none exists."""
-    if x <= 0.0:
-        return -1
-    n = int(math.sqrt(x))
-    while n * n >= x:
-        n -= 1
-    while (n + 1) * (n + 1) < x:
-        n += 1
-    return n
+def key_limit(t: float, norm: str) -> int:
+    """Largest integer norm key inside the strict ball norm < T.
+
+    The max norm's key is the largest |entry|; the frobenius key is the
+    integer norm squared, compared with the exact square of the float T
+    (T = sqrt(k) rounds either side of sqrt(k), and so does T*T).
+    """
+    if norm == "max":
+        return entry_bound(t)
+    return math.ceil(Fraction(t) ** 2) - 1
+
+
+def norm_keys(tri: np.ndarray, d: int, norm: str) -> np.ndarray:
+    """Integer norm keys of a batch of upper triangles, see key_limit."""
+    if norm == "max":
+        return np.max(np.abs(tri), axis=1)
+    weights = np.array([1 if i == j else 2 for i, j in triangle_indices(d)])
+    return (tri * tri) @ weights
 
 
 def triangle_indices(d: int) -> list[tuple[int, int]]:
@@ -132,18 +143,18 @@ def _check_norm(norm: str) -> str:
     return norm
 
 
-def _cell3(q11: int, q12: int, t: float, norm: str, dtype) -> np.ndarray:
-    """All solutions in one (q11, q12) cell: rows (q13,q22,q23,q33,det)."""
-    t2 = t * t
+def _cell3(q11: int, q12: int, lim: int, norm: str, dtype) -> np.ndarray:
+    """All solutions in one (q11, q12) cell with norm key <= lim:
+    rows (q13,q22,q23,q33,det)."""
     if norm == "max":
-        b = entry_bound(t)
-        b13 = b22 = b23 = b
+        b = b13 = b22 = b23 = lim
     else:
-        rem = t2 - q11 * q11 - 2 * q12 * q12
-        b13 = b23 = _strict_int_sqrt(rem / 2.0)
-        b22 = _strict_int_sqrt(rem)
-        if b22 < 0:
+        rem = lim - q11 * q11 - 2 * q12 * q12
+        if rem < 0:
             return np.empty((0, 5), dtype=np.int64)
+        b = math.isqrt(lim)
+        b13 = b23 = math.isqrt(rem // 2)
+        b22 = math.isqrt(rem)
     r13 = np.arange(-b13, b13 + 1, dtype=dtype)
     r22 = np.arange(-b22, b22 + 1, dtype=dtype)
     r23 = np.arange(-b23, b23 + 1, dtype=dtype)
@@ -155,14 +166,15 @@ def _cell3(q11: int, q12: int, t: float, norm: str, dtype) -> np.ndarray:
     rr = c1[:, None, :] - np.multiply.outer(r13 * r13, r22)[:, :, None]
 
     if norm == "frobenius":
-        s0 = (
-            q11 * q11
-            + 2 * q12 * q12
-            + 2 * (r13 * r13)[:, None, None]
-            + (r22 * r22)[None, :, None]
-            + 2 * (r23 * r23)[None, None, :]
-        ).astype(np.float64)
-        budget = t2 - s0
+        sq13, sq22, sq23 = (r.astype(np.int64) ** 2 for r in (r13, r22, r23))
+        budget = (
+            lim
+            - q11 * q11
+            - 2 * q12 * q12
+            - 2 * sq13[:, None, None]
+            - sq22[None, :, None]
+            - 2 * sq23[None, None, :]
+        )
 
     out = []
     for e in (1, -1):
@@ -170,9 +182,11 @@ def _cell3(q11: int, q12: int, t: float, norm: str, dtype) -> np.ndarray:
         divisible = (num % safe_m == 0) & ~mz[None, :, None]
         quot = num // safe_m
         if norm == "max":
-            ok = divisible & (np.abs(quot) <= b13)
+            ok = divisible & (np.abs(quot) <= b)
         else:
-            ok = divisible & (quot.astype(np.float64) ** 2 < budget)
+            # clamping |q33| at b + 1 keeps its square exact and above lim
+            mag = np.minimum(np.abs(quot), b + 1).astype(np.int64)
+            ok = divisible & (mag * mag <= budget)
         idx = np.nonzero(ok)
         if idx[0].size:
             rows = np.empty((idx[0].size, 5), dtype=np.int64)
@@ -187,13 +201,13 @@ def _cell3(q11: int, q12: int, t: float, norm: str, dtype) -> np.ndarray:
         idx0 = np.nonzero(free)
         for a13, a22, a23 in zip(*idx0):
             if norm == "max":
-                lo, hi = -b13, b13
+                r = b
             else:
-                r = _strict_int_sqrt(float(budget[a13, a22, a23]))
-                if r < 0:
+                room = int(budget[a13, a22, a23])
+                if room < 0:
                     continue
-                lo, hi = -r, r
-            span = np.arange(lo, hi + 1, dtype=np.int64)
+                r = math.isqrt(room)
+            span = np.arange(-r, r + 1, dtype=np.int64)
             rows = np.empty((span.size, 5), dtype=np.int64)
             rows[:, 0] = r13[a13]
             rows[:, 1] = r22[a22]
@@ -210,12 +224,8 @@ def _cell3(q11: int, q12: int, t: float, norm: str, dtype) -> np.ndarray:
 
 def _batches3(t: float, norm: str, threads: int):
     """Per-cell solution batches for d=3: (tri (n,6) int64, det (n,))."""
-    if norm == "max":
-        b = entry_bound(t)
-    else:
-        b = _strict_int_sqrt(t * t)
-    if b < 0:
-        return
+    lim = key_limit(t, norm)
+    b = lim if norm == "max" else math.isqrt(lim)
     if 4 * b**3 + 1 >= 2**62:
         raise OverflowError("entry bound too large for the 64-bit accumulator")
     dtype = np.int32 if 4 * b**3 + 1 < 2**31 else np.int64
@@ -224,7 +234,7 @@ def _batches3(t: float, norm: str, threads: int):
     def cells_for(q11: int) -> list[np.ndarray]:
         res = []
         for q12 in span:
-            rows = _cell3(q11, q12, t, norm, dtype)
+            rows = _cell3(q11, q12, lim, norm, dtype)
             if rows.size:
                 full = np.empty((rows.shape[0], 7), dtype=np.int64)
                 full[:, 0] = q11
@@ -259,11 +269,8 @@ def _verify_dets(full: np.ndarray) -> None:
 
 
 def _norms_of_batch(tri: np.ndarray, d: int, norm: str) -> np.ndarray:
-    if norm == "max":
-        return np.max(np.abs(tri), axis=1).astype(np.float64)
-    idx = triangle_indices(d)
-    weights = np.array([1.0 if i == j else 2.0 for i, j in idx])
-    return np.sqrt((tri.astype(np.float64) ** 2) @ weights)
+    keys = norm_keys(tri, d, norm).astype(np.float64)
+    return keys if norm == "max" else np.sqrt(keys)
 
 
 def iter_form_batches(d: int, t: float, norm: str = "max", threads: int | None = None):
@@ -296,29 +303,24 @@ def iter_form_batches(d: int, t: float, norm: str = "max", threads: int | None =
 
 
 def _forms2(t: float, norm: str) -> np.ndarray:
-    b = entry_bound(t) if norm == "max" else _strict_int_sqrt(t * t)
+    lim = key_limit(t, norm)
+    b = lim if norm == "max" else math.isqrt(lim)
     out = []
-    t2 = t * t
     for q11 in range(-b, b + 1):
         for q12 in range(-b, b + 1):
-            if norm == "frobenius" and q11 * q11 + 2 * q12 * q12 >= t2:
+            rem = lim - q11 * q11 - 2 * q12 * q12
+            if norm == "frobenius" and rem < 0:
                 continue
             if q11 != 0:
                 for e in (1, -1):
                     num = e + q12 * q12
                     if num % q11 == 0:
                         q22 = num // q11
-                        if _fits2(q11, q12, q22, t, norm):
+                        if (abs(q22) <= b) if norm == "max" else (q22 * q22 <= rem):
                             out.append((q11, q12, q22, e))
             elif abs(q12) == 1:
-                if norm == "max":
-                    lo, hi = -b, b
-                else:
-                    r = _strict_int_sqrt(t2 - q11 * q11 - 2 * q12 * q12)
-                    if r < 0:
-                        continue
-                    lo, hi = -r, r
-                for q22 in range(lo, hi + 1):
+                r = b if norm == "max" else math.isqrt(rem)
+                for q22 in range(-r, r + 1):
                     out.append((q11, q12, q22, -1))
     rows = np.array(sorted(out), dtype=np.int64).reshape(-1, 4)
     if rows.shape[0]:
@@ -326,12 +328,6 @@ def _forms2(t: float, norm: str) -> np.ndarray:
         if not np.array_equal(det, rows[:, 3]):
             raise RuntimeError("internal determinant check failed")
     return rows
-
-
-def _fits2(q11: int, q12: int, q22: int, t: float, norm: str) -> bool:
-    if norm == "max":
-        return max(abs(q11), abs(q12), abs(q22)) < t
-    return q11 * q11 + 2 * q12 * q12 + q22 * q22 < t * t
 
 
 def _forms4(t: float, norm: str) -> np.ndarray:
@@ -342,10 +338,10 @@ def _forms4(t: float, norm: str) -> np.ndarray:
     det = det(Q3) q44 - v' adj(Q3) v, so q44 is solved per target when
     det(Q3) != 0 and sweeps its range otherwise.
     """
-    b = entry_bound(t) if norm == "max" else _strict_int_sqrt(t * t)
+    lim = key_limit(t, norm)
+    b = lim if norm == "max" else math.isqrt(lim)
     if b > 3:
         raise ValueError("d=4 enumeration is for smoke scales (entry bound <= 3)")
-    t2 = t * t
     vspan = np.arange(-b, b + 1, dtype=np.int64)
     v1, v2, v3 = np.meshgrid(vspan, vspan, vspan, indexing="ij")
     span = range(-b, b + 1)
@@ -395,13 +391,8 @@ def _forms4(t: float, norm: str) -> np.ndarray:
                                                  q33, int(v3[i, j, k]),
                                                  q44v, e)
                                             )
-    if norm == "frobenius":
-        idx = triangle_indices(4)
-        w = [1 if i == j else 2 for i, j in idx]
-        out = [r for r in out if sum(wi * x * x for wi, x in zip(w, r[:10])) < t2]
-    else:
-        out = [r for r in out if max(abs(x) for x in r[:10]) < t]
     rows = np.array(sorted(set(out)), dtype=np.int64).reshape(-1, 11)
+    rows = rows[norm_keys(rows[:, :10], 4, norm) <= lim]
     # final exact determinant audit
     for r in rows:
         m = QuadraticForm(4, tuple(int(x) for x in r[:10]), int(r[10]), 0.0)
@@ -436,13 +427,16 @@ def count_ball_grid(
     d: int, t_grid, norm: str = "max", threads: int | None = None
 ) -> list[int]:
     """Ball counts for every threshold in one scan at max(t_grid)."""
+    norm = _check_norm(norm)
     ts = [float(x) for x in t_grid]
     if sorted(ts) != ts:
         raise ValueError("T grid must be increasing")
+    limits = [key_limit(t, norm) for t in ts]
     counts = np.zeros(len(ts), dtype=np.int64)
-    for _, _, norms in iter_form_batches(d, max(ts), norm, threads):
-        for j, tj in enumerate(ts):
-            counts[j] += int(np.count_nonzero(norms < tj))
+    for tri, _, _ in iter_form_batches(d, max(ts), norm, threads):
+        keys = norm_keys(tri, d, norm)
+        for j, lim in enumerate(limits):
+            counts[j] += int(np.count_nonzero(keys <= lim))
     return [int(c) for c in counts]
 
 

@@ -52,18 +52,6 @@ def random_rotation(rng: np.random.Generator, d: int) -> np.ndarray:
     return q
 
 
-def random_rotation_quaternion(rng: np.random.Generator) -> np.ndarray:
-    """Haar-uniform element of SO(3) from a uniform unit quaternion."""
-    q = rng.standard_normal(4)
-    q /= np.linalg.norm(q)
-    w, x, y, z = q
-    return np.array([
-        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-    ])
-
-
 def random_indefinite_orthogonal(
     rng: np.random.Generator, p: int, q: int, scale: float = 0.5
 ) -> np.ndarray:

@@ -54,9 +54,13 @@ class Cap:
         if not 0.0 < self.angle < math.pi:
             raise ValueError("cap angle must lie in (0, pi)")
 
+    def accepts_rows(self, tops: np.ndarray) -> np.ndarray:
+        """Verdicts for a stack of top eigenvectors, one per row."""
+        c = np.abs(np.asarray(tops, dtype=float) @ np.asarray(self.axis))
+        return np.arccos(np.minimum(c, 1.0)) <= self.angle
+
     def accepts(self, top: np.ndarray) -> bool:
-        c = abs(float(np.dot(np.asarray(self.axis), top)))
-        return math.acos(min(c, 1.0)) <= self.angle
+        return bool(self.accepts_rows(np.asarray(top)[None, :])[0])
 
 
 @dataclass(frozen=True)
@@ -65,14 +69,8 @@ class AntiCap(Cap):
 
     kind: str = field(default="anticap", init=False)
 
-    def accepts(self, top: np.ndarray) -> bool:
-        return not super().accepts(top)
-
-
-def _frame_accepts(constraint, top: np.ndarray) -> bool:
-    if isinstance(constraint, FullFrame):
-        return True
-    return constraint.accepts(top)
+    def accepts_rows(self, tops: np.ndarray) -> np.ndarray:
+        return ~super().accepts_rows(tops)
 
 
 @dataclass(frozen=True)
@@ -190,68 +188,39 @@ class Membership:
 def sector_membership(
     q, spec: SectorSpec, tie_tol: float = DEFAULT_TIE_TOL
 ) -> Membership:
-    """Classify one form.  Degeneracy (a tie where strictness is needed)
-    is decided before the sign tests, so it does not depend on the
-    requested signatures."""
-    data = spectral_data(q)
-    lam = np.asarray(data.eigenvalues)
-    dims = spec.block.dims
-    cuts = spec.block.cuts
-    alam = np.abs(lam)
-    if np.any(alam < 1e-300):
-        return Membership(status="degenerate")
-    logs = np.log(alam)
-    starts = np.concatenate([[0], np.asarray(cuts)])
-    means = np.add.reduceat(logs, starts) / np.asarray(dims, dtype=float)
-    for c in cuts:
-        if logs[c - 1] - logs[c] <= tie_tol:
-            return Membership(status="degenerate")
-    if np.any(means[:-1] - means[1:] <= tie_tol):
-        return Membership(status="degenerate")
-
-    groups = [tuple(range(s, s + dim)) for s, dim in zip(starts, dims)]
-    for g, (pp, qq) in zip(groups, spec.block_signatures):
-        pos = sum(1 for i in g if lam[i] > 0)
-        if pos != pp or len(g) - pos != qq:
-            return Membership(status="nonmember")
-    if spec.block_window is not None:
-        for g, mean in zip(groups, means):
-            if len(g) >= 2 and max(abs(logs[i] - mean) for i in g) > spec.block_window:
-                return Membership(status="nonmember")
-    if not _frame_accepts(spec.frame_constraint, data.frame[:, 0]):
-        return Membership(status="nonmember")
-    scales = tuple(float(math.exp(m)) for m in means)
-    block_dets = tuple(
-        int(np.sign(np.prod(np.sign(lam[list(g)])))) for g in groups
-    )
-    margins = tuple(float(means[i] - means[i + 1]) for i in range(len(means) - 1))
+    """Classify one form, as a batch of one.  Degeneracy (a tie where
+    strictness is needed) is decided before the sign tests, so it does
+    not depend on the requested signatures."""
+    mat = q.matrix() if isinstance(q, enumeration.QuadraticForm) else np.asarray(q)
+    d = mat.shape[0]
+    if mat.shape != (d, d) or not np.allclose(mat, mat.T):
+        raise ValueError("expected a symmetric matrix")
+    tri = mat[np.triu_indices(d)][None, :].astype(float)
+    member, degenerate, lam_s, means = _classify(tri, d, spec, tie_tol)
+    if degenerate[0] or not member[0]:
+        return Membership(status="degenerate" if degenerate[0] else "nonmember")
+    starts = (0,) + spec.block.cuts
     return Membership(
         status="member",
         witness=Witness(
-            assignment=tuple(groups),
-            scales=scales,
-            block_dets=block_dets,
-            margins=margins,
+            assignment=tuple(
+                tuple(range(s, s + dim)) for s, dim in zip(starts, spec.block.dims)
+            ),
+            scales=tuple(float(math.exp(m)) for m in means[0]),
+            block_dets=tuple(int(x) for x in np.multiply.reduceat(np.sign(lam_s[0]), starts)),
+            margins=tuple(float(m) for m in means[0, :-1] - means[0, 1:]),
         ),
     )
 
 
-def _eigvals_batch(tri: np.ndarray, d: int) -> np.ndarray:
-    n = tri.shape[0]
-    mats = np.zeros((n, d, d))
-    for col, (i, j) in enumerate(enumeration.triangle_indices(d)):
-        mats[:, i, j] = tri[:, col]
-        mats[:, j, i] = tri[:, col]
+def _eigvals_batch(mats: np.ndarray) -> np.ndarray:
+    n, d, _ = mats.shape
     if d == 2:
         lam = sym2_eigvals_batch(mats)
     elif d == 3:
         lam = sym3_eigvals_batch(mats)
     else:
-        out = np.empty((n, d))
-        for r in range(n):
-            w, _ = jacobi_eigh(mats[r])
-            out[r] = w
-        return out
+        return np.array([jacobi_eigh(m)[0] for m in mats]).reshape(n, d)
     # the closed forms lose ~1e-9 near repeated |eigenvalues|, exactly
     # where the tie tolerance decides degeneracy; rerun those few rows
     # through the cyclic Jacobi path, which keeps ties at machine epsilon
@@ -259,52 +228,78 @@ def _eigvals_batch(tri: np.ndarray, d: int) -> np.ndarray:
     rel = np.diff(alam, axis=1) / np.maximum(alam[:, 1:], 1e-300)
     close = np.min(rel, axis=1) <= 1e-6
     for r in np.nonzero(close)[0]:
-        w, _ = jacobi_eigh(mats[r])
-        lam[r] = w
+        lam[r] = jacobi_eigh(mats[r])[0]
     return lam
 
 
-def _classify_batch(tri: np.ndarray, d: int, spec: SectorSpec, tie_tol: float):
-    """Vectorized verdicts for one batch: (member, degenerate) masks.
+def _top_vectors(mats: np.ndarray, lam_s: np.ndarray) -> np.ndarray:
+    """Unit eigenvectors of lam_s[:, 0], the top |eigenvalue|, one per row.
 
-    The frame constraint, when present, is applied per candidate with
-    the full eigendecomposition; everything else is array arithmetic.
-    """
-    lam = _eigvals_batch(tri, d)
+    The eigenvector spans the kernel of A = Q - lam I: for d=3 it is the
+    largest cross product of two rows of A, for d=2 a row of A turned by
+    a right angle.  Rows whose top |eigenvalue| is within 1e-6 (relative)
+    of the next, where the kernel is ill-conditioned or the slot order is
+    a tie-break, take spectral_data's Jacobi frame, as does d >= 4."""
+    n, d = lam_s.shape
+    vec = np.zeros((n, d))
+    fallback = np.ones(n, dtype=bool)
+    if d in (2, 3):
+        a = mats - lam_s[:, 0, None, None] * np.eye(d)
+        if d == 3:
+            cands = np.cross(a[:, [0, 0, 1]], a[:, [1, 2, 2]])
+        else:
+            cands = a[:, :, ::-1] * np.array([1.0, -1.0])
+        size = np.linalg.norm(cands, axis=2)
+        best = np.argmax(size, axis=1)
+        top = size[np.arange(n), best]
+        vec = cands[np.arange(n), best] / np.where(top > 0, top, 1.0)[:, None]
+        alam = np.abs(lam_s)
+        fallback = (top == 0) | (alam[:, 0] - alam[:, 1] <= 1e-6 * alam[:, 0])
+    for r in np.nonzero(fallback)[0]:
+        vec[r] = spectral_data(mats[r]).frame[:, 0]
+    return vec
+
+
+def _classify(tri: np.ndarray, d: int, spec: SectorSpec, tie_tol: float):
+    """Verdicts for a batch of upper triangles: (member, degenerate) masks,
+    the eigenvalues in |eigenvalue|-descending slot order and the block
+    log means."""
+    mats = np.zeros((tri.shape[0], d, d))
+    for col, (i, j) in enumerate(enumeration.triangle_indices(d)):
+        mats[:, i, j] = mats[:, j, i] = tri[:, col]
+    lam = _eigvals_batch(mats)
     alam = np.abs(lam)
     order = np.argsort(-alam, axis=1, kind="stable")
     lam_s = np.take_along_axis(lam, order, axis=1)
     alam_s = np.take_along_axis(alam, order, axis=1)
-    tiny = np.any(alam_s < 1e-300, axis=1)
     logs = np.log(np.maximum(alam_s, 1e-300))
     dims = np.asarray(spec.block.dims)
-    cuts = spec.block.cuts
-    starts = np.concatenate([[0], np.asarray(cuts, dtype=int)])
+    starts = (0,) + spec.block.cuts
     means = np.add.reduceat(logs, starts, axis=1) / dims[None, :]
 
-    degenerate = tiny.copy()
-    for c in cuts:
+    degenerate = np.any(alam_s < 1e-300, axis=1)
+    for c in spec.block.cuts:
         degenerate |= logs[:, c - 1] - logs[:, c] <= tie_tol
     if len(dims) > 1:
         degenerate |= np.any(means[:, :-1] - means[:, 1:] <= tie_tol, axis=1)
 
     member = ~degenerate
     pos = np.add.reduceat((lam_s > 0).astype(np.int64), starts, axis=1)
-    want_p = np.asarray([s[0] for s in spec.block_signatures])
-    member &= np.all(pos == want_p[None, :], axis=1)
+    member &= np.all(pos == [s[0] for s in spec.block_signatures], axis=1)
     if spec.block_window is not None:
         spread = np.abs(logs - np.repeat(means, dims, axis=1))
         max_spread = np.maximum.reduceat(spread, starts, axis=1)
-        wide = np.any(max_spread[:, dims >= 2] > spec.block_window, axis=1)
-        member &= ~wide
+        member &= ~np.any(max_spread[:, dims >= 2] > spec.block_window, axis=1)
     if not isinstance(spec.frame_constraint, FullFrame):
-        pairs = enumeration.triangle_indices(d)
-        for r in np.nonzero(member)[0]:
-            mat = np.zeros((d, d))
-            for col, (i, j) in enumerate(pairs):
-                mat[i, j] = mat[j, i] = tri[r, col]
-            res = sector_membership(mat, spec, tie_tol=tie_tol)
-            member[r] = res.status == "member"
+        rows = np.nonzero(member)[0]
+        tops = _top_vectors(mats[rows], lam_s[rows])
+        member[rows] = spec.frame_constraint.accepts_rows(tops)
+    return member, degenerate, lam_s, means
+
+
+def _classify_batch(tri: np.ndarray, d: int, spec: SectorSpec, tie_tol: float):
+    """Vectorized verdicts for one batch: (member, degenerate) masks."""
+    member, degenerate, _, _ = _classify(tri, d, spec, tie_tol)
     return member, degenerate
 
 
@@ -361,12 +356,14 @@ def count_sector(
     ts = [float(x) for x in t_grid]
     if sorted(ts) != ts or not ts:
         raise ValueError("T grid must be nonempty and increasing")
+    limits = [enumeration.key_limit(t, spec.norm) for t in ts]
     counts = np.zeros(len(ts), dtype=np.int64)
     degs = np.zeros(len(ts), dtype=np.int64)
-    for tri, _, norms in enumeration.iter_form_batches(d, max(ts), spec.norm, threads):
+    for tri, _, _ in enumeration.iter_form_batches(d, max(ts), spec.norm, threads):
         member, degenerate = _classify_batch(tri, d, spec, tie_tol)
-        for j, tj in enumerate(ts):
-            inball = norms < tj
+        keys = enumeration.norm_keys(tri, d, spec.norm)
+        for j, lim in enumerate(limits):
+            inball = keys <= lim
             counts[j] += int(np.count_nonzero(member & inball))
             degs[j] += int(np.count_nonzero(degenerate & inball))
     series = CountSeries(

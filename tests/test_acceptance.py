@@ -1,14 +1,14 @@
 """End-to-end acceptance checks, one test per criterion.
 
 Each test prints a single [PASS]/[FAIL] line with the measured numbers;
-the block of all ten lines is echoed to the real stdout when the session
-ends so it survives pytest's capture.  Heavy inputs (the T = 40 scan,
-the stability sweep) are shared module fixtures computed once.
+the block of all ten lines is printed in pytest's terminal summary by the
+hook in conftest.py, so output capture cannot swallow it.  Heavy inputs
+(the T = 40 scan, the stability sweep) are shared module fixtures
+computed once.
 """
 
 import functools
 import math
-import sys
 import time
 from fractions import Fraction
 from itertools import accumulate, product
@@ -16,6 +16,7 @@ from itertools import accumulate, product
 import numpy as np
 import pytest
 
+from conftest import ACCEPTANCE_REPORT as _REPORT
 from conftest import brute_force_forms
 from qfsectors.cartan import kah_decompose, reconstruct, signature_matrix
 from qfsectors.enumeration import count_ball, count_ball_grid, enumerate_forms, orbit_enumerate
@@ -32,13 +33,6 @@ from qfsectors.volume import (
 from qfsectors.wavefront import lipschitz_sweep
 
 THRESHOLDS = [10.0, 14.0, 20.0, 28.0, 40.0]
-_REPORT: list[str] = []
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _echo_report():
-    yield
-    print("\n".join(["", "=" * 64] + _REPORT + ["=" * 64]), file=sys.__stdout__)
 
 
 def criterion(num):

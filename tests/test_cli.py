@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import importlib
+import itertools
 import json
 import os
 import shutil
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 import qfsectors
-from qfsectors import cartan, enumeration
+from qfsectors import cartan, enumeration, sector
 from qfsectors.cli import main
 
 SUBCOMMANDS = ("predict-exponent", "kah", "wavefront", "enumerate",
@@ -150,6 +151,25 @@ def test_count_sector_artifacts(tmp_path, capsys):
     assert fit_doc["error"] == "insufficient data"  # two points cannot pin a slope
     line = json.loads(stdout)
     assert line == fit_doc
+
+
+@pytest.mark.parametrize("signs", [",".join(p) for p in itertools.product("+-", repeat=3)])
+def test_sign_lists_work_as_separate_values(tmp_path, capsys, signs):
+    """A sign list after a space, even one starting with '-', is the value
+    of --signs: the run matches the --signs=... spelling byte for byte."""
+    for cmd, extra in (
+        ("count-sector", ["--blocks", "1,1,1", "--T-grid", "2,3"]),
+        ("volume", ["--signature", "2,1", "--T-grid", "6,10"]),
+    ):
+        spaced, joined = tmp_path / f"{cmd}-a.csv", tmp_path / f"{cmd}-b.csv"
+        assert run(capsys, cmd, "--signs", signs, *extra, "--out", str(spaced))[0] == 0
+        assert run(capsys, cmd, f"--signs={signs}", *extra, "--out", str(joined))[0] == 0
+        assert spaced.read_bytes() == joined.read_bytes()
+    spec = sector.make_spec((1, 1, 1), signs.split(","))
+    _, rows = read_csv(tmp_path / "count-sector-a.csv")
+    assert [float(r[1]) for r in rows] == list(sector.count_sector([2, 3], spec).values)
+    man = json.loads((tmp_path / "count-sector-a.csv.manifest.json").read_text())
+    assert f"--signs {signs} " in man["command"]
 
 
 def test_volume_quadrature_and_mc(tmp_path, capsys):

@@ -1,7 +1,11 @@
 """Enumeration correctness against box-scan oracles, plus orbit closure."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import brute_force_forms
 from qfsectors.enumeration import (
@@ -14,6 +18,7 @@ from qfsectors.enumeration import (
     orbit_enumerate,
     resolve_threads,
 )
+from qfsectors.sector import count_sector, sign_pattern_specs
 
 
 def test_d3_matches_brute_force_at_t15(brute_d3_t15):
@@ -71,6 +76,29 @@ def test_count_ball_grid_single_scan_matches_pointwise():
     assert count_ball_grid(3, grid) == [count_ball(3, t) for t in grid]
     with pytest.raises(ValueError):
         count_ball_grid(3, [3.0, 2.0])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    d=st.sampled_from((2, 3)),
+    norm=st.sampled_from(("max", "frobenius")),
+    k=st.integers(1, 20),
+)
+def test_entry_points_agree_at_sqrt_k(d, norm, k):
+    """On T = sqrt(k) a form with norm squared k is inside exactly when
+    the float T squares above k; every entry point decides it the same way."""
+    t = math.sqrt(k)
+    expected = len(brute_force_forms(d, t, norm))
+    assert count_ball(d, t, norm) == expected
+    assert count_ball_grid(d, [1.0, t], norm)[-1] == expected
+    series = [count_sector([t], spec, d=d) for spec in sign_pattern_specs(d, norm=norm)]
+    assert sum(s.values[0] for s in series) + series[0].degenerate[0] == expected
+
+
+def test_frobenius_boundary_counts_include_exact_squares():
+    # float(sqrt(17))**2 rounds to 17.0 but the rational square exceeds 17
+    assert count_ball_grid(3, [math.sqrt(5), math.sqrt(17)], "frobenius") == [116, 1652]
+    assert count_ball(3, math.sqrt(17), "frobenius") == 1652
 
 
 def test_thresholds_are_strict():

@@ -1,9 +1,12 @@
 """Spectral classification, counting, and exponent fitting."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfsectors.enumeration import enumerate_forms, iter_form_batches, triangle_indices
 from qfsectors.sector import (
@@ -205,6 +208,62 @@ def test_classify_batch_agrees_with_per_form_path():
                 res = sector_membership(tri_to_matrix(tri[r]), spec)
                 assert member[r] == (res.status == "member")
                 assert degenerate[r] == (res.status == "degenerate")
+
+
+FRAME_SPECS = {
+    2: sign_pattern_specs(2),
+    3: sign_pattern_specs(3) + [
+        make_spec((1, 2), ["+", (1, 1)]),
+        make_spec((2, 1), [(1, 1), "-"]),
+        make_spec((2, 1), [(1, 1), "+"]),
+    ],
+}
+
+
+@st.composite
+def integer_forms(draw, d):
+    """Random integer forms, and forms with an exact |eigenvalue| tie:
+    diagonal ones, where the slot order of the tie is a tie-break, and
+    ones whose tied eigenvectors lie off the coordinate axes."""
+    kind = draw(st.sampled_from(("random", "diagonal", "rotated")))
+    n = d * (d + 1) // 2
+    if kind == "random":
+        return tri_to_matrix(draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n)), d)
+    x, y = draw(st.integers(1, 25)), draw(st.integers(-25, 25))
+    if kind == "diagonal":
+        m = np.diag([x, -x, y][:d]).astype(float)
+    elif d == 2:
+        m = np.array([[0.0, x], [x, 0.0]])  # eigenvalues +x and -x
+    else:
+        r = draw(st.sampled_from((x + y, -(x + y), x - y, y - x)))
+        m = np.array([[y, x, 0.0], [x, y, 0.0], [0.0, 0.0, r]])
+    perm = draw(st.permutations(range(d)))
+    return m[np.ix_(perm, perm)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_batched_frame_test_matches_jacobi_frames(data):
+    d = data.draw(st.sampled_from((2, 3)))
+    mats = data.draw(st.lists(integer_forms(d), min_size=1, max_size=25))
+    axis = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d)
+                     .filter(lambda v: np.linalg.norm(v) > 1e-3))
+    angle = data.draw(st.floats(0.05, 3.0))
+    tri = np.stack([m[np.triu_indices(d)] for m in mats])
+    tops = np.stack([spectral_data(m).frame[:, 0] for m in mats])
+    for base in FRAME_SPECS[d]:
+        full, full_deg = _classify_batch(tri, d, base, 1e-9)
+        verdicts = []
+        for frame in (Cap(axis=axis, angle=angle), AntiCap(axis=axis, angle=angle)):
+            spec = dataclasses.replace(base, frame_constraint=frame)
+            member, degenerate = _classify_batch(tri, d, spec, 1e-9)
+            jacobi = [f and frame.accepts(top) for f, top in zip(full, tops)]
+            assert member.tolist() == jacobi
+            assert np.array_equal(degenerate, full_deg)
+            verdicts.append(member)
+        cap, anticap = verdicts
+        assert not np.any(cap & anticap)
+        assert np.array_equal(cap | anticap, full)
 
 
 def test_count_sector_matches_manual_loop():
