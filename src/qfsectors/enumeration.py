@@ -1,17 +1,23 @@
 """Exact enumeration of integral symmetric matrices with determinant +-1.
 
-The d=3 fast path scans the five free entries (q11, q12, q13, q22, q23)
-and solves the determinant equation for q33: with
+One kernel serves d = 2, 3 and 4.  The determinant is linear in the
+last diagonal entry q_dd,
 
-    M = q11 q22 - q12**2
-    R = 2 q12 q13 q23 - q11 q23**2 - q22 q13**2
+    det(Q) = minor * q_dd + const,
 
-the determinant is M q33 + R, so M != 0 pins q33 to (e - R)/M per
-target e, and M == 0 demands R = e with q33 sweeping its whole legal
-range.  The (q13, q22, q23) block is evaluated as one integer array per
-(q11, q12) cell; cells are independent, which is where the optional
-thread pool parallelizes.  All arithmetic is overflow-checked: bounds
-that could exceed the accumulator width raise instead of wrapping.
+where minor is the determinant of the leading (d-1) block and const is
+det(Q) at q_dd = 0; both come from one Laplace expansion.  So minor != 0
+pins q_dd to (e - const) / minor per target e = +-1, and minor == 0
+demands const = e with q_dd sweeping its whole legal range.
+
+The free entries are the upper triangle without q_dd, in triangle
+order.  The last three of them form one broadcast integer grid per
+cell, and the entries before them index the cell: (q11, q12) for d=3,
+(q11 .. q23) for d=4, and a single cell for d=2.  Cells are
+independent, which is where the optional thread pool parallelizes (by
+the first entry).  Every emitted row's determinant is recomputed in
+full, and the accumulator width is chosen from a proven bound
+(d! b**d for entries bounded by b) that raises instead of wrapping.
 
 Supported norms: "max" (largest absolute entry) and "frobenius" (entry
 2-norm of the full symmetric matrix).  Thresholds are strict: norm < T,
@@ -21,7 +27,10 @@ integer norm squared against the exact square of the float T).
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import operator
 import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -69,28 +78,6 @@ def norm_keys(tri: np.ndarray, d: int, norm: str) -> np.ndarray:
 
 def triangle_indices(d: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(d) for j in range(i, d)]
-
-
-def _int_det(rows: list[list[int]]) -> int:
-    """Fraction-free Gaussian elimination (Bareiss), exact over ints."""
-    a = [list(map(int, r)) for r in rows]
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for r in range(k + 1, n):
-                if a[r][k] != 0:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 @dataclass(frozen=True)
@@ -143,134 +130,160 @@ def _check_norm(norm: str) -> str:
     return norm
 
 
-def _cell3(q11: int, q12: int, lim: int, norm: str, dtype) -> np.ndarray:
-    """All solutions in one (q11, q12) cell with norm key <= lim:
-    rows (q13,q22,q23,q33,det)."""
-    if norm == "max":
-        b = b13 = b22 = b23 = lim
-    else:
-        rem = lim - q11 * q11 - 2 * q12 * q12
-        if rem < 0:
-            return np.empty((0, 5), dtype=np.int64)
-        b = math.isqrt(lim)
-        b13 = b23 = math.isqrt(rem // 2)
-        b22 = math.isqrt(rem)
-    r13 = np.arange(-b13, b13 + 1, dtype=dtype)
-    r22 = np.arange(-b22, b22 + 1, dtype=dtype)
-    r23 = np.arange(-b23, b23 + 1, dtype=dtype)
-    m_arr = q11 * r22 - q12 * q12  # (n22,)
-    mz = m_arr == 0
-    safe_m = np.where(mz, 1, m_arr)[None, :, None]
-    # R(q13, q22, q23) = 2 q12 q13 q23 - q11 q23^2 - q22 q13^2
-    c1 = (2 * q12) * np.multiply.outer(r13, r23) - q11 * (r23 * r23)[None, :]
-    rr = c1[:, None, :] - np.multiply.outer(r13 * r13, r22)[:, :, None]
-
-    if norm == "frobenius":
-        sq13, sq22, sq23 = (r.astype(np.int64) ** 2 for r in (r13, r22, r23))
-        budget = (
-            lim
-            - q11 * q11
-            - 2 * q12 * q12
-            - 2 * sq13[:, None, None]
-            - sq22[None, :, None]
-            - 2 * sq23[None, None, :]
-        )
-
-    out = []
-    for e in (1, -1):
-        num = e - rr
-        divisible = (num % safe_m == 0) & ~mz[None, :, None]
-        quot = num // safe_m
-        if norm == "max":
-            ok = divisible & (np.abs(quot) <= b)
-        else:
-            # clamping |q33| at b + 1 keeps its square exact and above lim
-            mag = np.minimum(np.abs(quot), b + 1).astype(np.int64)
-            ok = divisible & (mag * mag <= budget)
-        idx = np.nonzero(ok)
-        if idx[0].size:
-            rows = np.empty((idx[0].size, 5), dtype=np.int64)
-            rows[:, 0] = r13[idx[0]]
-            rows[:, 1] = r22[idx[1]]
-            rows[:, 2] = r23[idx[2]]
-            rows[:, 3] = quot[idx]
-            rows[:, 4] = e
-            out.append(rows)
-        # M == 0 slices: determinant is R itself, q33 sweeps its range
-        free = (rr == e) & mz[None, :, None]
-        idx0 = np.nonzero(free)
-        for a13, a22, a23 in zip(*idx0):
-            if norm == "max":
-                r = b
-            else:
-                room = int(budget[a13, a22, a23])
-                if room < 0:
-                    continue
-                r = math.isqrt(room)
-            span = np.arange(-r, r + 1, dtype=np.int64)
-            rows = np.empty((span.size, 5), dtype=np.int64)
-            rows[:, 0] = r13[a13]
-            rows[:, 1] = r22[a22]
-            rows[:, 2] = r23[a23]
-            rows[:, 3] = span
-            rows[:, 4] = e
-            out.append(rows)
-    if not out:
-        return np.empty((0, 5), dtype=np.int64)
-    rows = np.concatenate(out, axis=0)
-    order = np.lexsort((rows[:, 3], rows[:, 2], rows[:, 1], rows[:, 0]))
-    return rows[order]
+def _symmetric(d: int, idx, entries) -> list[list]:
+    """Nested-list symmetric matrix with entry (i, j) of idx set to entries."""
+    m = [[None] * d for _ in range(d)]
+    for (i, j), v in zip(idx, entries):
+        m[i][j] = m[j][i] = v
+    return m
 
 
-def _batches3(t: float, norm: str, threads: int):
-    """Per-cell solution batches for d=3: (tri (n,6) int64, det (n,))."""
+def _alternating_sum(terms: list, shift: int):
+    """Sum of terms[p] * (-1)**(p + shift), with no operation beyond the
+    additions themselves (the terms may be large arrays)."""
+    plus, minus = terms[shift % 2 :: 2], terms[1 - shift % 2 :: 2]
+    total = functools.reduce(operator.add, plus) if plus else 0
+    return total - functools.reduce(operator.add, minus) if minus else total
+
+
+def _top_minors(m, k: int) -> dict:
+    """Minors of the top k >= 1 rows of the square matrix m, keyed by
+    column tuple, by Laplace expansion along each new row.  Entries may be
+    ints or broadcastable integer arrays; the arithmetic is exact."""
+    minors = {(c,): m[0][c] for c in range(len(m))}
+    for r in range(1, k):
+        minors = {
+            cols: _alternating_sum(
+                [m[r][c] * minors[cols[:p] + cols[p + 1 :]] for p, c in enumerate(cols)], r
+            )
+            for cols in itertools.combinations(range(len(m)), r + 1)
+        }
+    return minors
+
+
+def _int_det(m):
+    """Exact determinant of a square integer matrix, or of a batch of them
+    given as a nested list of integer arrays."""
+    return _top_minors(m, len(m))[tuple(range(len(m)))]
+
+
+def _det_split(m):
+    """(minor, const) with det(m) = minor * m[d-1][d-1] + const, from the
+    Laplace expansion along the last row; m[d-1][d-1] is never read."""
+    d = len(m)
+    top = _top_minors(m, d - 1)
+    rest = [top[tuple(c for c in range(d) if c != j)] for j in range(d - 1)]
+    const = _alternating_sum([m[d - 1][j] * r for j, r in enumerate(rest)], d - 1)
+    return top[tuple(range(d - 1))], const
+
+
+def _scan(d: int, t: float, norm: str, threads: int):
+    """Solution batches (n, d(d+1)/2 + 1) int64: the triangle, then det.
+
+    One batch per nonempty cell, cells in lexicographic order, rows
+    sorted within the cell.  Every row's determinant is recomputed in
+    full before it leaves.
+    """
     lim = key_limit(t, norm)
     b = lim if norm == "max" else math.isqrt(lim)
-    if 4 * b**3 + 1 >= 2**62:
+    if d == 4 and b > 3:
+        raise ValueError("d=4 enumeration is for smoke scales (entry bound <= 3)")
+    # every Leibniz term is at most b**d, so no partial sum leaves d! b**d
+    bound = math.factorial(d) * b**d + 1
+    if bound >= 2**62:
         raise OverflowError("entry bound too large for the 64-bit accumulator")
-    dtype = np.int32 if 4 * b**3 + 1 < 2**31 else np.int64
-    span = range(-b, b + 1)
+    dtype = np.int32 if bound < 2**31 else np.int64
+    tri = triangle_indices(d)
+    free = tri[:-1]
+    weights = [1 if i == j else 2 for i, j in free]
+    ncell = max(len(free) - 3, 0)
+    ngrid = len(free) - ncell
+    targets = np.array([1, -1], dtype=dtype).reshape([2] + [1] * ngrid)
 
-    def cells_for(q11: int) -> list[np.ndarray]:
-        res = []
-        for q12 in span:
-            rows = _cell3(q11, q12, lim, norm, dtype)
-            if rows.size:
-                full = np.empty((rows.shape[0], 7), dtype=np.int64)
-                full[:, 0] = q11
-                full[:, 1] = q12
-                full[:, 2] = rows[:, 0]  # q13
-                full[:, 3] = rows[:, 1]  # q22
-                full[:, 4] = rows[:, 2]  # q23
-                full[:, 5] = rows[:, 3]  # q33
-                full[:, 6] = rows[:, 4]  # det
-                res.append(full)
-        return res
+    def reach(k: int, rem: int) -> int:
+        # largest |free entry k| that leaves the norm key within budget
+        return b if norm == "max" else math.isqrt(rem // weights[k])
 
-    if threads <= 1:
-        for q11 in span:
-            yield from cells_for(q11)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for batch_list in pool.map(cells_for, span):
-                yield from batch_list
+    def solve(cell: tuple, rem: int) -> np.ndarray:
+        spans = [reach(k, rem) for k in range(ncell, len(free))]
+        values = [np.arange(-r, r + 1, dtype=dtype) for r in spans]
+        axes = [v.reshape([-1 if k == a else 1 for k in range(ngrid)]) for a, v in enumerate(values)]
+        minor, const = _det_split(_symmetric(d, free, list(cell) + axes))
+        mz = minor == 0
+        anyz = bool(mz.any())
+        safe = np.where(mz, 1, minor) if anyz else minor
+        if norm == "frobenius":
+            # what the norm key leaves for q_dd**2 at each grid point
+            budget = rem
+            for w, ax in zip(weights[ncell:], axes):
+                budget = budget - w * ax.astype(np.int64) ** 2
 
+        # the leading axis holds the target determinant e = +1, -1
+        quot, res = np.divmod(targets - const, safe)
+        ok = (res == 0) & (np.abs(quot) <= b)
+        if anyz:
+            ok &= ~mz
+        idx = np.nonzero(ok)
+        qdd = quot[idx]
+        if norm == "frobenius":
+            keep = qdd.astype(np.int64) ** 2 <= budget[idx[1:]]
+            idx, qdd = tuple(i[keep] for i in idx), qdd[keep]
+        found = [(idx, qdd)]
+        if anyz:
+            # minor == 0: det is const itself and q_dd sweeps its whole range
+            idx = np.nonzero(np.broadcast_to((const == targets) & mz, quot.shape))
+            if norm == "max":
+                sweep = np.full(idx[0].size, b, dtype=np.int64)
+            else:
+                left = budget[idx[1:]]
+                idx = tuple(i[left >= 0] for i in idx)
+                sweep = np.array([math.isqrt(int(x)) for x in left[left >= 0]], dtype=np.int64)
+            counts = 2 * sweep + 1
+            pick = np.repeat(np.arange(sweep.size), counts)
+            offset = np.arange(pick.size) - np.repeat(np.cumsum(counts) - counts, counts)
+            found.append((tuple(i[pick] for i in idx), offset - sweep[pick]))
+        full = np.empty((sum(q.size for _, q in found), len(tri) + 1), dtype=np.int64)
+        full[:, :ncell] = cell
+        pos = 0
+        for idx, qdd in found:
+            rows = slice(pos, pos + qdd.size)
+            for a in range(ngrid):
+                full[rows, ncell + a] = values[a][idx[a + 1]]
+            full[rows, -2] = qdd
+            full[rows, -1] = 1 - 2 * idx[0]
+            pos += qdd.size
+        return full[np.lexsort(full[:, ncell:-1].T[::-1])]
 
-def _verify_dets(full: np.ndarray) -> None:
-    q11, q12, q13, q22, q23, q33 = (full[:, i] for i in range(6))
-    det = (
-        (q11 * q22 - q12 * q12) * q33
-        + 2 * q12 * q13 * q23
-        - q11 * q23 * q23
-        - q22 * q13 * q13
-    )
-    if not np.array_equal(det, full[:, 6]):
-        raise RuntimeError("internal determinant check failed")
+    def cells(prefix: tuple, rem: int):
+        k = len(prefix)
+        if k == ncell:
+            yield prefix, rem
+            return
+        r = reach(k, rem)
+        for v in range(-r, r + 1):
+            yield from cells(prefix + (v,), rem - weights[k] * v * v)
 
+    def batches(prefix: tuple, rem: int):
+        for cell, crem in cells(prefix, rem):
+            full = solve(cell, crem)
+            if not full.shape[0]:
+                continue
+            # the audit recomputes each row's determinant in full
+            if not np.array_equal(_int_det(_symmetric(d, tri, full.T)), full[:, -1]):
+                raise RuntimeError("internal determinant check failed")
+            yield full
 
-def _norms_of_batch(tri: np.ndarray, d: int, norm: str) -> np.ndarray:
-    keys = norm_keys(tri, d, norm).astype(np.float64)
-    return keys if norm == "max" else np.sqrt(keys)
+    if ncell == 0 or threads <= 1:
+        yield from batches((), lim)
+        return
+    r = reach(0, lim)
+
+    def task(v: int) -> list[np.ndarray]:
+        return list(batches((v,), lim - weights[0] * v * v))
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        for batch_list in pool.map(task, range(-r, r + 1)):
+            yield from batch_list
 
 
 def iter_form_batches(d: int, t: float, norm: str = "max", threads: int | None = None):
@@ -283,122 +296,12 @@ def iter_form_batches(d: int, t: float, norm: str = "max", threads: int | None =
     norm = _check_norm(norm)
     if t < 1.0:
         raise ValueError("T must be at least 1")
-    if d == 3:
-        for full in _batches3(t, norm, resolve_threads(threads)):
-            _verify_dets(full)
-            tri = full[:, :6]
-            yield tri, full[:, 6], _norms_of_batch(tri, 3, norm)
-    elif d == 2:
-        rows = _forms2(t, norm)
-        if rows.shape[0]:
-            tri = rows[:, :3]
-            yield tri, rows[:, 3], _norms_of_batch(tri, 2, norm)
-    elif d == 4:
-        rows = _forms4(t, norm)
-        if rows.shape[0]:
-            tri = rows[:, :10]
-            yield tri, rows[:, 10], _norms_of_batch(tri, 4, norm)
-    else:
+    if d not in (2, 3, 4):
         raise ValueError("supported dimensions are 2, 3, 4")
-
-
-def _forms2(t: float, norm: str) -> np.ndarray:
-    lim = key_limit(t, norm)
-    b = lim if norm == "max" else math.isqrt(lim)
-    out = []
-    for q11 in range(-b, b + 1):
-        for q12 in range(-b, b + 1):
-            rem = lim - q11 * q11 - 2 * q12 * q12
-            if norm == "frobenius" and rem < 0:
-                continue
-            if q11 != 0:
-                for e in (1, -1):
-                    num = e + q12 * q12
-                    if num % q11 == 0:
-                        q22 = num // q11
-                        if (abs(q22) <= b) if norm == "max" else (q22 * q22 <= rem):
-                            out.append((q11, q12, q22, e))
-            elif abs(q12) == 1:
-                r = b if norm == "max" else math.isqrt(rem)
-                for q22 in range(-r, r + 1):
-                    out.append((q11, q12, q22, -1))
-    rows = np.array(sorted(out), dtype=np.int64).reshape(-1, 4)
-    if rows.shape[0]:
-        det = rows[:, 0] * rows[:, 2] - rows[:, 1] ** 2
-        if not np.array_equal(det, rows[:, 3]):
-            raise RuntimeError("internal determinant check failed")
-    return rows
-
-
-def _forms4(t: float, norm: str) -> np.ndarray:
-    """Smoke-scale d=4 scan.
-
-    The leading 3x3 block Q3 ranges over the whole entry box (its
-    determinant is unconstrained); with v = (q14, q24, q34),
-    det = det(Q3) q44 - v' adj(Q3) v, so q44 is solved per target when
-    det(Q3) != 0 and sweeps its range otherwise.
-    """
-    lim = key_limit(t, norm)
-    b = lim if norm == "max" else math.isqrt(lim)
-    if b > 3:
-        raise ValueError("d=4 enumeration is for smoke scales (entry bound <= 3)")
-    vspan = np.arange(-b, b + 1, dtype=np.int64)
-    v1, v2, v3 = np.meshgrid(vspan, vspan, vspan, indexing="ij")
-    span = range(-b, b + 1)
-    out = []
-    for q11 in span:
-        for q12 in span:
-            for q13 in span:
-                for q22 in span:
-                    for q23 in span:
-                        for q33 in span:
-                            m4 = (
-                                q11 * (q22 * q33 - q23 * q23)
-                                - q12 * (q12 * q33 - q23 * q13)
-                                + q13 * (q12 * q23 - q22 * q13)
-                            )
-                            a11 = q22 * q33 - q23 * q23
-                            a22 = q11 * q33 - q13 * q13
-                            a33 = q11 * q22 - q12 * q12
-                            a12 = -(q12 * q33 - q13 * q23)
-                            a13 = q12 * q23 - q13 * q22
-                            a23 = -(q11 * q23 - q12 * q13)
-                            r4 = (
-                                a11 * v1 * v1
-                                + a22 * v2 * v2
-                                + a33 * v3 * v3
-                                + 2 * (a12 * v1 * v2 + a13 * v1 * v3 + a23 * v2 * v3)
-                            )
-                            for e in (1, -1):
-                                if m4 != 0:
-                                    num = e + r4
-                                    q44 = num // m4
-                                    ok = (num % m4 == 0) & (np.abs(q44) <= b)
-                                    for i, j, k in zip(*np.nonzero(ok)):
-                                        out.append(
-                                            (q11, q12, q13, int(v1[i, j, k]),
-                                             q22, q23, int(v2[i, j, k]),
-                                             q33, int(v3[i, j, k]),
-                                             int(q44[i, j, k]), e)
-                                        )
-                                else:
-                                    ok = -r4 == e
-                                    for i, j, k in zip(*np.nonzero(ok)):
-                                        for q44v in range(-b, b + 1):
-                                            out.append(
-                                                (q11, q12, q13, int(v1[i, j, k]),
-                                                 q22, q23, int(v2[i, j, k]),
-                                                 q33, int(v3[i, j, k]),
-                                                 q44v, e)
-                                            )
-    rows = np.array(sorted(set(out)), dtype=np.int64).reshape(-1, 11)
-    rows = rows[norm_keys(rows[:, :10], 4, norm) <= lim]
-    # final exact determinant audit
-    for r in rows:
-        m = QuadraticForm(4, tuple(int(x) for x in r[:10]), int(r[10]), 0.0)
-        if _int_det([list(x) for x in m.matrix()]) != r[10]:
-            raise RuntimeError("internal determinant check failed")
-    return rows
+    for full in _scan(d, t, norm, resolve_threads(threads)):
+        tri = full[:, :-1]
+        keys = norm_keys(tri, d, norm).astype(np.float64)
+        yield tri, full[:, -1], keys if norm == "max" else np.sqrt(keys)
 
 
 def enumerate_forms(d: int, t: float, norm: str = "max", threads: int | None = None):
@@ -516,10 +419,7 @@ def orbit_enumerate(
     det0 = _int_det(mat0)
     forms = []
     for key in sorted(seen):
-        rows = [[0] * d for _ in range(d)]
-        for (i, j), v in zip(idx, key):
-            rows[i][j] = v
-            rows[j][i] = v
+        rows = _symmetric(d, idx, key)
         nv = _norm_of_rows(rows, norm)
         if nv < t:
             forms.append(

@@ -10,7 +10,7 @@ these coordinates is
 
 which the quadrature path integrates directly (frobenius balls only,
 where the radius is frame-independent) and the Monte Carlo path samples
-with an exponential tilt matched to xi's growth rate in each margin.
+from a piecewise-constant sketch of |xi| on a grid of margin cells.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .rootdata import (
     RootDatum,
     datum_for_signs,
     predict_exponent,
-    weight_coefficients,
 )
 from .sampling import derive_rng, random_rotation
 from .sector import (
@@ -269,23 +268,6 @@ def _margin_boxes(ctx: DensityContext, t: float) -> np.ndarray:
     return np.asarray([_upper_margin(ctx, [0.0] * k, t, 0.0) for k in range(n)])
 
 
-def _tilted_margins(ctx, t: float, rng, samples: int, lo: float = 0.0, pad: float = 0.25):
-    """Exponentially tilted margin sample on [lo, box_k + pad] per cut.
-
-    The tilt rate at cut k is the number of roots crossing that cut,
-    which is xi's asymptotic log-slope in m_k, so the weights xi/p stay
-    bounded across the box.  Returns (margins, log proposal density).
-    """
-    u, _ = weight_coefficients(ctx.blocks)
-    rates = np.asarray([float(x) for x in u])
-    hi = np.maximum(_margin_boxes(ctx, t) + pad, lo + 1e-6)
-    a, b = np.exp(rates * lo), np.exp(rates * hi)
-    v = rng.random((samples, len(rates)))
-    margins = np.log(a + v * (b - a)) / rates
-    logp = margins @ rates - float(np.sum(np.log((b - a) / rates)))
-    return margins, logp
-
-
 def _log_abs_xi(ctx: DensityContext, margins: np.ndarray) -> np.ndarray:
     y = ctx.log_coords(margins)
     with np.errstate(divide="ignore"):
@@ -300,6 +282,16 @@ def _log_abs_xi(ctx: DensityContext, margins: np.ndarray) -> np.ndarray:
 
 
 _GRID_BINS = {1: 2048, 2: 120, 3: 36}
+_GRID_CELLS = 36**3
+
+
+def _grid_bins(n: int) -> int:
+    """Bins per margin: the table up to n = 3, then the largest count
+    whose n-th power stays within _GRID_CELLS."""
+    if n in _GRID_BINS:
+        return _GRID_BINS[n]
+    bins = round(_GRID_CELLS ** (1.0 / n))
+    return bins - 1 if bins**n > _GRID_CELLS else bins
 
 
 def _grid_margins(ctx, t: float, rng, samples: int, lo: float = 0.0, pad: float = 0.25):
@@ -309,12 +301,9 @@ def _grid_margins(ctx, t: float, rng, samples: int, lo: float = 0.0, pad: float 
     size and the collar) get zero mass; the rest are weighted by |xi| at
     their center, mixed 9:1 with uniform-over-kept-cells so the
     importance weights stay bounded near the walls where xi vanishes.
-    Falls back to the coordinate tilt above chamber dimension 3.
     """
     n = len(ctx.cuts)
-    if n > 3:
-        return _tilted_margins(ctx, t, rng, samples, lo=lo, pad=pad)
-    bins = _GRID_BINS[n]
+    bins = _grid_bins(n)
     hi = np.maximum(_margin_boxes(ctx, t) + pad, lo + 1e-6)
     edges = [np.linspace(lo, h, bins + 1) for h in hi]
     widths = np.asarray([e[1] - e[0] for e in edges])
@@ -388,16 +377,9 @@ def _mc_series(
     return values, errs
 
 
-def volume_series(
-    ctx: DensityContext,
-    t_grid,
-    method: str = "quadrature",
-    frame=None,
-    norm: str = "frobenius",
-    samples: int = 200_000,
-    seed=None,
-) -> CountSeries:
-    """Region volume per threshold, quadrature or importance-sampled MC."""
+def _volume(ctx, t_grid, method, frame, norm, samples, seed, near_wall_c=None) -> CountSeries:
+    """Volume per threshold of the region, or with near_wall_c of its
+    near-wall slice (some margin <= c), by quadrature or MC."""
     ts = [float(x) for x in t_grid]
     if not ts or sorted(ts) != ts:
         raise ValueError("T grid must be nonempty and increasing")
@@ -412,32 +394,57 @@ def volume_series(
         if n > 3:
             raise ValueError("quadrature limited to chamber dimension <= 3; use monte-carlo")
         factor = haar_fraction(frame, ctx.d)
-        values = [factor * _nested_quadrature(ctx, t, 0.0) for t in ts]
+
+        def region(t: float) -> float:
+            inner = _nested_quadrature(ctx, t, 0.0)
+            if near_wall_c is None:
+                return factor * inner
+            return max(0.0, factor * (inner - _nested_quadrature(ctx, t, near_wall_c)))
+
+        values = [region(t) for t in ts]
     elif method in ("mc", "monte-carlo"):
         if seed is None:
             raise ValueError("monte-carlo needs a seed")
-        values, errs = _mc_series(ctx, ts, norm, frame, int(samples), seed)
+        values, errs = _mc_series(ctx, ts, norm, frame, int(samples), seed, near_wall_c)
         stderr = tuple(errs)
     else:
         raise ValueError("method must be quadrature or monte-carlo")
+    manifest = {
+        "kind": "volume" if near_wall_c is None else "singular-volume",
+        "method": method,
+        "norm": norm,
+    }
+    if near_wall_c is not None:
+        manifest["c"] = near_wall_c
+    manifest.update(
+        signs=list(ctx.signs),
+        joined=list(ctx.joined),
+        samples=int(samples) if method != "quadrature" else None,
+        seed=seed if isinstance(seed, int) else None,
+    )
+    if near_wall_c is None:
+        manifest.update(predicted_a=str(pair.a), predicted_b=pair.b)
     series = CountSeries(
         t_grid=tuple(ts),
         values=tuple(values),
         spec_digest=_context_digest(ctx, frame, norm),
-        manifest={
-            "kind": "volume",
-            "method": method,
-            "norm": norm,
-            "signs": list(ctx.signs),
-            "joined": list(ctx.joined),
-            "samples": int(samples) if method != "quadrature" else None,
-            "seed": seed if isinstance(seed, int) else None,
-            "predicted_a": str(pair.a),
-            "predicted_b": pair.b,
-        },
+        manifest=manifest,
         stderr=stderr,
     )
     return with_fit(series, b_fixed=pair.b)
+
+
+def volume_series(
+    ctx: DensityContext,
+    t_grid,
+    method: str = "quadrature",
+    frame=None,
+    norm: str = "frobenius",
+    samples: int = 200_000,
+    seed=None,
+) -> CountSeries:
+    """Region volume per threshold, quadrature or importance-sampled MC."""
+    return _volume(ctx, t_grid, method, frame, norm, samples, seed)
 
 
 def _context_digest(ctx: DensityContext, frame, norm: str) -> str:
@@ -472,51 +479,7 @@ def singular_volume(
     """Volume of the near-wall slice: some margin <= c, inside the ball."""
     if c < 0:
         raise ValueError("need c >= 0")
-    ts = [float(x) for x in t_grid]
-    if not ts or sorted(ts) != ts:
-        raise ValueError("T grid must be nonempty and increasing")
-    n = len(ctx.cuts)
-    if n == 0:
-        raise ValueError("chamber must have at least one interior cut")
-    pair = _predicted_pair(ctx)
-    stderr = None
-    if method == "quadrature":
-        if norm != "frobenius":
-            raise ValueError("quadrature supports the frobenius norm only")
-        if n > 3:
-            raise ValueError("quadrature limited to chamber dimension <= 3; use monte-carlo")
-        factor = haar_fraction(frame, ctx.d)
-        values = [
-            max(
-                0.0,
-                factor * (_nested_quadrature(ctx, t, 0.0) - _nested_quadrature(ctx, t, c)),
-            )
-            for t in ts
-        ]
-    elif method in ("mc", "monte-carlo"):
-        if seed is None:
-            raise ValueError("monte-carlo needs a seed")
-        values, errs = _mc_series(ctx, ts, norm, frame, int(samples), seed, near_wall_c=c)
-        stderr = tuple(errs)
-    else:
-        raise ValueError("method must be quadrature or monte-carlo")
-    series = CountSeries(
-        t_grid=tuple(ts),
-        values=tuple(values),
-        spec_digest=_context_digest(ctx, frame, norm),
-        manifest={
-            "kind": "singular-volume",
-            "method": method,
-            "norm": norm,
-            "c": c,
-            "signs": list(ctx.signs),
-            "joined": list(ctx.joined),
-            "samples": int(samples) if method != "quadrature" else None,
-            "seed": seed if isinstance(seed, int) else None,
-        },
-        stderr=stderr,
-    )
-    return with_fit(series, b_fixed=pair.b)
+    return _volume(ctx, t_grid, method, frame, norm, samples, seed, near_wall_c=c)
 
 
 @dataclass(frozen=True)

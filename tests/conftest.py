@@ -8,10 +8,14 @@ the rational value of the float T.
 """
 
 import math
+import os
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import qfsectors
 
 
 def brute_force_forms(d: int, t: float, norm: str = "max"):
@@ -35,6 +39,14 @@ def brute_force_forms(d: int, t: float, norm: str = "max"):
         m[:, i, j] = m[:, j, i] = box[:, col]
     det = np.rint(np.linalg.det(m))
     return sorted(map(tuple, box[np.abs(det) == 1].tolist()))
+
+
+def child_env():
+    """Environment in which a child process imports the same qfsectors as this test."""
+    env = dict(os.environ)
+    root = str(Path(qfsectors.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (root, env.get("PYTHONPATH"))))
+    return env
 
 
 @pytest.fixture(scope="session")

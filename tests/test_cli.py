@@ -5,7 +5,6 @@ import hashlib
 import importlib
 import itertools
 import json
-import os
 import shutil
 import subprocess
 import sys
@@ -14,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import qfsectors
+from conftest import child_env
 from qfsectors import cartan, enumeration, sector
 from qfsectors.cli import main
 
@@ -291,14 +290,6 @@ def test_unknown_subcommand_exits_two():
     assert exc.value.code == 2
 
 
-def _child_env():
-    """Environment in which a child process imports the same qfsectors as this test."""
-    env = dict(os.environ)
-    root = str(Path(qfsectors.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (root, env.get("PYTHONPATH"))))
-    return env
-
-
 def _assert_top_level_help(res):
     assert res.returncode == 0, res.stderr
     assert res.stdout.startswith("usage: qfsectors")
@@ -320,7 +311,7 @@ def test_console_script_help():
     module, func = scripts["qfsectors"].split(":")
     assert callable(getattr(importlib.import_module(module), func))
 
-    env = _child_env()
+    env = child_env()
     wrapper = (
         f"import sys; from {module} import {func}; "
         f"sys.argv[0] = 'qfsectors'; sys.exit({func}())"
@@ -346,6 +337,6 @@ def test_console_script_help():
 def test_installed_console_script_help():
     res = subprocess.run(
         [shutil.which("qfsectors"), "--help"],
-        capture_output=True, text=True, env=_child_env(),
+        capture_output=True, text=True, env=child_env(),
     )
     _assert_top_level_help(res)

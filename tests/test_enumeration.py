@@ -1,6 +1,7 @@
 """Enumeration correctness against box-scan oracles, plus orbit closure."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 from conftest import brute_force_forms
 from qfsectors.enumeration import (
     QuadraticForm,
+    _det_split,
+    _int_det,
     count_ball,
     count_ball_grid,
     entry_bound,
@@ -17,6 +20,7 @@ from qfsectors.enumeration import (
     iter_form_batches,
     orbit_enumerate,
     resolve_threads,
+    triangle_indices,
 )
 from qfsectors.sector import count_sector, sign_pattern_specs
 
@@ -48,6 +52,57 @@ def test_d2_matches_brute_force():
 def test_d4_matches_brute_force_at_t15():
     got = sorted(f.entries for f in enumerate_forms(4, 1.5))
     assert got == brute_force_forms(4, 1.5)
+
+
+def test_d4_ball_counts():
+    # reproduced by an independent chunked box scan
+    assert count_ball(4, 2.5, "frobenius") == 1036
+    assert count_ball(4, 3.0, "frobenius") == 5356
+    pointwise = [count_ball(4, t) for t in (1.5, 2.5)]
+    assert pointwise[1] == 464924
+    assert count_ball_grid(4, [1.5, 2.5]) == pointwise
+
+
+@pytest.mark.parametrize("norm", ("max", "frobenius"))
+@pytest.mark.parametrize("k", (2, 3, 4))
+def test_d4_entry_points_agree_at_sqrt_k(k, norm):
+    t = math.sqrt(k)
+    expected = len(brute_force_forms(4, t, norm))
+    assert count_ball(4, t, norm) == expected
+    assert count_ball_grid(4, [1.0, t], norm)[-1] == expected
+
+
+def _gauss_det(mat):
+    a = [[Fraction(v) for v in row] for row in mat]
+    det = Fraction(1)
+    for k in range(len(a)):
+        piv = next((r for r in range(k, len(a)) if a[r][k] != 0), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            det = -det
+        det *= a[k][k]
+        for r in range(k + 1, len(a)):
+            f = a[r][k] / a[k][k]
+            a[r] = [x - f * y for x, y in zip(a[r], a[k])]
+    return det
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    d=st.integers(2, 5),
+    entries=st.lists(st.integers(-40, 40), min_size=15, max_size=15),
+)
+def test_laplace_split_matches_the_full_determinant(d, entries):
+    mat = [[0] * d for _ in range(d)]
+    for (i, j), v in zip(triangle_indices(d), entries):
+        mat[i][j] = mat[j][i] = v
+    det = _int_det(mat)
+    assert det == _gauss_det(mat)
+    minor, const = _det_split(mat)
+    assert minor == _int_det([row[:-1] for row in mat[:-1]])
+    assert det == minor * mat[-1][-1] + const
 
 
 def test_each_form_is_valid():
@@ -112,6 +167,8 @@ def test_thresholds_are_strict():
 
 
 def test_threads_do_not_change_results(monkeypatch):
+    for d, t, norm in ((2, 7.5, "max"), (4, 2.0, "max"), (4, 3.0, "frobenius")):
+        assert count_ball(d, t, norm, threads=2) == count_ball(d, t, norm)
     base = count_ball(3, 4.0)
     assert count_ball(3, 4.0, threads=2) == base
     monkeypatch.setenv("QFSECTORS_THREADS", "3")

@@ -158,6 +158,21 @@ def test_singular_volume_behaviour():
         singular_volume(ctx, -0.1, grid)
 
 
+def test_monte_carlo_above_chamber_dimension_3():
+    # d = 5 has four interior cuts, beyond the quadrature's reach
+    ctx = context_pq(5, 3, 2)
+    runs = [
+        volume_series(ctx, [6.0, 9.0], method="monte-carlo", samples=50_000, seed=seed)
+        for seed in (1, 2)
+    ]
+    for run in runs:
+        assert 0 < run.values[0] < run.values[1]
+        for v, se in zip(run.values, run.stderr):
+            assert se / v < 0.25
+    for v1, v2, s1, s2 in zip(runs[0].values, runs[1].values, runs[0].stderr, runs[1].stderr):
+        assert abs(v1 - v2) < 6.0 * math.hypot(s1, s2)
+
+
 def test_volume_guards():
     ctx = context_for((1, 1, -1))
     with pytest.raises(ValueError, match="chamber dimension"):
