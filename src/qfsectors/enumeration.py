@@ -182,7 +182,10 @@ def _scan(d: int, t: float, norm: str, threads: int):
 
     One batch per nonempty cell, cells in lexicographic order, rows
     sorted within the cell.  Every row's determinant is recomputed in
-    full before it leaves.
+    full before it leaves.  d = 3 maps cells to `threads` workers by
+    their first entry; d = 4 scans serially whatever `threads` is, since
+    its cells hold at most 7**3 grid points and two threads only contend
+    for the interpreter lock.
     """
     lim = key_limit(t, norm)
     b = lim if norm == "max" else math.isqrt(lim)
@@ -273,7 +276,7 @@ def _scan(d: int, t: float, norm: str, threads: int):
                 raise RuntimeError("internal determinant check failed")
             yield full
 
-    if ncell == 0 or threads <= 1:
+    if d != 3 or threads <= 1:
         yield from batches((), lim)
         return
     r = reach(0, lim)

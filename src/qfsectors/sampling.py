@@ -42,14 +42,18 @@ def derive_rng(seed: int, *labels) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def random_rotation(rng: np.random.Generator, d: int) -> np.ndarray:
-    """Haar-uniform element of SO(d) via sign-fixed QR."""
-    z = rng.standard_normal((d, d))
+def random_rotation(rng: np.random.Generator, d: int, size: int | None = None) -> np.ndarray:
+    """Haar-uniform element of SO(d) via sign-fixed QR.
+
+    With size=n, an (n, d, d) stack from one draw and one stacked QR; it
+    equals n single calls bit for bit and leaves rng in the same state.
+    """
+    z = rng.standard_normal((1 if size is None else size, d, d))
     q, r = np.linalg.qr(z)
-    q = q * np.sign(np.diag(r))
-    if np.linalg.det(q) < 0:
-        q[:, -1] = -q[:, -1]
-    return q
+    q = q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
+    flip = np.linalg.det(q) < 0
+    q[flip, :, -1] = -q[flip, :, -1]
+    return q[0] if size is None else q
 
 
 def random_indefinite_orthogonal(

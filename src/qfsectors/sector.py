@@ -214,16 +214,17 @@ def sector_membership(
 
 
 def _eigvals_batch(mats: np.ndarray) -> np.ndarray:
-    n, d, _ = mats.shape
+    d = mats.shape[1]
     if d == 2:
         lam = sym2_eigvals_batch(mats)
     elif d == 3:
         lam = sym3_eigvals_batch(mats)
     else:
-        return np.array([jacobi_eigh(m)[0] for m in mats]).reshape(n, d)
+        lam = np.linalg.eigvalsh(mats)
     # the closed forms lose ~1e-9 near repeated |eigenvalues|, exactly
-    # where the tie tolerance decides degeneracy; rerun those few rows
-    # through the cyclic Jacobi path, which keeps ties at machine epsilon
+    # where the tie tolerance decides degeneracy; rerun those few rows, in
+    # every d so that one solver decides ties, through the cyclic Jacobi
+    # path, which keeps ties at machine epsilon
     alam = np.sort(np.abs(lam), axis=1)
     rel = np.diff(alam, axis=1) / np.maximum(alam[:, 1:], 1e-300)
     close = np.min(rel, axis=1) <= 1e-6

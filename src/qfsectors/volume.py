@@ -73,6 +73,20 @@ class DensityContext:
             raise ValueError("sign pattern disagrees with the datum signature")
         object.__setattr__(self, "joined", joined)
         object.__setattr__(self, "signs", signs)
+        # derived structure, stored once; not fields, so == and hash ignore it
+        cuts = [i for i in range(1, d) if i not in joined]
+        dims = [c - prev for prev, c in zip([0] + cuts, cuts + [d])]
+        blocks = BlockDecomposition(d=d, dims=tuple(dims))
+        object.__setattr__(self, "_blocks", blocks)
+        object.__setattr__(self, "_cuts", blocks.cuts)
+        object.__setattr__(self, "_dims", np.asarray(blocks.dims, dtype=float))
+        blk = np.repeat(np.arange(len(dims)), dims)
+        roots = tuple(
+            (i, j, *self.datum.multiplicity((i, j)))
+            for i, j in self.datum.positive_roots
+            if blk[i - 1] != blk[j - 1]
+        )
+        object.__setattr__(self, "_free_roots", roots)
 
     @property
     def d(self) -> int:
@@ -80,17 +94,11 @@ class DensityContext:
 
     @property
     def blocks(self) -> BlockDecomposition:
-        d = self.d
-        cuts = [i for i in range(1, d) if i not in self.joined]
-        dims, prev = [], 0
-        for c in cuts + [d]:
-            dims.append(c - prev)
-            prev = c
-        return BlockDecomposition(d=d, dims=tuple(dims))
+        return self._blocks
 
     @property
     def cuts(self) -> tuple[int, ...]:
-        return self.blocks.cuts
+        return self._cuts
 
     @property
     def chamber(self) -> tuple[tuple[float, ...], ...]:
@@ -114,15 +122,16 @@ class DensityContext:
 
     def free_roots(self) -> tuple[tuple[int, int, int, int], ...]:
         """Cross-block positive roots as (i, j, l_plus, l_minus)."""
-        cuts = self.cuts
-        blk = np.zeros(self.d + 1, dtype=int)
-        for c in cuts:
-            blk[c + 1 :] += 1
-        out = []
-        for i, j in self.datum.positive_roots:
-            if blk[i] != blk[j]:
-                out.append((i, j, *self.datum.multiplicity((i, j))))
-        return tuple(out)
+        return self._free_roots
+
+    def block_logs(self, margins) -> np.ndarray:
+        """Margins (N, n) -> (N, n+1) trace-free log values, one per block."""
+        m = np.atleast_2d(np.asarray(margins, dtype=float))
+        if m.shape[1] != len(self._cuts):
+            raise ValueError("one margin per interior cut required")
+        drop = np.concatenate([np.zeros((m.shape[0], 1)), np.cumsum(m, axis=1)], axis=1)
+        shift = (drop @ self._dims) / self.d
+        return shift[:, None] - drop
 
     def log_coords(self, margins) -> np.ndarray:
         """Margins -> trace-free block-constant log coordinates.
@@ -130,17 +139,8 @@ class DensityContext:
         Accepts one margin vector (n,) or a batch (N, n); returns (d,)
         or (N, d) correspondingly.
         """
-        m = np.asarray(margins, dtype=float)
-        single = m.ndim == 1
-        m = np.atleast_2d(m)
-        if m.shape[1] != len(self.cuts):
-            raise ValueError("one margin per interior cut required")
-        dims = np.asarray(self.blocks.dims, dtype=float)
-        drop = np.concatenate([np.zeros((m.shape[0], 1)), np.cumsum(m, axis=1)], axis=1)
-        shift = (drop @ dims) / self.d
-        vals = shift[:, None] - drop
-        y = np.repeat(vals, self.blocks.dims, axis=1)
-        return y[0] if single else y
+        y = np.repeat(self.block_logs(margins), self._blocks.dims, axis=1)
+        return y[0] if np.ndim(margins) == 1 else y
 
 
 def context_for(signs, joined=()) -> DensityContext:
@@ -186,11 +186,7 @@ def xi_density(ctx: DensityContext, log_a) -> float:
 
 def _ball_radius(ctx: DensityContext, margins: np.ndarray) -> np.ndarray:
     """Frobenius norm of a . v0 on a batch of margin vectors."""
-    y = np.atleast_2d(ctx.log_coords(margins))
-    starts = np.concatenate([[0], np.asarray(ctx.cuts, dtype=int)])
-    dims = np.asarray(ctx.blocks.dims, dtype=float)
-    vals = y[:, starts]
-    return np.sqrt(np.exp(4.0 * vals) @ dims)
+    return np.sqrt(np.exp(4.0 * ctx.block_logs(margins)) @ ctx._dims)
 
 
 def haar_fraction(frame, d: int) -> float:
@@ -351,16 +347,14 @@ def _mc_series(
     elif norm == "max":
         y = ctx.log_coords(margins)
         eig = np.asarray(ctx.signs, dtype=float) * np.exp(2.0 * y)
-        frames = np.stack([random_rotation(rng, d) for _ in range(samples)])
+        frames = random_rotation(rng, d, samples)
         forms = np.einsum("nij,nj,nkj->nik", frames, eig, frames)
         radii = np.max(np.abs(forms), axis=(1, 2))
         if not (frame is None or isinstance(frame, FullFrame)):
+            # length of the axis's projection on the top block's span
             top = ctx.blocks.dims[0]
-            axis = np.asarray(frame.axis)
-            proj = np.sqrt(
-                np.minimum(np.sum((frames[:, :, :top] * axis[None, :, None]) ** 2, axis=(1, 2)), 1.0)
-            )
-            inside = np.arccos(proj) <= frame.angle
+            proj = np.linalg.norm(np.asarray(frame.axis) @ frames[:, :, :top], axis=-1)
+            inside = np.arccos(np.minimum(proj, 1.0)) <= frame.angle
             accept = ~inside if isinstance(frame, AntiCap) else inside
             weights = weights * accept
     else:
@@ -526,7 +520,7 @@ def wellroundedness_ratio(
     weights = np.exp(_log_abs_xi(ctx, margins) - logp)
     y = ctx.log_coords(margins)
     eig = np.asarray(ctx.signs, dtype=float) * np.exp(2.0 * y)
-    frames = np.stack([random_rotation(rng, d) for _ in range(samples)])
+    frames = random_rotation(rng, d, samples)
     base = np.einsum("nij,nj,nkj->nik", frames, eig, frames)
     probes = [base]
     for x in _unit_directions(d, n_probe, rng):

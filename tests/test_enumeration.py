@@ -1,5 +1,6 @@
 """Enumeration correctness against box-scan oracles, plus orbit closure."""
 
+import functools
 import math
 from fractions import Fraction
 
@@ -63,6 +64,20 @@ def test_d4_ball_counts():
     assert count_ball_grid(4, [1.5, 2.5]) == pointwise
 
 
+@functools.lru_cache(maxsize=None)
+def _d4_sign_sectors(norm):
+    """Sign-sector counts plus the degenerate forms at T = sqrt(2), sqrt(3)
+    and 2, one scan per sign pattern."""
+    ks = (2, 3, 4)
+    series = [
+        count_sector([math.sqrt(k) for k in ks], spec, d=4)
+        for spec in sign_pattern_specs(4, norm=norm)
+    ]
+    return {
+        k: sum(s.values[i] for s in series) + series[0].degenerate[i] for i, k in enumerate(ks)
+    }
+
+
 @pytest.mark.parametrize("norm", ("max", "frobenius"))
 @pytest.mark.parametrize("k", (2, 3, 4))
 def test_d4_entry_points_agree_at_sqrt_k(k, norm):
@@ -70,6 +85,7 @@ def test_d4_entry_points_agree_at_sqrt_k(k, norm):
     expected = len(brute_force_forms(4, t, norm))
     assert count_ball(4, t, norm) == expected
     assert count_ball_grid(4, [1.0, t], norm)[-1] == expected
+    assert _d4_sign_sectors(norm)[k] == expected
 
 
 def _gauss_det(mat):

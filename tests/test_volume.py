@@ -1,14 +1,18 @@
 """Density closed forms, region volumes, and boundary-layer estimates."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from qfsectors import volume
 from qfsectors.rootdata import build_root_datum
 from qfsectors.sector import AntiCap, Cap, FullFrame
 from qfsectors.volume import (
     DensityContext,
+    _ball_radius,
+    _mc_series,
     context_for,
     context_pq,
     haar_fraction,
@@ -82,6 +86,55 @@ def test_log_coords_batch_and_trace():
     assert abs(batch.sum(axis=1)).max() < 1e-12
     with pytest.raises(ValueError):
         ctx.log_coords([0.4])
+
+
+def test_context_equality_ignores_stored_structure():
+    a, b = context_for((1, 1, -1), joined=(2,)), context_for((1, 1, -1), joined=(2,))
+    assert [f.name for f in dataclasses.fields(DensityContext)] == ["datum", "joined", "signs"]
+    object.__setattr__(b, "_free_roots", ())
+    object.__setattr__(b, "_dims", np.zeros(2))
+    assert a == b and repr(a) == repr(b)
+    # the hash covers the same three fields, and the datum's dicts make
+    # it raise, stored values or not
+    for ctx in (a, b):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(ctx)
+    assert a != context_for((1, 1, -1))
+    assert a.blocks is a.blocks and a.free_roots() is a.free_roots()
+    assert a.cuts == a.blocks.cuts == (1,)
+
+
+@pytest.mark.parametrize(
+    "signs, joined",
+    [((1, 1, -1), ()), ((1, 1, -1), (1,)), ((1, -1, 1, -1), (2,)), ((1, 1, 1, -1, -1), ())],
+)
+def test_block_logs_and_radius_from_scratch(signs, joined):
+    ctx = context_for(signs, joined=joined)
+    dims = np.asarray(ctx.blocks.dims)
+    n = len(ctx.cuts)
+    margins = np.random.default_rng(len(signs)).random((7, n)) * 3.0
+    vals = ctx.block_logs(margins)
+    # block values: consecutive drops are the margins, the trace is zero
+    system = np.zeros((n + 1, n + 1))
+    for k in range(n):
+        system[k, k], system[k, k + 1] = 1.0, -1.0
+    system[n] = dims
+    for row, m in zip(vals, margins):
+        assert np.allclose(row, np.linalg.solve(system, np.append(m, 0.0)), rtol=0, atol=1e-12)
+    y = ctx.log_coords(margins)
+    assert np.array_equal(y, np.repeat(vals, dims, axis=1))
+    assert np.array_equal(ctx.log_coords(margins[0]), y[0])
+    radius = _ball_radius(ctx, margins)
+    assert np.allclose(radius, np.sqrt(np.exp(4.0 * y).sum(axis=1)), rtol=1e-13)
+    # on one row, as the margin bisection asks, the former route (repeat,
+    # then re-slice the block starts) gives the same bits
+    starts = np.concatenate([[0], np.asarray(ctx.cuts, dtype=int)])
+    for m in margins:
+        row = ctx.log_coords(m[None, :])
+        former = np.sqrt(np.exp(4.0 * row[:, starts]) @ dims.astype(float))
+        assert np.array_equal(_ball_radius(ctx, m[None, :]), former)
+    with pytest.raises(ValueError, match="one margin per interior cut"):
+        ctx.block_logs(np.zeros((2, n + 1)))
 
 
 def test_context_validation():
@@ -171,6 +224,58 @@ def test_monte_carlo_above_chamber_dimension_3():
             assert se / v < 0.25
     for v1, v2, s1, s2 in zip(runs[0].values, runs[1].values, runs[0].stderr, runs[1].stderr):
         assert abs(v1 - v2) < 6.0 * math.hypot(s1, s2)
+
+
+def test_max_norm_cap_frame_off_the_coordinate_axes(monkeypatch):
+    ctx = context_pq(3, 2, 1)
+    cap, anti = Cap(axis=(1, 1, 1), angle=0.6), AntiCap(axis=(1, 1, 1), angle=0.6)
+    full, inside, outside = (
+        volume_series(ctx, [10.0], method="mc", norm="max", samples=40_000, seed=5, frame=f)
+        .values[0]
+        for f in (None, cap, anti)
+    )
+    assert full > 0
+    assert abs(inside + outside - full) <= 1e-12 * full
+    # every sample at one margin point, far inside the ball, with equal
+    # weights: the accepted share is then a binomial frequency
+    samples = 40_000
+    monkeypatch.setattr(
+        volume, "_grid_margins",
+        lambda ctx, t, rng, samples, **kw: (np.ones((samples, 2)), np.zeros(samples)),
+    )
+    (full,), _ = _mc_series(ctx, [100.0], "max", None, samples, 5)
+    (inside,), _ = _mc_series(ctx, [100.0], "max", cap, samples, 5)
+    share, p = inside / full, haar_fraction(cap, 3)
+    assert abs(share - p) < 4.0 * math.sqrt(p * (1.0 - p) / samples)
+
+
+def _per_sample_rotation(rng, d, size=None):
+    """The sampler as it was, one QR per frame: the oracle for the batch."""
+
+    def one():
+        z = rng.standard_normal((d, d))
+        q, r = np.linalg.qr(z)
+        q = q * np.sign(np.diag(r))
+        if np.linalg.det(q) < 0:
+            q[:, -1] = -q[:, -1]
+        return q
+
+    return one() if size is None else np.stack([one() for _ in range(size)])
+
+
+@pytest.mark.parametrize("frame", [None, Cap(axis=(0.0, 0.0, 1.0), angle=0.8)])
+def test_max_norm_mc_matches_per_sample_frames(monkeypatch, frame):
+    ctx = context_for((1, 1, -1))
+    batched = _mc_series(ctx, [6.0, 9.0], "max", frame, 3000, 9)
+    monkeypatch.setattr(volume, "random_rotation", _per_sample_rotation)
+    assert _mc_series(ctx, [6.0, 9.0], "max", frame, 3000, 9) == batched
+
+
+def test_wellroundedness_matches_per_sample_frames(monkeypatch):
+    ctx = context_for((1, 1, -1))
+    batched = wellroundedness_ratio(ctx, 0.1, 8.0, seed=31, samples=1500)
+    monkeypatch.setattr(volume, "random_rotation", _per_sample_rotation)
+    assert wellroundedness_ratio(ctx, 0.1, 8.0, seed=31, samples=1500) == batched
 
 
 def test_volume_guards():
