@@ -154,7 +154,7 @@ def _parse_frame(text: str | None):
     angle = float(angle_text)
     if kind == "cap":
         return sector.Cap(axis=axis, angle=angle)
-    if kind in ("anticap", "none-of-frame"):
+    if kind == "anticap":
         return sector.AntiCap(axis=axis, angle=angle)
     raise ValueError(f"unknown frame kind {kind!r}")
 
@@ -346,9 +346,12 @@ def _fit_report(series: sector.CountSeries) -> dict:
 def _cmd_volume(args) -> int:
     manifest = RunManifest(args)
     p, q = _parse_signature(args.signature)
-    if args.d != p + q:
-        raise ValueError("--d must equal p + q")
-    signs = tuple(1 if s == "+" else -1 for s in _parse_signs(args.signs)) if args.signs else None
+    signs = None
+    if args.signs:
+        tokens = _parse_signs(args.signs)
+        if len(tokens) != p + q or tokens.count("+") != p or tokens.count("-") != q:
+            raise ValueError("--signs must have p pluses and q minuses")
+        signs = tuple(1 if s == "+" else -1 for s in tokens)
     joined = _parse_ints(args.I) if args.I else []
     ctx = (
         volume.context_for(signs, joined)
@@ -571,7 +574,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_count_sector)
 
     sp = sub.add_parser("volume", help="sector volume series (quadrature or MC)")
-    sp.add_argument("--d", type=int, default=3)
     sp.add_argument("--signature", required=True, help="p,q")
     sp.add_argument("--signs", default=None, help="diagonal sign pattern, e.g. +,+,-")
     sp.add_argument("--I", default="", help="joined wall indices, comma list or empty")

@@ -114,12 +114,18 @@ class QuadraticForm:
         )
 
 
-def _norm_of_rows(rows, norm_kind: str) -> float:
+def _key_of_rows(rows, norm_kind: str) -> int:
+    """Integer norm key of a full integer matrix, as norm_keys computes it."""
     if norm_kind == "max":
-        return float(max(abs(v) for r in rows for v in r))
-    if norm_kind == "frobenius":
-        return math.sqrt(sum(v * v for r in rows for v in r))
-    raise ValueError(f"unknown norm {norm_kind!r}")
+        return max(abs(v) for r in rows for v in r)
+    return sum(v * v for r in rows for v in r)
+
+
+def _norm_of_rows(rows, norm_kind: str) -> float:
+    if norm_kind not in NORMS:
+        raise ValueError(f"unknown norm {norm_kind!r}")
+    key = _key_of_rows(rows, norm_kind)
+    return float(key) if norm_kind == "max" else math.sqrt(key)
 
 
 def _check_norm(norm: str) -> str:
@@ -372,7 +378,8 @@ def orbit_enumerate(
 ) -> OrbitResult:
     """Breadth-first closure of q -> g' q g over elementary generators.
 
-    Explores states with norm < slack*T and reports those with norm < T.
+    Explores states with norm < slack*T and reports those with norm < T,
+    both decided on integer norm keys (see key_limit).
     Best effort: points of the orbit inside the T-ball reachable only
     through states outside the slack corridor are missed, and exceeding
     the state budget sets the partial flag.  Deduplication is exact, on
@@ -395,7 +402,7 @@ def orbit_enumerate(
         return tuple(m[i][j] for i, j in idx)
 
     start = encode(mat0)
-    corridor = slack * t
+    corridor = key_limit(slack * t, norm)
     seen = {start}
     queue = deque([mat0])
     partial = False
@@ -411,7 +418,7 @@ def orbit_enumerate(
             key = encode(nxt)
             if key in seen:
                 continue
-            if _norm_of_rows(nxt, norm) >= corridor:
+            if _key_of_rows(nxt, norm) > corridor:
                 continue
             if len(seen) >= max_states:
                 partial = True
@@ -420,12 +427,13 @@ def orbit_enumerate(
             seen.add(key)
             queue.append(nxt)
     det0 = _int_det(mat0)
+    lim = key_limit(t, norm)
     forms = []
     for key in sorted(seen):
         rows = _symmetric(d, idx, key)
-        nv = _norm_of_rows(rows, norm)
-        if nv < t:
+        if _key_of_rows(rows, norm) <= lim:
+            nv = _norm_of_rows(rows, norm)
             forms.append(
-                QuadraticForm(d=d, entries=key, det=det0, norm=float(nv), norm_kind=norm)
+                QuadraticForm(d=d, entries=key, det=det0, norm=nv, norm_kind=norm)
             )
     return OrbitResult(forms=tuple(forms), partial=partial, visited=len(seen))

@@ -59,6 +59,19 @@ class BlockDecomposition:
         if sum(self.dims) != self.d:
             raise ValueError("block dimensions must sum to d")
 
+    @classmethod
+    def from_joined(cls, d: int, joined: Sequence[int]) -> "BlockDecomposition":
+        """Blocks of d slots with the listed walls joined.
+
+        Wall i (1-based, 1..d-1) separates slots i and i+1.  A joined
+        wall puts both in one block; every other wall is a cut.
+        """
+        joined = set(int(i) for i in joined)
+        if any(i < 1 or i > d - 1 for i in joined):
+            raise ValueError("joined walls must lie in 1..d-1")
+        cuts = [i for i in range(1, d) if i not in joined]
+        return cls(d=d, dims=tuple(c - prev for prev, c in zip([0] + cuts, cuts + [d])))
+
     @property
     def cuts(self) -> tuple[int, ...]:
         """Interior cut points i_1 < ... < i_n (empty for one block)."""

@@ -64,8 +64,7 @@ class DensityContext:
     def __post_init__(self) -> None:
         d = self.datum.d
         joined = tuple(sorted(set(int(i) for i in self.joined)))
-        if any(i < 1 or i > d - 1 for i in joined):
-            raise ValueError("joined walls must lie in 1..d-1")
+        blocks = BlockDecomposition.from_joined(d, joined)
         signs = tuple(int(s) for s in self.signs)
         if len(signs) != d or any(s not in (-1, 1) for s in signs):
             raise ValueError("signs must be a +-1 vector of length d")
@@ -74,13 +73,10 @@ class DensityContext:
         object.__setattr__(self, "joined", joined)
         object.__setattr__(self, "signs", signs)
         # derived structure, stored once; not fields, so == and hash ignore it
-        cuts = [i for i in range(1, d) if i not in joined]
-        dims = [c - prev for prev, c in zip([0] + cuts, cuts + [d])]
-        blocks = BlockDecomposition(d=d, dims=tuple(dims))
         object.__setattr__(self, "_blocks", blocks)
         object.__setattr__(self, "_cuts", blocks.cuts)
         object.__setattr__(self, "_dims", np.asarray(blocks.dims, dtype=float))
-        blk = np.repeat(np.arange(len(dims)), dims)
+        blk = np.repeat(np.arange(len(blocks.dims)), blocks.dims)
         roots = tuple(
             (i, j, *self.datum.multiplicity((i, j)))
             for i, j in self.datum.positive_roots

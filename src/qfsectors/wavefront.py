@@ -30,8 +30,10 @@ from .cartan import (
     signature_matrix,
     weyl_matrix,
 )
+from .rootdata import BlockDecomposition
 
 MAX_PROBE_EPS = 1e-2
+SWEEP_DIRECTIONS = 3  # probe directions per sweep base point
 
 
 class MetricDomainError(ValueError):
@@ -174,17 +176,32 @@ def fine_probe(
     n: int,
     seed,
     directions=None,
+    joined=None,
 ) -> ProbeReport:
     """Refactor exp(eps X).g for n random unit X; compare every factor.
 
     seed may be an integer or a numpy Generator.  Perturbations whose
     sign pattern differs from the base are Weyl-slot crossings: counted,
     excluded from the ratios.
+
+    joined, when given, lists 1-based boundary indices allowed to
+    degenerate, and the same pass also measures the coarse observables
+    on every direction, crossed ones included: block geometric means of
+    the a coordinates (ratio_coarse_aI) and the largest principal angle
+    between grouped eigenvector column spans (ratio_coarse_frame).  A
+    kept boundary with margin below 10 eps makes the block clustering
+    ambiguous; the coarse ratios are then None.
     """
     if not 0.0 < epsilon <= MAX_PROBE_EPS:
         raise ValueError("epsilon must lie in (0, 1e-2]")
-    base = kah_decompose(g, signature)
     d = sum(signature)
+    cuts = None if joined is None else BlockDecomposition.from_joined(d, joined).cuts
+    base = kah_decompose(g, signature)
+    slots = None  # coarse blocks of slots, when their clustering is unambiguous
+    if cuts is not None and not any(base.margins[c - 1] < 10.0 * epsilon for c in cuts):
+        slots = np.split(np.arange(d), cuts)
+        base_means = np.array([np.log(base.a)[b].mean() for b in slots])
+        ratio_ai, ratio_frame = 0.0, 0.0
     jmat = signature_matrix(*signature)
     if directions is None:
         directions = _unit_directions(d, n, _as_rng(seed))
@@ -193,6 +210,14 @@ def fine_probe(
         gp = scipy.linalg.expm(epsilon * x) @ g
         probe = kah_decompose(gp, signature)
         d_in = group_distance(gp, g)
+        if slots is not None:
+            means = np.array([np.log(probe.a)[b].mean() for b in slots])
+            ratio_ai = max(ratio_ai, float(np.linalg.norm(means - base_means)) / epsilon)
+            ang = 0.0
+            for b in slots:
+                theta = scipy.linalg.subspace_angles(base.k[:, b], probe.k[:, b])
+                ang = max(ang, float(theta[0]))
+            ratio_frame = max(ratio_frame, ang / epsilon)
         if probe.w != base.w:
             detail.append(ProbeSample(d_input=d_in, crossed=True))
             continue
@@ -224,20 +249,10 @@ def fine_probe(
         ratio_k=max(s.d_k / epsilon for s in kept) if kept else None,
         ratio_a=max(s.d_a / epsilon for s in kept) if kept else None,
         ratio_h=max(s.d_h / epsilon for s in kept) if kept else None,
+        ratio_coarse_aI=None if slots is None else ratio_ai,
+        ratio_coarse_frame=None if slots is None else ratio_frame,
         detail=tuple(detail),
     )
-
-
-def _blocks_from_joined(d: int, joined: tuple[int, ...]):
-    blocks, cur = [], [0]
-    for i in range(1, d):
-        if i in joined:  # boundary i joined: slots i-1, i share a block
-            cur.append(i)
-        else:
-            blocks.append(cur)
-            cur = [i]
-    blocks.append(cur)
-    return blocks
 
 
 def coarse_probe(
@@ -251,55 +266,19 @@ def coarse_probe(
 ) -> ProbeReport:
     """Block-averaged stability: slots across each joined boundary merge.
 
-    joined lists 1-based boundary indices allowed to degenerate.  Every
-    kept boundary must have margin at least 10 eps, otherwise the block
-    clustering is ambiguous and the base point is rejected.  Only the
-    coarse observables are measured: block geometric means of the a
-    coordinates and the largest principal angle between grouped
-    eigenvector column spans.
+    fine_probe(..., joined=joined) with the coarse ratios required:
+    every kept boundary must have margin at least 10 eps, otherwise the
+    block clustering is ambiguous and the base point is rejected.  The
+    report's fine ratios, crossings and detail come from the same pass.
     """
-    if not 0.0 < epsilon <= MAX_PROBE_EPS:
-        raise ValueError("epsilon must lie in (0, 1e-2]")
-    d = sum(signature)
-    joined = tuple(sorted(set(joined)))
-    if any(i < 1 or i > d - 1 for i in joined):
-        raise ValueError("joined entries must be boundary indices 1..d-1")
-    base = kah_decompose(g, signature)
-    for i in range(1, d):
-        if i not in joined and base.margins[i - 1] < 10.0 * epsilon:
-            raise ValueError(
-                "margin at a kept boundary is below 10*eps; join it or shrink eps"
-            )
-    blocks = _blocks_from_joined(d, joined)
-    base_means = np.array([np.log(base.a)[b].mean() for b in blocks])
-    if directions is None:
-        directions = _unit_directions(d, n, _as_rng(seed))
-    detail = []
-    ratio_ai, ratio_frame = 0.0, 0.0
-    for x in directions:
-        gp = scipy.linalg.expm(epsilon * x) @ g
-        probe = kah_decompose(gp, signature)
-        d_in = group_distance(gp, g)
-        means = np.array([np.log(probe.a)[b].mean() for b in blocks])
-        d_blocks = float(np.linalg.norm(means - base_means))
-        ang = 0.0
-        for b in blocks:
-            theta = scipy.linalg.subspace_angles(base.k[:, b], probe.k[:, b])
-            ang = max(ang, float(theta[0]))
-        ratio_ai = max(ratio_ai, d_blocks / epsilon)
-        ratio_frame = max(ratio_frame, ang / epsilon)
-        detail.append(ProbeSample(d_input=d_in, crossed=False, d_a=d_blocks, d_k=ang))
-    return ProbeReport(
-        base=base,
-        epsilon=epsilon,
-        samples=len(detail),
-        regularity_c=float(min(base.margins)),
-        chamber_depth=base.chamber_depth,
-        crossings=0,
-        ratio_coarse_aI=ratio_ai,
-        ratio_coarse_frame=ratio_frame,
-        detail=tuple(detail),
+    report = fine_probe(
+        g, signature, epsilon, n, seed, directions=directions, joined=joined
     )
+    if report.ratio_coarse_aI is None:
+        raise ValueError(
+            "margin at a kept boundary is below 10*eps; join it or shrink eps"
+        )
+    return report
 
 
 def chamber_point(margins) -> np.ndarray:
@@ -356,20 +335,21 @@ def lipschitz_sweep(
     n_per_cell: int,
     seed: int,
     wall: int | None = None,
-    directions_per_point: int = 3,
-    coarse: bool = True,
 ) -> list[SweepCell]:
     """Max displacement ratios over synthetic base points per (c, depth) cell.
 
     Base points are built directly as k0.diag(a).W.h0 with the canonical
     sign pattern, prescribed minimum margin c (at `wall`, or a random
-    wall per point when None) and chamber depth ||log a||.  Fine and
-    coarse probes run on the same directions; the coarse probe joins
-    exactly the pinned wall.  Cells whose base-point construction fails
-    are recorded as empty rather than fabricated.
+    wall per point when None) and chamber depth ||log a||.  One probe
+    pass per base point, on SWEEP_DIRECTIONS directions, gives the fine
+    ratios and the coarse ratios that join exactly the pinned wall.
+    Cells whose base-point construction fails are recorded as empty
+    rather than fabricated.
     """
     p, q = signature
     d = p + q
+    if wall is not None and not 1 <= wall <= d - 1:
+        raise ValueError("wall must be a boundary index 1..d-1")
     w0 = (1,) * p + (-1,) * q
     wmat = weyl_matrix(w0, signature)
     cells = []
@@ -391,24 +371,19 @@ def lipschitz_sweep(
                 k0 = sampling.random_rotation(rng, d)
                 h0 = sampling.random_indefinite_orthogonal(rng, p, q, scale=0.5)
                 g = k0 @ (avec[:, None] * (wmat @ h0))
-                dirs = _unit_directions(d, directions_per_point, rng)
-                fine = fine_probe(g, signature, epsilon, 0, None, directions=dirs)
+                dirs = _unit_directions(d, SWEEP_DIRECTIONS, rng)
+                pr = fine_probe(
+                    g, signature, epsilon, 0, None, directions=dirs, joined=(wall_b,)
+                )
                 n_ok += 1
-                crossings += fine.crossings
-                if fine.ratio_k is not None:
-                    rk.append(fine.ratio_k)
-                    ra.append(fine.ratio_a)
-                    rh.append(fine.ratio_h)
-                if coarse:
-                    try:
-                        co = coarse_probe(
-                            g, signature, (wall_b,), epsilon, 0, None,
-                            directions=dirs,
-                        )
-                        rai.append(co.ratio_coarse_aI)
-                        rfr.append(co.ratio_coarse_frame)
-                    except ValueError:
-                        pass
+                crossings += pr.crossings
+                if pr.ratio_k is not None:
+                    rk.append(pr.ratio_k)
+                    ra.append(pr.ratio_a)
+                    rh.append(pr.ratio_h)
+                if pr.ratio_coarse_aI is not None:
+                    rai.append(pr.ratio_coarse_aI)
+                    rfr.append(pr.ratio_coarse_frame)
             cells.append(
                 SweepCell(
                     c=float(c),

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import child_env
-from qfsectors import cartan, enumeration, sector
+from qfsectors import cartan, enumeration, sector, volume
 from qfsectors.cli import main
 
 SUBCOMMANDS = ("predict-exponent", "kah", "wavefront", "enumerate",
@@ -156,9 +156,10 @@ def test_count_sector_artifacts(tmp_path, capsys):
 def test_sign_lists_work_as_separate_values(tmp_path, capsys, signs):
     """A sign list after a space, even one starting with '-', is the value
     of --signs: the run matches the --signs=... spelling byte for byte."""
+    signature = f"{signs.count('+')},{signs.count('-')}"
     for cmd, extra in (
         ("count-sector", ["--blocks", "1,1,1", "--T-grid", "2,3"]),
-        ("volume", ["--signature", "2,1", "--T-grid", "6,10"]),
+        ("volume", ["--signature", signature, "--T-grid", "6,10"]),
     ):
         spaced, joined = tmp_path / f"{cmd}-a.csv", tmp_path / f"{cmd}-b.csv"
         assert run(capsys, cmd, "--signs", signs, *extra, "--out", str(spaced))[0] == 0
@@ -214,12 +215,29 @@ def test_volume_error_paths(tmp_path, capsys):
     )
     assert code == 1
     assert err.startswith("error:")
-    code, _, err = run(
-        capsys, "volume", "--d", "4", "--signature", "2,1", "--T-grid", "6,10",
-        "--out", str(out),
+    for signs in ("+,-", "+,-,-", "+,+,1:1"):
+        code, _, err = run(
+            capsys, "volume", "--signature", "2,1", "--signs", signs, "--T-grid", "6,10",
+            "--out", str(out),
+        )
+        assert code == 1
+        assert "p pluses and q minuses" in err
+    assert not out.exists()
+
+
+def test_volume_takes_d_from_the_signature(tmp_path, capsys):
+    out = tmp_path / "vol4.csv"
+    code, _, _ = run(
+        capsys, "volume", "--signature", "3,1", "--T-grid", "6,10",
+        "--method", "mc", "--samples", "5000", "--seed", "3", "--out", str(out),
     )
-    assert code == 1
-    assert "p + q" in err
+    assert code == 0
+    want = volume.volume_series(
+        volume.context_pq(4, 3, 1), [6.0, 10.0], method="monte-carlo", samples=5000, seed=3
+    )
+    _, rows = read_csv(out)
+    assert [float(r[1]) for r in rows] == pytest.approx(want.values, rel=1e-11)
+    assert all(v > 0 for v in want.values)
 
 
 def test_wavefront_csv_contract(tmp_path, capsys):

@@ -241,6 +241,22 @@ def test_orbit_is_subset_of_matching_det_enumeration():
     assert all(f.det == -1 for f in orb2.forms)
 
 
+@pytest.mark.parametrize("k", [27, 35, 55])
+def test_orbit_of_identity_reaches_the_frobenius_boundary(k):
+    """Positive definite unimodular ternary forms make one class, so the
+    orbit of I3 is every positive definite det +1 form in the ball,
+    including those with norm^2 = k when T = sqrt(k) squares above k."""
+    t = math.sqrt(k)
+    positive = {
+        f.entries
+        for f in enumerate_forms(3, t, "frobenius")
+        if f.det == 1 and f.entries[0] > 0 and f.entries[0] * f.entries[3] > f.entries[1] ** 2
+    }
+    orb = orbit_enumerate(np.eye(3, dtype=int), t, norm="frobenius")
+    assert not orb.partial
+    assert {f.entries for f in orb.forms} == positive
+
+
 def test_orbit_guards_and_budget():
     with pytest.raises(ValueError):
         orbit_enumerate(np.diag([2, 1, 1]), 3.0)

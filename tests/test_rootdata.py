@@ -126,3 +126,30 @@ def test_exponent_pair_validation():
         ExponentPair(a=Fraction(0), b=1)
     with pytest.raises(ValueError):
         ExponentPair(a=Fraction(1), b=0)
+
+
+def test_from_joined_matches_both_former_rules():
+    """One rule turns joined walls into blocks.  It must give the cuts the
+    density context derived and the slot groups the coarse probe built."""
+    for d in range(1, 6):
+        walls = range(1, d)
+        for r in range(d):
+            for joined in itertools.combinations(walls, r):
+                cuts = [i for i in walls if i not in joined]
+                dims = tuple(c - prev for prev, c in zip([0] + cuts, cuts + [d]))
+                groups, cur = [], [0]
+                for i in walls:
+                    if i in joined:
+                        cur.append(i)
+                    else:
+                        groups.append(cur)
+                        cur = [i]
+                groups.append(cur)
+                blocks = BlockDecomposition.from_joined(d, joined[::-1] + joined)
+                assert blocks.dims == dims
+                assert blocks.cuts == tuple(cuts)
+                slots = [list(range(c - m, c)) for c, m in zip(cuts + [d], dims)]
+                assert slots == groups
+    for bad in ((0,), (3,), (1, 3)):
+        with pytest.raises(ValueError, match="joined walls"):
+            BlockDecomposition.from_joined(3, bad)

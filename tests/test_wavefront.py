@@ -1,11 +1,14 @@
 """Metric checks and perturbation-stability probes."""
 
+import collections
 import math
+import types
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from qfsectors import wavefront
 from qfsectors.cartan import kah_decompose, weyl_matrix
 from qfsectors.sampling import (
     derive_rng,
@@ -146,6 +149,15 @@ def test_coarse_probe_rejects_ambiguous_clustering():
         coarse_probe(g, (2, 1), (), epsilon=1e-2, n=2, seed=0)
     # joining that wall lifts the ambiguity
     coarse_probe(g, (2, 1), (1,), epsilon=1e-2, n=2, seed=0)
+    # the same pass reports the fine view and leaves the coarse one out
+    fine = fine_probe(g, (2, 1), epsilon=1e-2, n=4, seed=0)
+    for joined in ((), (2,)):
+        r = fine_probe(g, (2, 1), epsilon=1e-2, n=4, seed=0, joined=joined)
+        assert r.ratio_coarse_aI is None and r.ratio_coarse_frame is None
+        assert r.ratio_k is not None and r.ratio_a is not None and r.ratio_h is not None
+        assert (r.ratio_k, r.ratio_a, r.ratio_h, r.crossings, r.detail) == (
+            fine.ratio_k, fine.ratio_a, fine.ratio_h, fine.crossings, fine.detail
+        )
 
 
 def test_coarse_probe_rescues_near_wall_base_point():
@@ -174,6 +186,91 @@ def test_coarse_probe_joined_validation():
         coarse_probe(REGULAR_G, (2, 1), (3,), epsilon=1e-3, n=2, seed=0)
 
 
+def separate_coarse_pass(g, signature, joined, epsilon, directions):
+    """Reference coarse ratios from a loop of their own over the
+    directions, with the slot groups built wall by wall."""
+    d = sum(signature)
+    blocks, cur = [], [0]
+    for i in range(1, d):
+        if i in joined:
+            cur.append(i)
+        else:
+            blocks.append(cur)
+            cur = [i]
+    blocks.append(cur)
+    base = kah_decompose(g, signature)
+    base_means = np.array([np.log(base.a)[b].mean() for b in blocks])
+    ratio_ai, ratio_frame = 0.0, 0.0
+    for x in directions:
+        probe = kah_decompose(scipy.linalg.expm(epsilon * x) @ g, signature)
+        means = np.array([np.log(probe.a)[b].mean() for b in blocks])
+        ratio_ai = max(ratio_ai, float(np.linalg.norm(means - base_means)) / epsilon)
+        ang = 0.0
+        for b in blocks:
+            theta = scipy.linalg.subspace_angles(base.k[:, b], probe.k[:, b])
+            ang = max(ang, float(theta[0]))
+        ratio_frame = max(ratio_frame, ang / epsilon)
+    return ratio_ai, ratio_frame
+
+
+def synthetic_base(margins, seed):
+    rng = derive_rng(seed, "oracle-base")
+    avec = np.exp(chamber_point(margins))
+    k0 = random_rotation(rng, 3)
+    h0 = random_indefinite_orthogonal(rng, 2, 1, scale=0.4)
+    return k0 @ (avec[:, None] * (weyl_matrix((1, 1, -1), (2, 1)) @ h0))
+
+
+@pytest.mark.parametrize(
+    "margins, joined, epsilon",
+    [
+        ([0.8, 0.9], (), 1e-3),  # deep in the chamber
+        ([0.01, 1.0], (1,), 1e-4),  # next to wall 1, which is joined
+        ([0.0, 0.0], (1, 2), 1e-3),  # a = e: every wall, every one joined
+    ],
+)
+def test_coarse_ratios_equal_a_separate_coarse_pass(margins, joined, epsilon):
+    g = synthetic_base(margins, seed=len(joined))
+    rng = derive_rng(41, "oracle-directions", len(joined))
+    dirs = [unit_direction(rng, 3) for _ in range(16)]
+    report = coarse_probe(g, (2, 1), joined, epsilon, 0, None, directions=dirs)
+    assert (report.ratio_coarse_aI, report.ratio_coarse_frame) == separate_coarse_pass(
+        g, (2, 1), joined, epsilon, dirs
+    )
+    fine = fine_probe(g, (2, 1), epsilon, 0, None, directions=dirs)
+    assert (report.crossings, report.detail) == (fine.crossings, fine.detail)
+    if margins == [0.0, 0.0]:
+        # crossed directions still enter the coarse ratios
+        assert 0 < report.crossings < len(dirs)
+
+
+def test_sweep_factors_each_perturbation_once(monkeypatch):
+    """Per base point: one factorization of g, then one expm, one
+    factorization and one group distance per direction (three of them),
+    shared by the fine and the coarse view."""
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    linalg = wavefront.scipy.linalg
+    monkeypatch.setattr(wavefront, "kah_decompose", counted("kah", wavefront.kah_decompose))
+    monkeypatch.setattr(wavefront, "group_distance", counted("gd", wavefront.group_distance))
+    monkeypatch.setattr(wavefront, "scipy", types.SimpleNamespace(linalg=types.SimpleNamespace(
+        expm=counted("expm", linalg.expm),
+        logm=linalg.logm,
+        subspace_angles=linalg.subspace_angles,
+    )))
+    (cell,) = lipschitz_sweep(
+        (2, 1), c_grid=[0.5], depth_grid=[2.0], epsilon=1e-3, n_per_cell=4, seed=4, wall=1,
+    )
+    assert cell.n_points == 4 and cell.ratio_coarse_aI is not None
+    assert calls == {"kah": 4 * (1 + 3), "expm": 4 * 3, "gd": 4 * 3}
+
+
 def test_chamber_point_and_margins_for_depth():
     m = np.array([0.3, 0.7])
     y = chamber_point(m)
@@ -199,6 +296,9 @@ def test_lipschitz_sweep_shape_and_empty_cells():
     assert not deep.empty and deep.n_points == 3
     assert deep.ratio_k > 0 and deep.ratio_a > 0 and deep.ratio_h > 0
     assert deep.ratio_coarse_aI > 0 and deep.ratio_coarse_frame > 0
+    for wall in (0, 3):
+        with pytest.raises(ValueError, match="wall must be"):
+            lipschitz_sweep((2, 1), [0.5], [2.0], 1e-3, 1, seed=4, wall=wall)
 
 
 def test_lipschitz_sweep_deterministic_per_seed():
