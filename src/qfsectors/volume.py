@@ -22,6 +22,7 @@ from typing import Optional
 import numpy as np
 from scipy import integrate as _sintegrate
 from scipy.linalg import expm
+from scipy.optimize import brentq
 from scipy.special import betainc
 
 from . import enumeration
@@ -35,6 +36,7 @@ from .sampling import derive_rng, random_rotation
 from .sector import (
     AntiCap,
     Cap,
+    DEFAULT_TIE_TOL,
     CountSeries,
     FullFrame,
     _classify_batch,
@@ -45,6 +47,7 @@ from .wavefront import _unit_directions
 
 CHAMBER_TOL = 1e-9
 _QUAD_OPTS = {"limit": 120, "epsabs": 1e-11, "epsrel": 1e-9}
+_RTOL = 4.0 * np.finfo(float).eps  # the tightest rtol brentq accepts
 
 
 @dataclass(frozen=True)
@@ -83,6 +86,11 @@ class DensityContext:
             if blk[i - 1] != blk[j - 1]
         )
         object.__setattr__(self, "_free_roots", roots)
+        # the evaluator's view of the roots: the blocks of their two ends,
+        # and sinh (l+ = 1) or cosh (l- = 1); l+ + l- = 1 for every root
+        ends = np.asarray([(blk[i - 1], blk[j - 1]) for i, j, _, _ in roots], dtype=int)
+        object.__setattr__(self, "_root_ends", ends.reshape(-1, 2).T)
+        object.__setattr__(self, "_sinh_roots", np.asarray([lp == 1 for _, _, lp, _ in roots]))
 
     @property
     def d(self) -> int:
@@ -95,26 +103,6 @@ class DensityContext:
     @property
     def cuts(self) -> tuple[int, ...]:
         return self._cuts
-
-    @property
-    def chamber(self) -> tuple[tuple[float, ...], ...]:
-        """Rows w with the cone given by w . log_a >= 0 (one per cut)."""
-        d = self.d
-        rows = []
-        for c in self.cuts:
-            row = [0.0] * d
-            row[c - 1], row[c] = 1.0, -1.0
-            rows.append(tuple(row))
-        return tuple(rows)
-
-    @property
-    def base_vector(self) -> tuple[int, ...]:
-        """Upper-triangle coordinates of the base form diag(signs)."""
-        vec = {(i, i): s for i, s in enumerate(self.signs)}
-        return tuple(vec.get(ij, 0) for ij in enumeration.triangle_indices(self.d))
-
-    def base_form(self) -> np.ndarray:
-        return np.diag(np.asarray(self.signs, dtype=float))
 
     def free_roots(self) -> tuple[tuple[int, int, int, int], ...]:
         """Cross-block positive roots as (i, j, l_plus, l_minus)."""
@@ -144,20 +132,22 @@ def context_for(signs, joined=()) -> DensityContext:
 
 
 def context_pq(d: int, p: int, q: int, joined=()) -> DensityContext:
+    if d != p + q:
+        raise ValueError("need d = p + q")
     return context_for((1,) * p + (-1,) * q, joined=joined)
 
 
-def _xi_margins(ctx: DensityContext, margins: np.ndarray) -> np.ndarray:
-    """Signed density values on a batch of margin vectors (no chamber check)."""
-    y = np.atleast_2d(ctx.log_coords(margins))
-    out = np.ones(y.shape[0])
-    for i, j, lp, lm in ctx.free_roots():
-        v = y[:, i - 1] - y[:, j - 1]
-        if lp:
-            out = out * np.sinh(v) ** lp
-        if lm:
-            out = out * np.cosh(v) ** lm
-    return out
+def _log_abs_xi(ctx: DensityContext, margins: np.ndarray) -> np.ndarray:
+    """log |xi| on a batch of margin vectors (N, n), no chamber check:
+    -inf where a sinh root vanishes, so exp gives exactly 0 on a wall."""
+    b = ctx.block_logs(margins).T
+    hi, lo = ctx._root_ends
+    v = b[hi] - b[lo]  # (roots, N): the terms are summed root by root
+    sinh = ctx._sinh_roots
+    with np.errstate(divide="ignore"):
+        v[sinh] = np.log(np.abs(np.sinh(v[sinh])))
+    v[~sinh] = np.log(np.cosh(v[~sinh]))
+    return v.sum(axis=0)
 
 
 def xi_density(ctx: DensityContext, log_a) -> float:
@@ -176,8 +166,7 @@ def xi_density(ctx: DensityContext, log_a) -> float:
     margins = -np.diff(means)
     if np.any(margins < -CHAMBER_TOL):
         raise ValueError("log_a outside the chamber: negative wall margin")
-    val = float(_xi_margins(ctx, np.maximum(margins, 0.0)[None, :])[0])
-    return max(val, 0.0)
+    return float(np.exp(_log_abs_xi(ctx, np.maximum(margins, 0.0)[None, :])[0]))
 
 
 def _ball_radius(ctx: DensityContext, margins: np.ndarray) -> np.ndarray:
@@ -201,15 +190,11 @@ def haar_fraction(frame, d: int) -> float:
     raise ValueError("unsupported frame constraint")
 
 
-def _predicted_pair(ctx: DensityContext):
-    return predict_exponent(ctx.d, ctx.blocks.dims)
-
-
 def _upper_margin(ctx, prefix: list, t: float, fill: float) -> float:
-    """Largest value of the next margin keeping the cone point inside the
-    T-ball when the remaining margins sit at `fill`.  Radius is monotone
-    increasing in every margin, so bisection against the minimal
-    completion is a true upper bound."""
+    """Value of the next margin at which the cone point reaches the T-ball's
+    boundary when the remaining margins sit at `fill`.  Radius is monotone
+    increasing in every margin, so the root of radius - T against the
+    minimal completion is a true upper bound."""
     n = len(ctx.cuts)
     rest = n - len(prefix) - 1
 
@@ -226,14 +211,7 @@ def _upper_margin(ctx, prefix: list, t: float, fill: float) -> float:
         hi *= 2.0
     else:
         raise ArithmeticError("ball radius failed to grow along the margin")
-    lo = fill
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if radius(mid) < t:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return brentq(lambda mv: radius(mv) - t, fill, hi, xtol=1e-14, rtol=_RTOL)
 
 
 def _nested_quadrature(ctx: DensityContext, t: float, lower: float) -> float:
@@ -243,7 +221,7 @@ def _nested_quadrature(ctx: DensityContext, t: float, lower: float) -> float:
     def rec(prefix: list) -> float:
         k = len(prefix)
         if k == n:
-            return float(_xi_margins(ctx, np.asarray(prefix)[None, :])[0])
+            return float(np.exp(_log_abs_xi(ctx, np.asarray(prefix)[None, :])[0]))
         ub = _upper_margin(ctx, prefix, t, lower)
         if ub <= lower:
             return 0.0
@@ -260,19 +238,6 @@ def _margin_boxes(ctx: DensityContext, t: float) -> np.ndarray:
     return np.asarray([_upper_margin(ctx, [0.0] * k, t, 0.0) for k in range(n)])
 
 
-def _log_abs_xi(ctx: DensityContext, margins: np.ndarray) -> np.ndarray:
-    y = ctx.log_coords(margins)
-    with np.errstate(divide="ignore"):
-        out = np.zeros(margins.shape[0])
-        for i, j, lp, lm in ctx.free_roots():
-            v = y[:, i - 1] - y[:, j - 1]
-            if lp:
-                out += lp * np.log(np.abs(np.sinh(v)))
-            if lm:
-                out += lm * np.log(np.cosh(v))
-    return out
-
-
 _GRID_BINS = {1: 2048, 2: 120, 3: 36}
 _GRID_CELLS = 36**3
 
@@ -287,7 +252,8 @@ def _grid_bins(n: int) -> int:
 
 
 def _grid_margins(ctx, t: float, rng, samples: int, lo: float = 0.0, pad: float = 0.25):
-    """Margin sample from a piecewise-constant sketch of |xi| on the box.
+    """Margin sample from a piecewise-constant sketch of |xi| on the box,
+    with its importance weights |xi| / density.
 
     Cells whose center cannot reach the T-ball (with slack for the cell
     size and the collar) get zero mass; the rest are weighted by |xi| at
@@ -319,7 +285,14 @@ def _grid_margins(ctx, t: float, rng, samples: int, lo: float = 0.0, pad: float 
     margins = centers[idx] + jitter * widths[None, :]
     area = float(np.prod(widths))
     logp = np.log(p_cell[idx]) - math.log(area)
-    return margins, logp
+    return margins, np.exp(_log_abs_xi(ctx, margins) - logp)
+
+
+def _sampled_forms(ctx: DensityContext, margins: np.ndarray, rng):
+    """Haar frames k, one per margin row, and the forms k diag(signs e^{2y}) k^T."""
+    eig = np.asarray(ctx.signs, dtype=float) * np.exp(2.0 * ctx.log_coords(margins))
+    frames = random_rotation(rng, ctx.d, len(margins))
+    return frames, np.einsum("nij,nj,nkj->nik", frames, eig, frames)
 
 
 def _mc_series(
@@ -332,27 +305,18 @@ def _mc_series(
     near_wall_c: Optional[float] = None,
 ):
     rng = derive_rng(seed, "volume-mc") if isinstance(seed, int) else seed
-    d = ctx.d
-    margins, logp = _grid_margins(ctx, max(ts), rng, samples)
-    weights = np.exp(_log_abs_xi(ctx, margins) - logp)
+    margins, weights = _grid_margins(ctx, max(ts), rng, samples)
 
     factor = 1.0
     if norm == "frobenius":
         radii = _ball_radius(ctx, margins)
-        factor = haar_fraction(frame, d)
+        factor = haar_fraction(frame, ctx.d)
     elif norm == "max":
-        y = ctx.log_coords(margins)
-        eig = np.asarray(ctx.signs, dtype=float) * np.exp(2.0 * y)
-        frames = random_rotation(rng, d, samples)
-        forms = np.einsum("nij,nj,nkj->nik", frames, eig, frames)
+        frames, forms = _sampled_forms(ctx, margins, rng)
         radii = np.max(np.abs(forms), axis=(1, 2))
         if not (frame is None or isinstance(frame, FullFrame)):
-            # length of the axis's projection on the top block's span
-            top = ctx.blocks.dims[0]
-            proj = np.linalg.norm(np.asarray(frame.axis) @ frames[:, :, :top], axis=-1)
-            inside = np.arccos(np.minimum(proj, 1.0)) <= frame.angle
-            accept = ~inside if isinstance(frame, AntiCap) else inside
-            weights = weights * accept
+            # the slot-0 axis is a Haar-uniform line: its share is haar_fraction
+            weights = weights * frame.accepts_rows(frames[:, :, 0])
     else:
         raise ValueError("unknown norm")
 
@@ -376,7 +340,7 @@ def _volume(ctx, t_grid, method, frame, norm, samples, seed, near_wall_c=None) -
     n = len(ctx.cuts)
     if n == 0:
         raise ValueError("chamber must have at least one interior cut")
-    pair = _predicted_pair(ctx)
+    pair = predict_exponent(ctx.d, ctx.blocks.dims)
     stderr = None
     if method == "quadrature":
         if norm != "frobenius":
@@ -438,12 +402,7 @@ def volume_series(
 
 
 def _context_digest(ctx: DensityContext, frame, norm: str) -> str:
-    spec = make_spec(
-        ctx.blocks.dims,
-        _block_signatures(ctx),
-        frame=frame,
-        norm=norm if norm in enumeration.NORMS else "max",
-    )
+    spec = make_spec(ctx.blocks.dims, _block_signatures(ctx), frame=frame, norm=norm)
     return spec.digest()
 
 
@@ -492,7 +451,7 @@ def wellroundedness_ratio(
     frame=None,
     norm: str = "frobenius",
     n_probe: int = 8,
-    tie_tol: float = 1e-9,
+    tie_tol: float = DEFAULT_TIE_TOL,
 ) -> WellRoundedness:
     """MC estimate of vol(eps-thickened boundary) / vol(region) at one T.
 
@@ -510,19 +469,13 @@ def wellroundedness_ratio(
     d = ctx.d
     rng = derive_rng(seed, "wellrounded") if isinstance(seed, int) else seed
     spec = make_spec(ctx.blocks.dims, _block_signatures(ctx), frame=frame, norm="max")
-    margins, logp = _grid_margins(
+    margins, weights = _grid_margins(
         ctx, t, rng, samples, lo=-8.0 * epsilon, pad=0.25 + 2.0 * epsilon
     )
-    weights = np.exp(_log_abs_xi(ctx, margins) - logp)
-    y = ctx.log_coords(margins)
-    eig = np.asarray(ctx.signs, dtype=float) * np.exp(2.0 * y)
-    frames = random_rotation(rng, d, samples)
-    base = np.einsum("nij,nj,nkj->nik", frames, eig, frames)
-    probes = [base]
-    for x in _unit_directions(d, n_probe, rng):
-        e = expm(epsilon * x)
-        probes.append(np.einsum("ij,njk,lk->nil", e, base, e))
-    stacked = np.concatenate(probes, axis=0)
+    _, base = _sampled_forms(ctx, margins, rng)
+    steps = [expm(epsilon * x) for x in _unit_directions(d, n_probe, rng)]
+    # the probe list is dropped once stacked, before the classifier's peak
+    stacked = np.concatenate([base] + [np.einsum("ij,njk,lk->nil", e, base, e) for e in steps])
     pairs = enumeration.triangle_indices(d)
     tri = np.stack([stacked[:, i, j] for (i, j) in pairs], axis=1)
     member, _ = _classify_batch(tri, d, spec, tie_tol)

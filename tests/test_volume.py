@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfsectors import volume
 from qfsectors.rootdata import build_root_datum
@@ -13,6 +15,7 @@ from qfsectors.volume import (
     DensityContext,
     _ball_radius,
     _mc_series,
+    _upper_margin,
     context_for,
     context_pq,
     haar_fraction,
@@ -51,6 +54,27 @@ def test_xi_closed_form_joined_wall():
 def test_xi_vanishes_on_compact_wall():
     ctx = context_for((1, 1, -1))
     assert xi_density(ctx, ctx.log_coords([0.0, 1.0])) == 0.0
+    walls = np.asarray([[0.0, 1.0], [0.0, 0.0], [0.0, 2.5]])
+    assert np.exp(volume._log_abs_xi(ctx, walls)).tolist() == [0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize(
+    "signs, joined",
+    [((1, 1, -1), ()), ((1, -1, 1), (1,)), ((1, -1, 1, -1), ()), ((1, 1, 1, -1, -1), (3,)),
+     ((1, -1, 1, -1, 1, -1), ())],
+)
+def test_log_abs_xi_matches_the_per_root_loop(signs, joined):
+    # the evaluator adds its terms root by root, in the order of free_roots
+    ctx = context_for(signs, joined=joined)
+    margins = np.random.default_rng(len(signs)).random((200, len(ctx.cuts))) * 3.0
+    margins[:20, 0] = 0.0
+    y = ctx.log_coords(margins)
+    want = np.zeros(len(margins))
+    with np.errstate(divide="ignore"):
+        for i, j, lp, _ in ctx.free_roots():
+            v = y[:, i - 1] - y[:, j - 1]
+            want += np.log(np.abs(np.sinh(v))) if lp else np.log(np.cosh(v))
+    assert np.array_equal(volume._log_abs_xi(ctx, margins), want)
 
 
 def test_xi_rejects_points_off_the_cone():
@@ -241,12 +265,84 @@ def test_max_norm_cap_frame_off_the_coordinate_axes(monkeypatch):
     samples = 40_000
     monkeypatch.setattr(
         volume, "_grid_margins",
-        lambda ctx, t, rng, samples, **kw: (np.ones((samples, 2)), np.zeros(samples)),
+        lambda ctx, t, rng, samples, **kw: (np.ones((samples, 2)), np.ones(samples)),
     )
     (full,), _ = _mc_series(ctx, [100.0], "max", None, samples, 5)
     (inside,), _ = _mc_series(ctx, [100.0], "max", cap, samples, 5)
     share, p = inside / full, haar_fraction(cap, 3)
     assert abs(share - p) < 4.0 * math.sqrt(p * (1.0 - p) / samples)
+
+
+def test_max_norm_cap_on_a_two_dimensional_top_block(monkeypatch):
+    # the cap tests the slot-0 axis, a Haar-uniform line even when the top
+    # block has two slots, so the accepted share is the frobenius factor
+    ctx = context_for((1, 1, -1), joined=(1,))
+    cap, samples = Cap(axis=(1, 1, 1), angle=0.6), 20_000
+    monkeypatch.setattr(
+        volume, "_grid_margins",
+        lambda ctx, t, rng, samples, **kw: (np.ones((samples, 1)), np.ones(samples)),
+    )
+    (full,), _ = _mc_series(ctx, [100.0], "max", None, samples, 5)
+    (inside,), _ = _mc_series(ctx, [100.0], "max", cap, samples, 5)
+    share, p = inside / full, haar_fraction(cap, 3)
+    assert abs(share - p) < 4.0 * math.sqrt(p * (1.0 - p) / samples)
+
+
+def test_volumes_pinned_to_recorded_values():
+    # recorded with the former bisection bound and per-root density loops
+    ctx = context_for((1, 1, -1))
+    grid = [6.0, 10.0, 17.0]
+    recorded = {
+        "quad": [2.599390187892266, 12.699580595844985, 63.300353247551016],
+        "sing": [0.5021468228959893, 1.5883152112510306, 5.833888471074857],
+        "frobenius": [2.5506801965976096, 9.157887667989602, 0.04696549800089262,
+                      0.08084080376473715],
+        "max": [9.702225329303825, 21.016218045611513, 0.08260606035340887,
+                0.06515804164844796],
+    }
+    got = {
+        "quad": volume_series(ctx, grid).values,
+        "sing": singular_volume(ctx, 0.2, grid).values,
+    }
+    for norm in ("frobenius", "max"):
+        mc = volume_series(ctx, [6.0, 9.0], method="mc", norm=norm, samples=20_000, seed=3)
+        got[norm] = mc.values + mc.stderr
+    for key, want in recorded.items():
+        assert got[key] == pytest.approx(want, rel=1e-11), key
+
+
+@st.composite
+def _margin_problems(draw):
+    d = draw(st.integers(2, 5))
+    p = draw(st.integers(1, d))
+    signs = draw(st.permutations((1,) * p + (-1,) * (d - p)))
+    walls = list(range(1, d))
+    joined = draw(st.lists(st.sampled_from(walls), unique=True, max_size=d - 2))
+    ctx = context_for(tuple(signs), joined=tuple(joined))
+    n = len(ctx.cuts)
+    if n > 3:
+        joined = sorted(set(joined) | set(walls[: n - 3]))
+        ctx = context_for(tuple(signs), joined=tuple(joined))
+    margin = st.floats(0.0, 2.5)
+    prefix = draw(st.lists(margin, max_size=len(ctx.cuts) - 1))
+    return ctx, prefix, draw(st.floats(2.0, 1000.0)), draw(margin)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(problem=_margin_problems())
+def test_upper_margin_solves_radius_equals_t(problem):
+    ctx, prefix, t, fill = problem
+    rest = [fill] * (len(ctx.cuts) - len(prefix) - 1)
+
+    def radius(mv):
+        return float(_ball_radius(ctx, np.asarray([prefix + [mv] + rest]))[0])
+
+    ub = _upper_margin(ctx, prefix, t, fill)
+    if radius(fill) >= t:
+        assert ub == fill
+    else:
+        assert ub > fill
+        assert radius(ub) == pytest.approx(t, rel=1e-12)
 
 
 def _per_sample_rotation(rng, d, size=None):
@@ -294,6 +390,13 @@ def test_volume_guards():
         volume_series(ctx, [4.0, 3.0])
     with pytest.raises(ValueError, match="interior cut"):
         volume_series(context_for((1, 1, -1), joined=(1, 2)), [4.0])
+
+
+def test_context_pq_requires_d_equal_p_plus_q():
+    assert context_pq(4, 2, 2) == context_for((1, 1, -1, -1))
+    for d, p, q in ((4, 2, 1), (2, 2, 1), (3, 3, 1)):
+        with pytest.raises(ValueError, match="d = p \\+ q"):
+            context_pq(d, p, q)
 
 
 # --------------------------------------------------------- boundary layer
