@@ -21,9 +21,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jacobi import DEFAULT_MAX_SWEEPS, DEFAULT_TOL, rotation_for
+from .jacobi import MAX_SWEEPS, TOL, rotation_for, slot_order
 
 DET_TOL = 1e-9
+COND_BOUND = 1e6
 ORTHO_TOL = 1e-10
 CHAMBER_TOL = 1e-10
 FORM_TOL = 1e-8
@@ -36,10 +37,10 @@ class CartanFactors:
 
     w is the sign pattern of the |eigenvalue|-sorted slots of g J g.T
     (+1 entries come from the positive class of J).  margins[i] is
-    log(a[i] / a[i+1]), never materially negative.  tie marks an
-    |eigenvalue| tie at the resolution of the sort, in which case the
-    slot assignment used a documented tie-break and w is not stable
-    under perturbations.
+    log(a[i] / a[i+1]), always derived from a and never materially
+    negative.  tie marks an |eigenvalue| tie at the resolution of the
+    sort, in which case the slot assignment used a documented tie-break
+    and w is not stable under perturbations.
     """
 
     signature: tuple[int, int]
@@ -47,13 +48,12 @@ class CartanFactors:
     a: np.ndarray
     w: tuple[int, ...]
     h: np.ndarray
-    margins: np.ndarray = field(default=None)
+    margins: np.ndarray = field(init=False)
     tie: bool = False
 
     def __post_init__(self) -> None:
-        if self.margins is None:
-            logs = np.log(np.asarray(self.a, dtype=float))
-            self.margins = logs[:-1] - logs[1:]
+        logs = np.log(np.asarray(self.a, dtype=float))
+        self.margins = logs[:-1] - logs[1:]
 
     @property
     def chamber_depth(self) -> float:
@@ -124,20 +124,13 @@ def weyl_matrix(w: tuple[int, ...], signature: tuple[int, int]) -> np.ndarray:
     return mat
 
 
-def kah_decompose(
-    g: np.ndarray,
-    signature: tuple[int, int],
-    cond_bound: float = 1e6,
-    tol: float = DEFAULT_TOL,
-    max_sweeps: int = DEFAULT_MAX_SWEEPS,
-    ambiguity_tol: float = AMBIGUITY_TOL,
-) -> CartanFactors:
+def kah_decompose(g: np.ndarray, signature: tuple[int, int]) -> CartanFactors:
     """Decompose g in SL_d(R) as k diag(a) W(w) h.
 
-    Requires det(g) = 1 to 1e-9 and a condition number below cond_bound.
-    The slots of a are sorted by |eigenvalue| of g J g.T descending,
-    ties broken by sign (+ first) then original index; an |eigenvalue|
-    tie within ambiguity_tol (log scale) sets the tie flag.
+    Requires det(g) = 1 to DET_TOL and a condition number below
+    COND_BOUND.  The slots of a follow jacobi.slot_order on the
+    eigenvalues of g J g.T; an |eigenvalue| tie within AMBIGUITY_TOL
+    (log scale) sets the tie flag.
     """
     g = np.asarray(g, dtype=float)
     p, q = signature
@@ -150,15 +143,15 @@ def kah_decompose(
     if abs(det - 1.0) > DET_TOL:
         raise ValueError("determinant is not 1 to tolerance")
     sv = np.linalg.svd(g, compute_uv=False)
-    if sv[0] > cond_bound * sv[-1]:
-        raise ValueError("matrix condition exceeds the configured bound")
+    if sv[0] > COND_BOUND * sv[-1]:
+        raise ValueError("matrix condition exceeds COND_BOUND")
 
     jdiag = np.array([1.0] * p + [-1.0] * q)
     rows = g.copy()
     k = np.eye(d)
     eps_floor = 16.0 * np.finfo(float).eps
     converged = False
-    for _ in range(max_sweeps):
+    for _ in range(MAX_SWEEPS):
         rotated = False
         for i in range(d - 1):
             for jj in range(i + 1, d):
@@ -169,7 +162,7 @@ def kah_decompose(
                 floor = eps_floor * float(
                     np.linalg.norm(rows[i]) * np.linalg.norm(rows[jj])
                 )
-                if abs(apq) <= max(tol * math.sqrt(abs(app * aqq)), floor):
+                if abs(apq) <= max(TOL * math.sqrt(abs(app * aqq)), floor):
                     continue
                 rotated = True
                 c, sn = rotation_for(app, aqq, apq)
@@ -186,9 +179,7 @@ def kah_decompose(
         raise ArithmeticError("jacobi iteration did not converge")
 
     lam = np.einsum("ij,j,ij->i", rows, jdiag, rows)
-    order = sorted(
-        range(d), key=lambda i: (-abs(lam[i]), 0 if lam[i] > 0 else 1, i)
-    )
+    order = slot_order(lam)
     rows = rows[order]
     k = k[:, order]
     lam = lam[order]
@@ -197,7 +188,7 @@ def kah_decompose(
 
     logs = np.log(svals)
     gaps = 2.0 * (logs[:-1] - logs[1:])  # log |eigenvalue| gaps
-    tie = bool(np.any(gaps <= ambiguity_tol))
+    tie = bool(np.any(gaps <= AMBIGUITY_TOL))
 
     if np.linalg.det(k) < 0:
         k[:, -1] = -k[:, -1]

@@ -228,6 +228,19 @@ def _cmd_kah(args) -> int:
     return 0
 
 
+# the wavefront CSV header, each column read from the SweepCell field of its name
+SWEEP_COLUMNS = (
+    "c",
+    "depth",
+    "ratio_k",
+    "ratio_a",
+    "ratio_h",
+    "ratio_coarse_aI",
+    "ratio_coarse_frame",
+    "crossings",
+)
+
+
 def _cmd_wavefront(args) -> int:
     p, q = _parse_signature(args.signature)
     manifest = RunManifest(args)
@@ -241,30 +254,8 @@ def _cmd_wavefront(args) -> int:
         seed=args.seed,
         wall=args.wall,
     )
-    header = [
-        "c",
-        "depth",
-        "ratio_k",
-        "ratio_a",
-        "ratio_h",
-        "ratio_coarse_aI",
-        "ratio_coarse_frame",
-        "crossings",
-    ]
-    rows = [
-        (
-            cell.c,
-            cell.depth,
-            cell.ratio_k,
-            cell.ratio_a,
-            cell.ratio_h,
-            cell.ratio_coarse_aI,
-            cell.ratio_coarse_frame,
-            cell.crossings,
-        )
-        for cell in cells
-    ]
-    manifest.record(_write_csv(args.out, header, rows))
+    rows = [[getattr(cell, col) for col in SWEEP_COLUMNS] for cell in cells]
+    manifest.record(_write_csv(args.out, list(SWEEP_COLUMNS), rows))
     manifest.write(args.out)
     return 0
 

@@ -16,10 +16,10 @@ import math
 import numpy as np
 
 # stop once an off-diagonal entry is this small relative to its diagonal
-# neighborhood; |S_ij| <= tol sqrt(|S_ii S_jj|) keeps tiny eigenvalues
+# neighborhood; |S_ij| <= TOL sqrt(|S_ii S_jj|) keeps tiny eigenvalues
 # meaningful where an absolute threshold would not
-DEFAULT_TOL = 1e-13
-DEFAULT_MAX_SWEEPS = 100
+TOL = 1e-13
+MAX_SWEEPS = 100
 
 
 def rotation_for(app: float, aqq: float, apq: float) -> tuple[float, float]:
@@ -30,11 +30,15 @@ def rotation_for(app: float, aqq: float, apq: float) -> tuple[float, float]:
     return c, t * c
 
 
-def jacobi_eigh(
-    a: np.ndarray,
-    tol: float = DEFAULT_TOL,
-    max_sweeps: int = DEFAULT_MAX_SWEEPS,
-) -> tuple[np.ndarray, np.ndarray]:
+def slot_order(lam) -> list[int]:
+    """Slot order of a spectrum: |eigenvalue| descending, a positive
+    value before a negative one of the same size, then by index."""
+    return sorted(
+        range(len(lam)), key=lambda i: (-abs(lam[i]), 0 if lam[i] > 0 else 1, i)
+    )
+
+
+def jacobi_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a symmetric matrix by cyclic Jacobi sweeps.
 
     Returns (w, v) with a = v @ diag(w) @ v.T and v orthogonal.
@@ -51,14 +55,14 @@ def jacobi_eigh(
     s = (s + s.T) / 2.0
     v = np.eye(d)
     eps_floor = 16.0 * np.finfo(float).eps
-    for _ in range(max_sweeps):
+    for _ in range(MAX_SWEEPS):
         rotated = False
         for i in range(d - 1):
             for j in range(i + 1, d):
                 apq = s[i, j]
                 app, aqq = s[i, i], s[j, j]
                 if abs(apq) <= max(
-                    tol * math.sqrt(abs(app * aqq)),
+                    TOL * math.sqrt(abs(app * aqq)),
                     eps_floor * math.sqrt(abs(app) + abs(aqq) + abs(apq)) ** 2,
                 ):
                     continue

@@ -22,10 +22,13 @@ from typing import Optional
 import numpy as np
 
 from . import enumeration
-from .jacobi import jacobi_eigh, sym2_eigvals_batch, sym3_eigvals_batch
+from .jacobi import jacobi_eigh, slot_order, sym2_eigvals_batch, sym3_eigvals_batch
 from .rootdata import BlockDecomposition
 
 DEFAULT_TIE_TOL = 1e-9
+# rows per _classify call: its temporaries are several times its input,
+# so a large batch is classified slice by slice
+CLASSIFY_ROWS = 32_768
 
 
 @dataclass(frozen=True)
@@ -159,9 +162,7 @@ class SpectralData:
 def spectral_data(q) -> SpectralData:
     mat = q.matrix() if isinstance(q, enumeration.QuadraticForm) else np.asarray(q)
     lam, vec = jacobi_eigh(np.asarray(mat, dtype=float))
-    order = sorted(
-        range(len(lam)), key=lambda i: (-abs(lam[i]), 0 if lam[i] > 0 else 1, i)
-    )
+    order = slot_order(lam)
     lam = lam[order]
     vec = vec[:, order]
     if np.linalg.det(vec) < 0:
@@ -299,9 +300,16 @@ def _classify(tri: np.ndarray, d: int, spec: SectorSpec, tie_tol: float):
 
 
 def _classify_batch(tri: np.ndarray, d: int, spec: SectorSpec, tie_tol: float):
-    """Vectorized verdicts for one batch: (member, degenerate) masks."""
-    member, degenerate, _, _ = _classify(tri, d, spec, tie_tol)
-    return member, degenerate
+    """Vectorized verdicts for one batch: (member, degenerate) masks.
+
+    _classify decides each row on its own, so running it on slices of
+    CLASSIFY_ROWS rows gives the same verdicts with bounded temporaries.
+    An empty batch still makes one (empty) call."""
+    parts = [
+        _classify(tri[i : i + CLASSIFY_ROWS], d, spec, tie_tol)[:2]
+        for i in range(0, max(tri.shape[0], 1), CLASSIFY_ROWS)
+    ]
+    return tuple(np.concatenate(masks) for masks in zip(*parts))
 
 
 @dataclass(frozen=True)

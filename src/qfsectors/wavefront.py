@@ -8,17 +8,17 @@ X, refactor, gauge away the column-sign ambiguity of the eigenvector
 frame, and compare factor displacement against eps.
 
 Distances on the group use the metric induced by the quadratic form
-B(X, Y) = -tr(ad X . ad theta(Y)) on traceless matrices, theta(Y)=-Y.T,
-evaluated through the literal adjoint action on an explicit basis.  The
-a factor is compared in plain Euclidean log coordinates (the same
-metric up to a constant factor).
+B(X, Y) = -tr(ad X . ad theta(Y)) on traceless matrices, theta(Y)=-Y.T.
+On sl_d it equals 2d tr(X Y.T), so ||X||_B = sqrt(2d) ||X||_F; the test
+suite keeps the literal adjoint action on an explicit basis as the
+reference for that closed form.  The a factor is compared in plain
+Euclidean log coordinates (the same metric up to a constant factor).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -40,61 +40,9 @@ class MetricDomainError(ValueError):
     """The two group elements are too far apart for the matrix log."""
 
 
-@lru_cache(maxsize=8)
-def _sl_basis(d: int) -> tuple[np.ndarray, ...]:
-    """Basis of traceless d x d matrices: E_ij (i != j), then E_kk - E_dd."""
-    out = []
-    for i in range(d):
-        for j in range(d):
-            if i == j:
-                continue
-            e = np.zeros((d, d))
-            e[i, j] = 1.0
-            out.append(e)
-    for kk in range(d - 1):
-        e = np.zeros((d, d))
-        e[kk, kk] = 1.0
-        e[d - 1, d - 1] = -1.0
-        out.append(e)
-    for m in out:
-        m.flags.writeable = False
-    return tuple(out)
-
-
-def matrix_to_coords(x: np.ndarray) -> np.ndarray:
-    """Coordinates of a traceless matrix in the _sl_basis ordering."""
-    x = np.asarray(x, dtype=float)
-    d = x.shape[0]
-    off = [x[i, j] for i in range(d) for j in range(d) if i != j]
-    return np.array(off + list(np.diag(x)[: d - 1]))
-
-
-@lru_cache(maxsize=8)
-def bmetric_gram(d: int) -> np.ndarray:
-    """Gram matrix of B on the _sl_basis, via the literal ad action."""
-    basis = _sl_basis(d)
-    eye = np.eye(d)
-    # row-major vec: ad(X) = kron(X, I) - kron(I, X.T)
-    ads = [np.kron(b, eye) - np.kron(eye, b.T) for b in basis]
-    ads_theta = [np.kron(-b.T, eye) + np.kron(eye, b) for b in basis]
-    n = len(basis)
-    gram = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            gram[i, j] = -np.trace(ads[i] @ ads_theta[j])
-    gram.flags.writeable = False
-    return gram
-
-
-def b_inner(x: np.ndarray, y: np.ndarray) -> float:
-    d = np.asarray(x).shape[0]
-    cx = matrix_to_coords(x)
-    cy = matrix_to_coords(y)
-    return float(cx @ bmetric_gram(d) @ cy)
-
-
 def b_norm(x: np.ndarray) -> float:
-    return math.sqrt(max(b_inner(x, x), 0.0))
+    """||x||_B = sqrt(2d) ||x||_F for a traceless d x d matrix x."""
+    return math.sqrt(2 * len(x)) * float(np.linalg.norm(x))
 
 
 def _real_log(m: np.ndarray) -> np.ndarray:
@@ -180,7 +128,10 @@ def fine_probe(
 ) -> ProbeReport:
     """Refactor exp(eps X).g for n random unit X; compare every factor.
 
-    seed may be an integer or a numpy Generator.  Perturbations whose
+    seed may be an integer or a numpy Generator; it draws the n
+    directions unless they are given.  The input displacement of each
+    direction is eps ||X||_B exactly: inside the epsilon guard
+    log(exp(eps X)) = eps X.  Perturbations whose
     sign pattern differs from the base are Weyl-slot crossings: counted,
     excluded from the ratios.
 
@@ -194,6 +145,8 @@ def fine_probe(
     """
     if not 0.0 < epsilon <= MAX_PROBE_EPS:
         raise ValueError("epsilon must lie in (0, 1e-2]")
+    if seed is None and directions is None:
+        raise ValueError("give either a seed (int or Generator) or the directions")
     d = sum(signature)
     cuts = None if joined is None else BlockDecomposition.from_joined(d, joined).cuts
     base = kah_decompose(g, signature)
@@ -209,7 +162,7 @@ def fine_probe(
     for x in directions:
         gp = scipy.linalg.expm(epsilon * x) @ g
         probe = kah_decompose(gp, signature)
-        d_in = group_distance(gp, g)
+        d_in = epsilon * b_norm(x)
         if slots is not None:
             means = np.array([np.log(probe.a)[b].mean() for b in slots])
             ratio_ai = max(ratio_ai, float(np.linalg.norm(means - base_means)) / epsilon)
@@ -344,12 +297,18 @@ def lipschitz_sweep(
     pass per base point, on SWEEP_DIRECTIONS directions, gives the fine
     ratios and the coarse ratios that join exactly the pinned wall.
     Cells whose base-point construction fails are recorded as empty
-    rather than fabricated.
+    rather than fabricated; a negative c or depth is a ValueError.
     """
     p, q = signature
     d = p + q
     if wall is not None and not 1 <= wall <= d - 1:
         raise ValueError("wall must be a boundary index 1..d-1")
+    c_grid = [float(c) for c in c_grid]
+    depth_grid = [float(depth) for depth in depth_grid]
+    if any(v < 0.0 for v in c_grid + depth_grid):
+        # a negative margin or depth puts the base point outside the closed
+        # chamber, where kah re-sorts the slots and measures another point
+        raise ValueError("c and depth must be nonnegative")
     w0 = (1,) * p + (-1,) * q
     wmat = weyl_matrix(w0, signature)
     cells = []
@@ -359,12 +318,10 @@ def lipschitz_sweep(
             crossings = 0
             n_ok = 0
             for b in range(n_per_cell):
-                rng = sampling.derive_rng(
-                    seed, "sweep", float(c), float(depth), b
-                )
+                rng = sampling.derive_rng(seed, "sweep", c, depth, b)
                 wall_b = wall if wall is not None else int(rng.integers(1, d))
                 try:
-                    margins = margins_for_depth(d, wall_b, float(c), float(depth))
+                    margins = margins_for_depth(d, wall_b, c, depth)
                 except ValueError:
                     continue
                 avec = np.exp(chamber_point(margins))
@@ -386,8 +343,8 @@ def lipschitz_sweep(
                     rfr.append(pr.ratio_coarse_frame)
             cells.append(
                 SweepCell(
-                    c=float(c),
-                    depth=float(depth),
+                    c=c,
+                    depth=depth,
                     epsilon=epsilon,
                     n_points=n_ok,
                     empty=not rk,

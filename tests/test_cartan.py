@@ -87,7 +87,7 @@ def test_input_guards():
     with pytest.raises(ValueError):
         kah_decompose(np.eye(3), (2, 2))  # shape mismatch
     with pytest.raises(ValueError):
-        kah_decompose(np.diag([1e4, 1e-4, 1.0]), (2, 1), cond_bound=1e6)
+        kah_decompose(np.diag([1e4, 1e-4, 1.0]), (2, 1))  # condition 1e8
 
 
 def test_weyl_matrix_properties():

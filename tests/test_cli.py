@@ -263,6 +263,18 @@ def test_wavefront_csv_contract(tmp_path, capsys):
     assert man["seeds"] == {"sweep": 5}
 
 
+def test_wavefront_rejects_negative_c_or_depth(tmp_path, capsys):
+    out = tmp_path / "w.csv"
+    for grids in (["--c-grid=-0.5", "--depth-grid", "2"], ["--c-grid", "0.5", "--depth-grid=-2"]):
+        code, _, err = run(
+            capsys, "wavefront", "--signature", "2,1", *grids, "--samples", "2",
+            "--seed", "1", "--out", str(out),
+        )
+        assert code == 1
+        assert err.startswith("error:") and "nonnegative" in err
+    assert not out.exists()
+
+
 def test_wavefront_requires_seed(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main([

@@ -6,6 +6,7 @@ import pytest
 from qfsectors.enumeration import enumerate_forms
 from qfsectors.jacobi import (
     jacobi_eigh,
+    slot_order,
     sym2_eigvals_batch,
     sym3_eigvals_batch,
 )
@@ -41,6 +42,25 @@ def test_jacobi_diagonal_is_fixed_point():
     w, v = jacobi_eigh(np.diag([3.0, -2.0, 1.0]))
     assert np.array_equal(np.sort(w), np.array([-2.0, 1.0, 3.0]))
     assert np.array_equal(np.abs(v), np.eye(3))
+
+
+def test_slot_order_matches_a_lexsort_reference():
+    """|eigenvalue| descending, then positive before negative (zero counts
+    as negative), then index; checked against np.lexsort on the same keys."""
+    rng = np.random.default_rng(3)
+    spectra = [rng.standard_normal(d) for d in (2, 3, 4, 5) for _ in range(50)]
+    spectra += [
+        np.array([-5.0, 5.0, -1.0]),
+        np.array([2.0, -2.0, 2.0, -2.0]),
+        np.array([-3.0, -3.0, 3.0, 0.0]),
+        np.array([0.0, -0.0, 1.0]),
+        rng.choice([-2.0, -1.0, 1.0, 2.0], size=6),
+    ]
+    for lam in spectra:
+        ref = np.lexsort((np.arange(len(lam)), lam <= 0, -np.abs(lam)))
+        assert slot_order(lam) == ref.tolist()
+    assert slot_order(np.array([-5.0, 5.0, -1.0])) == [1, 0, 2]
+    assert slot_order(np.array([2.0, -2.0, 2.0, -2.0])) == [0, 2, 1, 3]
 
 
 def test_sym2_batch_matches_eigh():

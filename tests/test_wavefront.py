@@ -10,6 +10,7 @@ import scipy.linalg
 
 from qfsectors import wavefront
 from qfsectors.cartan import kah_decompose, weyl_matrix
+from qfsectors.cli import SWEEP_COLUMNS, _fmt
 from qfsectors.sampling import (
     derive_rng,
     random_indefinite_orthogonal,
@@ -18,7 +19,6 @@ from qfsectors.sampling import (
 )
 from qfsectors.wavefront import (
     MetricDomainError,
-    b_inner,
     b_norm,
     chamber_point,
     coarse_probe,
@@ -37,18 +37,40 @@ def unit_direction(rng, d):
     return x / b_norm(x)
 
 
+def literal_bform_gram(d):
+    """Gram matrix of B(X, Y) = -tr(ad X ad theta(Y)), theta(Y) = -Y^T, on
+    the basis E_ij (i != j), E_kk - E_dd, through the literal adjoint
+    action ad X = X (x) I - I (x) X^T on row-major vec; and the
+    coordinates of a traceless matrix in that basis."""
+    eye = np.eye(d)
+    basis = [np.outer(eye[i], eye[j]) for i in range(d) for j in range(d) if i != j]
+    basis += [np.diag(eye[kk] - eye[d - 1]) for kk in range(d - 1)]
+
+    def ad(x):
+        return np.kron(x, eye) - np.kron(eye, x.T)
+
+    gram = np.array([[-np.trace(ad(b) @ ad(-c.T)) for c in basis] for b in basis])
+
+    def coords(x):
+        return np.array([x[i, j] for i in range(d) for j in range(d) if i != j]
+                        + list(np.diag(x)[: d - 1]))
+
+    return gram, coords
+
+
 def test_bform_matches_trace_formula():
     # B(X, Y) = -tr(ad X ad theta(Y)) evaluates to 2d tr(X Y^T) on sl_d;
-    # the package computes the left side literally, the test the right
+    # the package uses the closed form, the test the literal construction
     rng = derive_rng(1, "bform")
     for d in (2, 3, 4):
+        gram, coords = literal_bform_gram(d)
         for _ in range(10):
             x, y = random_traceless(rng, d), random_traceless(rng, d)
-            assert b_inner(x, y) == pytest.approx(
+            assert coords(x) @ gram @ coords(y) == pytest.approx(
                 2 * d * float(np.trace(x @ y.T)), rel=1e-12
             )
             assert b_norm(x) == pytest.approx(
-                math.sqrt(2 * d) * np.linalg.norm(x), rel=1e-12
+                math.sqrt(coords(x) @ gram @ coords(x)), rel=1e-12
             )
 
 
@@ -76,6 +98,24 @@ def test_group_distance_triangle_inequality_statistically():
         dxz = group_distance(pts[0], pts[2])
         worst = max(worst, dxz - dxy - dyz)
     assert worst <= 1e-9
+
+
+@pytest.mark.parametrize("epsilon", [1e-2, 1e-3, 1e-4])
+def test_probe_input_distance_is_the_group_distance(epsilon):
+    """d_input is eps ||X||_B by construction; it is the B-distance the
+    perturbation exp(eps X) moves g, for unit and non-unit X alike."""
+    rng = derive_rng(5, "input-distance")
+    x = unit_direction(rng, 3)
+    dirs = [x, 2.5 * x, random_traceless(rng, 3)]
+    report = fine_probe(REGULAR_G, (2, 1), epsilon, 0, None, directions=dirs)
+    for direction, sample in zip(dirs, report.detail):
+        moved = scipy.linalg.expm(epsilon * direction) @ REGULAR_G
+        assert sample.d_input == pytest.approx(group_distance(moved, REGULAR_G), rel=1e-9)
+
+
+def test_fine_probe_needs_a_seed_or_directions():
+    with pytest.raises(ValueError, match="seed.*directions"):
+        fine_probe(REGULAR_G, (2, 1), 1e-3, 3, None)
 
 
 def test_group_distance_domain_error():
@@ -245,9 +285,10 @@ def test_coarse_ratios_equal_a_separate_coarse_pass(margins, joined, epsilon):
 
 
 def test_sweep_factors_each_perturbation_once(monkeypatch):
-    """Per base point: one factorization of g, then one expm, one
-    factorization and one group distance per direction (three of them),
-    shared by the fine and the coarse view."""
+    """Per base point: one factorization of g, then one expm and one
+    factorization per direction (three of them), shared by the fine and
+    the coarse view.  The input distance is eps ||X||_B by construction,
+    so no group distance is computed."""
     calls = collections.Counter()
 
     def counted(name, fn):
@@ -268,7 +309,7 @@ def test_sweep_factors_each_perturbation_once(monkeypatch):
         (2, 1), c_grid=[0.5], depth_grid=[2.0], epsilon=1e-3, n_per_cell=4, seed=4, wall=1,
     )
     assert cell.n_points == 4 and cell.ratio_coarse_aI is not None
-    assert calls == {"kah": 4 * (1 + 3), "expm": 4 * 3, "gd": 4 * 3}
+    assert calls == {"kah": 4 * (1 + 3), "expm": 4 * 3}
 
 
 def test_chamber_point_and_margins_for_depth():
@@ -299,6 +340,36 @@ def test_lipschitz_sweep_shape_and_empty_cells():
     for wall in (0, 3):
         with pytest.raises(ValueError, match="wall must be"):
             lipschitz_sweep((2, 1), [0.5], [2.0], 1e-3, 1, seed=4, wall=wall)
+
+
+def test_lipschitz_sweep_rejects_negative_c_or_depth():
+    for c_grid, depth_grid in (([-0.5], [2.0]), ([0.5], [2.0, -1.0])):
+        with pytest.raises(ValueError, match="nonnegative"):
+            lipschitz_sweep((2, 1), c_grid, depth_grid, 1e-3, 1, seed=1)
+
+
+@pytest.mark.parametrize(
+    "signature, kw, rows",
+    [
+        ((2, 1), dict(c_grid=[0.05, 0.5], depth_grid=[2.0], n_per_cell=3, seed=4, wall=1), [
+            ["0.05", "2", "8.40734052589", "0.291963358212", "8.67158089908",
+             "0.190310708738", "0.333717007023", "0"],
+            ["0.5", "2", "1.59232490453", "0.398642526237", "1.00659249221",
+             "0.32151887108", "0.291270078708", "0"],
+        ]),
+        ((2, 2), dict(c_grid=[0.2], depth_grid=[1.5, 3.0], n_per_cell=2, seed=6), [
+            ["0.2", "1.5", "2.60285552721", "0.256710092196", "2.27194826161",
+             "0.198308897087", "0.215155705121", "0"],
+            ["0.2", "3", "2.83106833531", "0.179354164633", "2.78447897658",
+             "0.156758729875", "0.281511715622", "0"],
+        ]),
+    ],
+)
+def test_lipschitz_sweep_rows_are_pinned(signature, kw, rows):
+    """The sweep's CSV rows, at the 12 digits the CLI writes, stay the
+    values recorded before the metric took its closed form."""
+    cells = lipschitz_sweep(signature, epsilon=1e-3, **kw)
+    assert [[_fmt(getattr(cell, col)) for col in SWEEP_COLUMNS] for cell in cells] == rows
 
 
 def test_lipschitz_sweep_deterministic_per_seed():
