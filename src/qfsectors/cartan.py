@@ -147,36 +147,36 @@ def kah_decompose(g: np.ndarray, signature: tuple[int, int]) -> CartanFactors:
         raise ValueError("matrix condition exceeds COND_BOUND")
 
     jdiag = np.array([1.0] * p + [-1.0] * q)
-    rows = g.copy()
-    k = np.eye(d)
+    rows = list(g.copy())  # C-order rows; a rotation rebinds two of them
+    kt = list(np.eye(d))  # rows of k^T, so a rotation touches two rows
     eps_floor = 16.0 * np.finfo(float).eps
     converged = False
     for _ in range(MAX_SWEEPS):
         rotated = False
         for i in range(d - 1):
             for jj in range(i + 1, d):
-                ri = rows[i] * jdiag
-                app = float(ri @ rows[i])
-                apq = float(ri @ rows[jj])
-                aqq = float((rows[jj] * jdiag) @ rows[jj])
-                floor = eps_floor * float(
-                    np.linalg.norm(rows[i]) * np.linalg.norm(rows[jj])
-                )
-                if abs(apq) <= max(TOL * math.sqrt(abs(app * aqq)), floor):
+                ri, rj = rows[i], rows[jj]
+                rij = ri * jdiag
+                app = float(rij @ ri)
+                apq = float(rij @ rj)
+                aqq = float((rj * jdiag) @ rj)
+                off = abs(apq)
+                if off <= TOL * math.sqrt(abs(app * aqq)):
+                    continue
+                if off <= eps_floor * (math.sqrt(ri @ ri) * math.sqrt(rj @ rj)):
                     continue
                 rotated = True
                 c, sn = rotation_for(app, aqq, apq)
-                tmp = c * rows[i] - sn * rows[jj]
-                rows[jj] = sn * rows[i] + c * rows[jj]
-                rows[i] = tmp
-                tmp = c * k[:, i] - sn * k[:, jj]
-                k[:, jj] = sn * k[:, i] + c * k[:, jj]
-                k[:, i] = tmp
+                rows[i], rows[jj] = c * ri - sn * rj, sn * ri + c * rj
+                ki, kj = kt[i], kt[jj]
+                kt[i], kt[jj] = c * ki - sn * kj, sn * ki + c * kj
         if not rotated:
             converged = True
             break
     if not converged:
         raise ArithmeticError("jacobi iteration did not converge")
+    rows = np.array(rows)
+    k = np.array(kt).T
 
     lam = np.einsum("ij,j,ij->i", rows, jdiag, rows)
     order = slot_order(lam)

@@ -62,6 +62,11 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
+# thread-count variables recorded, never set, in every manifest
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "QFSECTORS_THREADS")
+
+
 class RunManifest:
     """Collects provenance while a command runs, then lands beside --out."""
 
@@ -90,6 +95,10 @@ class RunManifest:
                 "python": sys.version.split()[0],
             },
             "wall_clock_s": round(time.monotonic() - self.t0, 3),
+            "machine": {
+                "cpu_count": os.cpu_count(),
+                "threads": {v: os.environ.get(v, "unset") for v in THREAD_VARS},
+            },
             "outputs": {p: _sha256(p) for p in self.outputs if os.path.exists(p)},
             "partial": partial,
         }

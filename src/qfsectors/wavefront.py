@@ -13,12 +13,17 @@ On sl_d it equals 2d tr(X Y.T), so ||X||_B = sqrt(2d) ||X||_F; the test
 suite keeps the literal adjoint action on an explicit basis as the
 reference for that closed form.  The a factor is compared in plain
 Euclidean log coordinates (the same metric up to a constant factor).
+
+The k and h displacements of every kept direction of a probe come from
+one stacked series log (_log_near_identity) on the factor differences,
+E_k = (k' - k) k^T and E_h = (h' - h) h^-1, with no scipy logm: forming
+k' k^T - I would cancel the leading digits of a small displacement.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -34,6 +39,8 @@ from .rootdata import BlockDecomposition
 
 MAX_PROBE_EPS = 1e-2
 SWEEP_DIRECTIONS = 3  # probe directions per sweep base point
+_HALF_ULP = np.finfo(float).eps / 2.0
+_SQRT_EPS = math.sqrt(np.finfo(float).eps)
 
 
 class MetricDomainError(ValueError):
@@ -45,23 +52,77 @@ def b_norm(x: np.ndarray) -> float:
     return math.sqrt(2 * len(x)) * float(np.linalg.norm(x))
 
 
-def _real_log(m: np.ndarray) -> np.ndarray:
-    if np.linalg.norm(m - np.eye(m.shape[0])) >= 1.0:
+def _in_log_domain(e: np.ndarray) -> np.ndarray:
+    """Mask of the rows of a stack of E, shape (n, d, d), with ||E||_F < 1."""
+    return np.linalg.norm(e, axis=(1, 2)) < 1.0
+
+
+def _sqrt_near_identity(e: np.ndarray) -> np.ndarray:
+    """sqrt(I + E) - I for a stack of E with ||E||_F < 1.
+
+    Denman-Beavers: Y -> (Y + Z^-1)/2, Z -> (Z + Y^-1)/2 from Y = I + E,
+    Z = I converges quadratically to sqrt(I + E), so once a step moves Y
+    by at most sqrt(eps) the error left is of order eps.
+    """
+    eye = np.eye(e.shape[-1])
+    y, z = eye + e, eye
+    step = math.inf
+    while step > _SQRT_EPS:
+        y, z, y_prev = (y + np.linalg.inv(z)) / 2.0, (z + np.linalg.inv(y)) / 2.0, y
+        step = float(np.linalg.norm(y - y_prev, axis=(1, 2)).max())
+    return y - eye
+
+
+def _log_near_identity(e: np.ndarray) -> np.ndarray:
+    """Principal log(I + E) for a stack of E, shape (n, d, d), ||E||_F < 1.
+
+    log(I + E) = 2 atanh(Z) = 2 sum_j Z^(2j+1) / (2j+1) with
+    Z = (2I + E)^-1 E, which commutes with E.  I + E is never formed, so
+    a small E loses nothing to cancellation.  ||Z||_F < ||E||_F because
+    ||(2I + E)^-1||_2 < 1.  Rows with ||Z||_F > 1/2 first take square
+    roots (log M = 2 log sqrt M) until every row has ||Z||_F <= 1/2; the
+    term count n is then the smallest whose tail bound
+    rho^(2n+1) / ((2n+1)(1 - rho^2)), rho = max ||Z||_F over the stack,
+    is at most eps/2 times rho: 24 terms at rho = 1/2, 6 at rho = 0.035.
+
+    The result is real: ||E||_2 <= ||E||_F < 1 puts the spectrum of I + E
+    in the disc |z - 1| < 1, which avoids (-inf, 0], so the principal log
+    of the real matrix I + E is real.  Raises MetricDomainError when any
+    row has ||E||_F >= 1.
+    """
+    e = np.array(e, dtype=float)  # the square roots overwrite rows
+    if not _in_log_domain(e).all():
         raise MetricDomainError("group elements too far apart for the local metric")
-    lg = scipy.linalg.logm(m)
-    if np.linalg.norm(np.imag(lg)) > 1e-8 * max(1.0, np.linalg.norm(lg)):
-        raise MetricDomainError("matrix log left the real domain")
-    return np.real(lg)
+    eye = np.eye(e.shape[-1])
+    scale = np.ones(len(e))
+    z = np.linalg.solve(2.0 * eye + e, e)
+    zn = np.linalg.norm(z, axis=(1, 2))
+    while (big := zn > 0.5).any():
+        e[big] = _sqrt_near_identity(e[big])
+        scale[big] *= 2.0
+        z[big] = np.linalg.solve(2.0 * eye + e[big], e[big])
+        zn[big] = np.linalg.norm(z[big], axis=(1, 2))
+    rho = float(zn.max(initial=0.0))
+    n = 1
+    while rho ** (2 * n) > _HALF_ULP * (2 * n + 1) * (1.0 - rho * rho):
+        n += 1
+    z2 = z @ z
+    acc = np.broadcast_to(eye / (2 * n - 1), z.shape)
+    for j in range(n - 2, -1, -1):
+        acc = z2 @ acc + eye / (2 * j + 1)
+    return (2.0 * scale)[:, None, None] * (z @ acc)
 
 
 def group_distance(x: np.ndarray, y: np.ndarray) -> float:
-    """|| log(x y^-1) ||_B for nearby invertible x, y."""
+    """|| log(x y^-1) ||_B for nearby invertible x, y.
+
+    x y^-1 = I + E with E = (x - y) y^-1, one solve; MetricDomainError
+    when ||E||_F >= 1.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if np.array_equal(x, y):
-        return 0.0
-    m = np.linalg.solve(y.T, x.T).T  # x @ inv(y)
-    return b_norm(_real_log(m))
+    e = np.linalg.solve(y.T, (x - y).T).T
+    return b_norm(_log_near_identity(e[None])[0])
 
 
 @dataclass(frozen=True)
@@ -156,9 +217,10 @@ def fine_probe(
         base_means = np.array([np.log(base.a)[b].mean() for b in slots])
         ratio_ai, ratio_frame = 0.0, 0.0
     jmat = signature_matrix(*signature)
+    h_inv = jmat @ base.h.T @ jmat  # exact inverse in H
     if directions is None:
         directions = _unit_directions(d, n, _as_rng(seed))
-    detail = []
+    detail, disp = [], []  # disp: (E_k, E_h) of each kept direction
     for x in directions:
         gp = scipy.linalg.expm(epsilon * x) @ g
         probe = kah_decompose(gp, signature)
@@ -175,22 +237,23 @@ def fine_probe(
             detail.append(ProbeSample(d_input=d_in, crossed=True))
             continue
         k_al, h_al = _gauge(base, probe)
-        # a tied base frame can be arbitrarily far from the probe's even
-        # with w unchanged; that is the blow-up at the singular set and
-        # it reports as an infinite displacement, not a crash
-        try:
-            d_k = b_norm(_real_log(k_al @ base.k.T))
-        except MetricDomainError:
-            d_k = math.inf
+        # k_al base.k^T = I + E_k and h_al h^-1 = I + E_h, formed from the
+        # factor differences so that a small displacement keeps its digits
+        disp.append(((k_al - base.k) @ base.k.T, (h_al - base.h) @ h_inv))
         d_a = float(np.linalg.norm(np.log(probe.a) - np.log(base.a)))
-        h_inv = jmat @ base.h.T @ jmat  # exact inverse in H
-        try:
-            d_h = b_norm(_real_log(h_al @ h_inv))
-        except MetricDomainError:
-            d_h = math.inf
-        detail.append(
-            ProbeSample(d_input=d_in, crossed=False, d_k=d_k, d_a=d_a, d_h=d_h)
-        )
+        detail.append(ProbeSample(d_input=d_in, crossed=False, d_a=d_a))
+    # a tied base frame can be arbitrarily far from the probe's even with
+    # w unchanged; that is the blow-up at the singular set, and a row
+    # outside the log's domain reports as an infinite displacement
+    e = np.array(disp).reshape(-1, d, d)
+    dist = np.full(len(e), math.inf)
+    ok = _in_log_domain(e)
+    if ok.any():
+        dist[ok] = [b_norm(lg) for lg in _log_near_identity(e[ok])]
+    dist = iter(dist.tolist())  # d_k, d_h of the first kept direction, ...
+    detail = [
+        s if s.crossed else replace(s, d_k=next(dist), d_h=next(dist)) for s in detail
+    ]
     kept = [s for s in detail if not s.crossed]
     return ProbeReport(
         base=base,

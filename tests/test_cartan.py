@@ -1,5 +1,7 @@
 """Factorization round trips, invariances, and guard rails."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from qfsectors.cartan import (
     signature_matrix,
     weyl_matrix,
 )
+from qfsectors.jacobi import MAX_SWEEPS, TOL, rotation_for
 from qfsectors.sampling import (
     derive_rng,
     random_indefinite_orthogonal,
@@ -40,6 +43,59 @@ def test_round_trip_random(signature):
         assert abs(np.prod(fac.a) - 1.0) < 1e-9
         assert np.all(fac.margins >= -1e-10)
         assert sorted(fac.w) == sorted((1,) * signature[0] + (-1,) * signature[1])
+
+
+def array_jacobi(g, signature):
+    """The one-sided Jacobi loop on a 2-D array of rows and the columns
+    of k, with the row-norm floor from np.linalg.norm: the reference the
+    list-of-rows loop in kah_decompose must match bit for bit."""
+    p, q = signature
+    jdiag = np.array([1.0] * p + [-1.0] * q)
+    rows = np.asarray(g, dtype=float).copy()  # C order, whatever the input's
+    k = np.eye(p + q)
+    eps_floor = 16.0 * np.finfo(float).eps
+    for _ in range(MAX_SWEEPS):
+        rotated = False
+        for i in range(p + q - 1):
+            for jj in range(i + 1, p + q):
+                ri = rows[i] * jdiag
+                app, apq = float(ri @ rows[i]), float(ri @ rows[jj])
+                aqq = float((rows[jj] * jdiag) @ rows[jj])
+                floor = eps_floor * float(np.linalg.norm(rows[i]) * np.linalg.norm(rows[jj]))
+                if abs(apq) <= max(TOL * math.sqrt(abs(app * aqq)), floor):
+                    continue
+                rotated = True
+                c, sn = rotation_for(app, aqq, apq)
+                rows[[i, jj]] = c * rows[i] - sn * rows[jj], sn * rows[i] + c * rows[jj]
+                k[:, [i, jj]] = np.stack([c * k[:, i] - sn * k[:, jj], sn * k[:, i] + c * k[:, jj]], 1)
+        if not rotated:
+            return rows, k
+    raise ArithmeticError("jacobi iteration did not converge")
+
+
+@pytest.mark.parametrize("signature", [(2, 1), (1, 2), (3, 1), (2, 2), (3, 2)])
+def test_jacobi_loop_matches_the_array_reference(signature):
+    """k, a, w and h equal the factors the array loop gives, bit for bit,
+    on well- and ill-conditioned inputs, C- or Fortran-ordered."""
+    rng = derive_rng(8, "jacobi-reference", signature)
+    jdiag = np.array([1.0] * signature[0] + [-1.0] * signature[1])
+    for n in range(40):
+        g = well_conditioned_sl(rng, sum(signature), cond_cap=50.0 if n % 2 else 1e5)
+        if n % 4 == 3:
+            g = np.asfortranarray(g)
+        fac = kah_decompose(g, signature)
+        rows, k = array_jacobi(g, signature)
+        lam = np.einsum("ij,j,ij->i", rows, jdiag, rows)
+        order = sorted(range(len(lam)), key=lambda i: (-abs(lam[i]), 0 if lam[i] > 0 else 1, i))
+        rows, k, lam = rows[order], k[:, order], lam[order]
+        if np.linalg.det(k) < 0:
+            k[:, -1], rows[-1] = -k[:, -1], -rows[-1]
+        a = np.sqrt(np.abs(lam))
+        w = tuple(1 if v > 0 else -1 for v in lam)
+        h = weyl_matrix(w, signature).T @ (rows / a[:, None])
+        assert fac.w == w
+        for got, ref in ((fac.k, k), (fac.a, a), (fac.h, h)):
+            assert np.array_equal(got, ref)
 
 
 def test_riemannian_signature_gives_orthogonal_h():

@@ -5,6 +5,7 @@ import hashlib
 import importlib
 import itertools
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -99,6 +100,25 @@ def test_enumerate_writes_csv_and_manifest(tmp_path, capsys):
     assert man["wall_clock_s"] >= 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert man["outputs"][str(out)] == digest
+
+
+def test_manifest_records_the_machine(tmp_path, capsys, monkeypatch):
+    """The manifest reads the core count and the thread variables; an
+    unset variable reads "unset", and the run changes none of them."""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    before = dict(os.environ)
+    out = tmp_path / "forms.csv"
+    code, _, _ = run(capsys, "enumerate", "--T", "1.5", "--out", str(out))
+    assert code == 0
+    assert dict(os.environ) == before
+    man = json.loads((tmp_path / "forms.csv.manifest.json").read_text())
+    assert man["machine"]["cpu_count"] == os.cpu_count()
+    threads = man["machine"]["threads"]
+    assert set(threads) == {"OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                            "MKL_NUM_THREADS", "QFSECTORS_THREADS"}
+    assert threads["OPENBLAS_NUM_THREADS"] == "1"
+    assert threads["OMP_NUM_THREADS"] == "unset"
 
 
 def test_enumerate_reruns_are_byte_identical(tmp_path, capsys):

@@ -4,12 +4,15 @@ import collections
 import math
 import types
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfsectors import wavefront
-from qfsectors.cartan import kah_decompose, weyl_matrix
+from qfsectors.cartan import kah_decompose, signature_matrix, weyl_matrix
 from qfsectors.cli import SWEEP_COLUMNS, _fmt
 from qfsectors.sampling import (
     derive_rng,
@@ -118,6 +121,71 @@ def test_fine_probe_needs_a_seed_or_directions():
         fine_probe(REGULAR_G, (2, 1), 1e-3, 3, None)
 
 
+def mp_matrix(a):
+    return mpmath.matrix([[mpmath.mpf(float(v)) for v in row] for row in a])
+
+
+def mp_relative_error(approx, exact):
+    """||approx - exact||_F / ||exact||_F, evaluated at 50 digits."""
+    with mpmath.workdps(50):
+        diff = mp_matrix(approx) - exact
+        return float(mpmath.mnorm(diff, "f") / mpmath.mnorm(exact, "f"))
+
+
+def generator(kind, d, rng):
+    """A d x d matrix of the named shape, before scaling."""
+    x = rng.standard_normal((d, d))
+    if kind == "nilpotent":  # strictly upper triangular: one Jordan block
+        return np.triu(x, 1)
+    if kind == "skew":  # exp of it is a rotation
+        return x - x.T
+    if kind == "boost":  # symmetric and in so(p, q): X^T J + J X = 0, J = diag(I_p, -I_q)
+        p = int(rng.integers(1, d))
+        x[:p, :p] = x[p:, p:] = 0.0
+        x[p:, :p] = x[:p, p:].T
+    return x
+
+
+@st.composite
+def log_stacks(draw):
+    d = draw(st.integers(2, 4))
+    rows = draw(st.lists(st.tuples(
+        st.sampled_from(["general", "nilpotent", "skew", "boost"]),
+        st.floats(1e-12, 0.999),
+        st.integers(0, 2**32 - 1),
+    ), min_size=1, max_size=5))
+    stack = []
+    for kind, norm, seed in rows:
+        x = generator(kind, d, np.random.default_rng(seed))
+        stack.append(norm * x / np.linalg.norm(x))
+    return np.array(stack)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(e=log_stacks())
+def test_log_near_identity_matches_a_50_digit_logm(e):
+    """Every row of a stacked log, and the same row as a stack of one,
+    is log(I + E) to 1e-13 relative for ||E||_F <= 1/2 and to 1e-12 up
+    to 0.999, against mpmath.logm of I + E from the same float E."""
+    logs = wavefront._log_near_identity(e)
+    assert logs.shape == e.shape
+    for row, lg in zip(e, logs):
+        with mpmath.workdps(50):
+            exact = mpmath.logm(mpmath.eye(len(row)) + mp_matrix(row))
+        bound = 1e-13 if np.linalg.norm(row) <= 0.5 else 1e-12
+        assert mp_relative_error(lg, exact) <= bound
+        assert mp_relative_error(wavefront._log_near_identity(row[None])[0], exact) <= bound
+
+
+def test_log_near_identity_domain():
+    """Any row with ||E||_F >= 1 is outside the log's domain; E = 0 logs to 0."""
+    ok = np.full((1, 3, 3), 0.1)
+    far = np.diag([0.0, -1.0, 0.0])[None]
+    with pytest.raises(MetricDomainError):
+        wavefront._log_near_identity(np.concatenate([ok, far]))
+    assert not wavefront._log_near_identity(np.zeros((2, 3, 3))).any()
+
+
 def test_group_distance_domain_error():
     with pytest.raises(MetricDomainError):
         group_distance(np.diag([10.0, 1.0, 0.1]), np.eye(3))
@@ -143,12 +211,17 @@ def test_fine_probe_is_deterministic():
     assert (r1.ratio_k, r1.ratio_a, r1.ratio_h) == (r2.ratio_k, r2.ratio_a, r2.ratio_h)
 
 
-def test_fine_probe_near_identity_crosses_weyl_slots():
-    # a = e sits on every wall: slot order is unstable under perturbation
-    rng = derive_rng(11, "singular-base")
+def tied_base(seed):
+    """a = e: the base frame is tied on every wall."""
+    rng = derive_rng(seed, "singular-base")
     k0 = random_rotation(rng, 3)
     h0 = random_indefinite_orthogonal(rng, 2, 1, scale=0.05)
-    g = k0 @ weyl_matrix((1, 1, -1), (2, 1)) @ h0
+    return k0 @ weyl_matrix((1, 1, -1), (2, 1)) @ h0
+
+
+def test_fine_probe_near_identity_crosses_weyl_slots():
+    # a = e sits on every wall: slot order is unstable under perturbation
+    g = tied_base(11)
     report = fine_probe(g, (2, 1), epsilon=1e-3, n=16, seed=5)
     assert report.crossings >= 1
     # surviving samples see the arbitrary tie-broken frame: blow-up
@@ -221,6 +294,71 @@ def test_coarse_probe_rescues_near_wall_base_point():
     assert fine.ratio_a < 2.0  # Ostrowski bound, no rescue needed
 
 
+@pytest.mark.parametrize("margins, epsilon", [([0.8, 0.9], 1e-3), ([0.01, 1.0], 1e-4)])
+def test_probe_displacements_match_a_50_digit_log(margins, epsilon):
+    """On a deep and on a near-wall base point, each kept d_k and d_h is
+    ||log||_B of k_al k^T and of h_al h^-1, the gauged float factors
+    multiplied and logged at 50 digits, to 1e-12 relative."""
+    g = synthetic_base(margins, seed=7)
+    rng = derive_rng(43, "probe-accuracy")
+    dirs = [unit_direction(rng, 3) for _ in range(8)]
+    report = fine_probe(g, (2, 1), epsilon, 0, None, directions=dirs)
+    assert report.crossings == 0
+    base = kah_decompose(g, (2, 1))
+    jmat = mp_matrix(signature_matrix(2, 1))
+    for x, sample in zip(dirs, report.detail):
+        probe = kah_decompose(scipy.linalg.expm(epsilon * x) @ g, (2, 1))
+        k_al, h_al = wavefront._gauge(base, probe)
+        with mpmath.workdps(50):
+            for got, m in (
+                (sample.d_k, mp_matrix(k_al) * mp_matrix(base.k).T),
+                (sample.d_h, mp_matrix(h_al) * jmat * mp_matrix(base.h).T * jmat),
+            ):
+                exact = math.sqrt(6) * mpmath.mnorm(mpmath.logm(m), "f")
+                assert float(abs(got - exact) / exact) <= 1e-12
+
+
+def test_probe_row_outside_the_log_domain_is_infinite_alone():
+    """A tied base frame: one kept direction lands at ||E||_F >= 1 and
+    reports infinite displacements, the others stay finite and agree with
+    probes taken one direction at a time.  The series' term count follows
+    the stack's largest ||Z||, so agreement is to 1e-14, not bit for bit."""
+    g = tied_base(12)
+    rng = derive_rng(5, "wavefront-probe")
+    dirs = [unit_direction(rng, 3) for _ in range(16)]
+    report = fine_probe(g, (2, 1), 1e-3, 0, None, directions=dirs)
+    kept = [s for s in report.detail if not s.crossed]
+    assert sum(math.isinf(s.d_k) for s in kept) == 1
+    assert sum(math.isfinite(s.d_k) for s in kept) >= 3
+    for x, sample in zip(dirs, report.detail):
+        (alone,) = fine_probe(g, (2, 1), 1e-3, 0, None, directions=[x]).detail
+        assert alone.crossed == sample.crossed
+        if sample.crossed:
+            continue
+        assert alone.d_a == sample.d_a
+        for got, ref in ((sample.d_k, alone.d_k), (sample.d_h, alone.d_h)):
+            assert math.isinf(got) == math.isinf(ref)
+            if math.isfinite(ref):
+                assert got == pytest.approx(ref, rel=1e-14)
+
+
+def test_probe_with_every_direction_crossed_takes_no_log(monkeypatch):
+    g = tied_base(12)
+    rng = derive_rng(5, "wavefront-probe")
+    dirs = [unit_direction(rng, 3) for _ in range(16)]
+    report = fine_probe(g, (2, 1), 1e-3, 0, None, directions=dirs)
+    crossed = [x for x, s in zip(dirs, report.detail) if s.crossed]
+    assert crossed
+
+    def no_log(e):
+        raise AssertionError("a log was taken")
+
+    monkeypatch.setattr(wavefront, "_log_near_identity", no_log)
+    report = fine_probe(g, (2, 1), 1e-3, 0, None, directions=crossed)
+    assert report.crossings == report.samples == len(crossed)
+    assert (report.ratio_k, report.ratio_a, report.ratio_h) == (None, None, None)
+
+
 def test_coarse_probe_joined_validation():
     with pytest.raises(ValueError):
         coarse_probe(REGULAR_G, (2, 1), (3,), epsilon=1e-3, n=2, seed=0)
@@ -288,7 +426,7 @@ def test_sweep_factors_each_perturbation_once(monkeypatch):
     """Per base point: one factorization of g, then one expm and one
     factorization per direction (three of them), shared by the fine and
     the coarse view.  The input distance is eps ||X||_B by construction,
-    so no group distance is computed."""
+    so no group distance is computed, and no scipy logm is called."""
     calls = collections.Counter()
 
     def counted(name, fn):
@@ -302,7 +440,7 @@ def test_sweep_factors_each_perturbation_once(monkeypatch):
     monkeypatch.setattr(wavefront, "group_distance", counted("gd", wavefront.group_distance))
     monkeypatch.setattr(wavefront, "scipy", types.SimpleNamespace(linalg=types.SimpleNamespace(
         expm=counted("expm", linalg.expm),
-        logm=linalg.logm,
+        logm=counted("logm", linalg.logm),
         subspace_angles=linalg.subspace_angles,
     )))
     (cell,) = lipschitz_sweep(
@@ -310,6 +448,7 @@ def test_sweep_factors_each_perturbation_once(monkeypatch):
     )
     assert cell.n_points == 4 and cell.ratio_coarse_aI is not None
     assert calls == {"kah": 4 * (1 + 3), "expm": 4 * 3}
+    assert calls["logm"] == 0  # the displacements take the series log
 
 
 def test_chamber_point_and_margins_for_depth():
