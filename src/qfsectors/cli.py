@@ -318,9 +318,7 @@ def _cmd_count_sector(args) -> int:
         norm=args.norm,
         block_window=args.window,
     )
-    series = sector.count_sector(
-        _parse_floats(args.t_grid), spec, d=args.d, tie_tol=args.tie_tol, threads=threads
-    )
+    series = sector.count_sector(_parse_floats(args.t_grid), spec, threads=threads)
     rows = list(zip(series.t_grid, series.values, series.degenerate))
     manifest.record(_write_csv(args.out, ["T", "count", "degenerate"], rows))
     fit_doc = _fit_report(series)
@@ -561,13 +559,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_count_ball)
 
     sp = sub.add_parser("count-sector", help="sector counts + fit over a threshold grid")
-    sp.add_argument("--d", type=int, default=3, choices=(2, 3, 4))
-    sp.add_argument("--blocks", required=True, help="comma list of block dims")
+    sp.add_argument("--blocks", required=True, help="comma list of block dims; d is their sum")
     sp.add_argument("--signs", required=True, help="per block: +, -, or p:q")
     sp.add_argument("--frame", default=None, help="full | cap:x,..:angle | anticap:x,..:angle")
     sp.add_argument("--norm", default="max", choices=enumeration.NORMS)
     sp.add_argument("--window", type=float, default=None, help="within-block log spread bound")
-    sp.add_argument("--tie-tol", dest="tie_tol", type=float, default=sector.DEFAULT_TIE_TOL)
     sp.add_argument("--T-grid", dest="t_grid", required=True)
     sp.add_argument("--threads", type=int, default=None)
     sp.add_argument("--out", required=True)

@@ -23,6 +23,10 @@ Supported norms: "max" (largest absolute entry) and "frobenius" (entry
 2-norm of the full symmetric matrix).  Thresholds are strict: norm < T,
 decided exactly on integer norm keys (the largest |entry|, or the
 integer norm squared against the exact square of the float T).
+
+Every integer count goes through `tally`: one scan at the largest
+threshold, binned by each threshold on those keys, with any number of
+verdicts (sector classifiers) counted in the same pass.
 """
 
 from __future__ import annotations
@@ -328,28 +332,48 @@ def enumerate_forms(d: int, t: float, norm: str = "max", threads: int | None = N
             )
 
 
-def count_ball(d: int, t: float, norm: str = "max", threads: int | None = None) -> int:
-    """Number of det +-1 forms with norm < T (streaming, no materialization)."""
-    return sum(
-        tri.shape[0] for tri, _, _ in iter_form_batches(d, t, norm, threads)
-    )
+def t_grid_values(t_grid) -> list[float]:
+    """The threshold grid as floats; equal neighbours are allowed."""
+    ts = [float(x) for x in t_grid]
+    if not ts or sorted(ts) != ts:
+        raise ValueError("T grid must be nonempty and increasing")
+    return ts
+
+
+def tally(d: int, t_grid, norm: str, verdicts=(), threads: int | None = None):
+    """One scan at max(T) binned by every threshold.
+
+    Each verdict maps a batch of upper triangles to a tuple of boolean
+    masks.  Returns the ball count per T and, per verdict, the count of
+    each of its masks per T.
+    """
+    norm = _check_norm(norm)
+    ts = t_grid_values(t_grid)
+    limits = [key_limit(t, norm) for t in ts]
+    ball, counts = np.zeros(len(ts), dtype=np.int64), None
+    for tri, _, _ in iter_form_batches(d, ts[-1], norm, threads):
+        keys = norm_keys(tri, d, norm)
+        inball = [keys <= lim for lim in limits]
+        ball += [np.count_nonzero(b) for b in inball]
+        hits = [np.array([[np.count_nonzero(m & b) for b in inball] for m in fn(tri)])
+                for fn in verdicts]
+        counts = hits if counts is None else [c + h for c, h in zip(counts, hits)]
+    if counts is None:  # no form in the ball: each verdict's masks count 0
+        empty = np.zeros((0, len(triangle_indices(d))), dtype=np.int64)
+        counts = [np.zeros((len(fn(empty)), len(ts)), dtype=np.int64) for fn in verdicts]
+    return ball.tolist(), [c.tolist() for c in counts]
 
 
 def count_ball_grid(
     d: int, t_grid, norm: str = "max", threads: int | None = None
 ) -> list[int]:
     """Ball counts for every threshold in one scan at max(t_grid)."""
-    norm = _check_norm(norm)
-    ts = [float(x) for x in t_grid]
-    if sorted(ts) != ts:
-        raise ValueError("T grid must be increasing")
-    limits = [key_limit(t, norm) for t in ts]
-    counts = np.zeros(len(ts), dtype=np.int64)
-    for tri, _, _ in iter_form_batches(d, max(ts), norm, threads):
-        keys = norm_keys(tri, d, norm)
-        for j, lim in enumerate(limits):
-            counts[j] += int(np.count_nonzero(keys <= lim))
-    return [int(c) for c in counts]
+    return tally(d, t_grid, norm, threads=threads)[0]
+
+
+def count_ball(d: int, t: float, norm: str = "max", threads: int | None = None) -> int:
+    """Number of det +-1 forms with norm < T (streaming, no materialization)."""
+    return count_ball_grid(d, [t], norm, threads)[0]
 
 
 @dataclass(frozen=True)

@@ -100,10 +100,6 @@ class ExponentPair:
             raise ValueError("need a > 0 and b >= 1")
 
 
-def _signs_from_pq(d: int, p: int, q: int) -> tuple[int, ...]:
-    return (1,) * p + (-1,) * q
-
-
 def root_multiplicities(signs: Sequence[int]) -> tuple[
     tuple[tuple[int, int], ...],
     dict[tuple[int, int], int],
@@ -129,21 +125,16 @@ def root_multiplicities(signs: Sequence[int]) -> tuple[
 
 def build_root_datum(d: int, p: int, q: int) -> RootDatum:
     """Root datum for (SL_d(R), SO(d), SO(p, q)) with p + q = d, q >= 1."""
-    if d < 2:
-        raise ValueError("need d >= 2")
     if p < 1 or q < 1 or p + q != d:
         raise ValueError("need p >= 1, q >= 1, p + q = d")
-    roots, l_plus, l_minus = root_multiplicities(_signs_from_pq(d, p, q))
-    return RootDatum(d=d, p=p, q=q, positive_roots=roots,
-                     l_plus=l_plus, l_minus=l_minus)
+    return datum_for_signs((1,) * p + (-1,) * q)
 
 
 def datum_for_signs(signs: Sequence[int]) -> RootDatum:
     """Root datum for an arbitrary sign arrangement diag(signs).
 
-    Same construction as build_root_datum but without insisting that the
-    plus block comes first; used for sectors whose sign pattern
-    interleaves the two classes.
+    build_root_datum is the case with the plus block first; other
+    patterns serve sectors whose signs interleave the two classes.
     """
     signs = tuple(int(s) for s in signs)
     if any(s not in (-1, 1) for s in signs):

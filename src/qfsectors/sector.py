@@ -25,7 +25,8 @@ from . import enumeration
 from .jacobi import jacobi_eigh, slot_order, sym2_eigvals_batch, sym3_eigvals_batch
 from .rootdata import BlockDecomposition
 
-DEFAULT_TIE_TOL = 1e-9
+# a strict |eigenvalue| or block-mean drop of at most this (in logs) is a tie
+TIE_TOL = 1e-9
 # rows per _classify call: its temporaries are several times its input,
 # so a large batch is classified slice by slice
 CLASSIFY_ROWS = 32_768
@@ -186,9 +187,7 @@ class Membership:
     witness: Optional[Witness] = None
 
 
-def sector_membership(
-    q, spec: SectorSpec, tie_tol: float = DEFAULT_TIE_TOL
-) -> Membership:
+def sector_membership(q, spec: SectorSpec) -> Membership:
     """Classify one form, as a batch of one.  Degeneracy (a tie where
     strictness is needed) is decided before the sign tests, so it does
     not depend on the requested signatures."""
@@ -196,8 +195,10 @@ def sector_membership(
     d = mat.shape[0]
     if mat.shape != (d, d) or not np.allclose(mat, mat.T):
         raise ValueError("expected a symmetric matrix")
+    if d != spec.block.d:
+        raise ValueError(f"a {d}x{d} form cannot lie in a sector of d = {spec.block.d}")
     tri = mat[np.triu_indices(d)][None, :].astype(float)
-    member, degenerate, lam_s, means = _classify(tri, d, spec, tie_tol)
+    member, degenerate, lam_s, means = _classify(tri, d, spec)
     if degenerate[0] or not member[0]:
         return Membership(status="degenerate" if degenerate[0] else "nonmember")
     starts = (0,) + spec.block.cuts
@@ -262,7 +263,7 @@ def _top_vectors(mats: np.ndarray, lam_s: np.ndarray) -> np.ndarray:
     return vec
 
 
-def _classify(tri: np.ndarray, d: int, spec: SectorSpec, tie_tol: float):
+def _classify(tri: np.ndarray, d: int, spec: SectorSpec):
     """Verdicts for a batch of upper triangles: (member, degenerate) masks,
     the eigenvalues in |eigenvalue|-descending slot order and the block
     log means."""
@@ -281,9 +282,9 @@ def _classify(tri: np.ndarray, d: int, spec: SectorSpec, tie_tol: float):
 
     degenerate = np.any(alam_s < 1e-300, axis=1)
     for c in spec.block.cuts:
-        degenerate |= logs[:, c - 1] - logs[:, c] <= tie_tol
+        degenerate |= logs[:, c - 1] - logs[:, c] <= TIE_TOL
     if len(dims) > 1:
-        degenerate |= np.any(means[:, :-1] - means[:, 1:] <= tie_tol, axis=1)
+        degenerate |= np.any(means[:, :-1] - means[:, 1:] <= TIE_TOL, axis=1)
 
     member = ~degenerate
     pos = np.add.reduceat((lam_s > 0).astype(np.int64), starts, axis=1)
@@ -299,14 +300,14 @@ def _classify(tri: np.ndarray, d: int, spec: SectorSpec, tie_tol: float):
     return member, degenerate, lam_s, means
 
 
-def _classify_batch(tri: np.ndarray, d: int, spec: SectorSpec, tie_tol: float):
+def _classify_batch(tri: np.ndarray, d: int, spec: SectorSpec):
     """Vectorized verdicts for one batch: (member, degenerate) masks.
 
     _classify decides each row on its own, so running it on slices of
     CLASSIFY_ROWS rows gives the same verdicts with bounded temporaries.
     An empty batch still makes one (empty) call."""
     parts = [
-        _classify(tri[i : i + CLASSIFY_ROWS], d, spec, tie_tol)[:2]
+        _classify(tri[i : i + CLASSIFY_ROWS], d, spec)[:2]
         for i in range(0, max(tri.shape[0], 1), CLASSIFY_ROWS)
     ]
     return tuple(np.concatenate(masks) for masks in zip(*parts))
@@ -354,27 +355,14 @@ def with_fit(series: CountSeries, b_fixed: int = 1) -> CountSeries:
     )
 
 
-def count_sector(
-    t_grid,
-    spec: SectorSpec,
-    d: int = 3,
-    tie_tol: float = DEFAULT_TIE_TOL,
-    threads: int | None = None,
-) -> CountSeries:
+def count_sector(t_grid, spec: SectorSpec, threads: int | None = None) -> CountSeries:
     """Stream the ball at max(T), classify once per form, bin by threshold."""
-    ts = [float(x) for x in t_grid]
-    if sorted(ts) != ts or not ts:
-        raise ValueError("T grid must be nonempty and increasing")
-    limits = [enumeration.key_limit(t, spec.norm) for t in ts]
-    counts = np.zeros(len(ts), dtype=np.int64)
-    degs = np.zeros(len(ts), dtype=np.int64)
-    for tri, _, _ in enumeration.iter_form_batches(d, max(ts), spec.norm, threads):
-        member, degenerate = _classify_batch(tri, d, spec, tie_tol)
-        keys = enumeration.norm_keys(tri, d, spec.norm)
-        for j, lim in enumerate(limits):
-            inball = keys <= lim
-            counts[j] += int(np.count_nonzero(member & inball))
-            degs[j] += int(np.count_nonzero(degenerate & inball))
+    d = spec.block.d
+    ts = enumeration.t_grid_values(t_grid)
+    # _classify_batch is looked up per call, so a patched one is the one run
+    _, [(counts, degs)] = enumeration.tally(
+        d, ts, spec.norm, [lambda tri: _classify_batch(tri, d, spec)], threads
+    )
     series = CountSeries(
         t_grid=tuple(ts),
         values=tuple(float(c) for c in counts),
@@ -384,9 +372,9 @@ def count_sector(
             "d": d,
             "norm": spec.norm,
             "dims": list(spec.block.dims),
-            "tie_tol": tie_tol,
+            "tie_tol": TIE_TOL,
         },
-        degenerate=tuple(int(x) for x in degs),
+        degenerate=tuple(degs),
     )
     return with_fit(series, b_fixed=1)
 

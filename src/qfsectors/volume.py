@@ -36,7 +36,6 @@ from .sampling import derive_rng, random_rotation
 from .sector import (
     AntiCap,
     Cap,
-    DEFAULT_TIE_TOL,
     CountSeries,
     FullFrame,
     _classify_batch,
@@ -334,9 +333,7 @@ def _mc_series(
 def _volume(ctx, t_grid, method, frame, norm, samples, seed, near_wall_c=None) -> CountSeries:
     """Volume per threshold of the region, or with near_wall_c of its
     near-wall slice (some margin <= c), by quadrature or MC."""
-    ts = [float(x) for x in t_grid]
-    if not ts or sorted(ts) != ts:
-        raise ValueError("T grid must be nonempty and increasing")
+    ts = enumeration.t_grid_values(t_grid)
     n = len(ctx.cuts)
     if n == 0:
         raise ValueError("chamber must have at least one interior cut")
@@ -431,6 +428,10 @@ def singular_volume(
     return _volume(ctx, t_grid, method, frame, norm, samples, seed, near_wall_c=c)
 
 
+# probe images per sampled point in wellroundedness_ratio
+WR_PROBES = 8
+
+
 @dataclass(frozen=True)
 class WellRoundedness:
     ratio: float
@@ -448,15 +449,12 @@ def wellroundedness_ratio(
     t: float,
     seed,
     samples: int = 4000,
-    frame=None,
-    norm: str = "frobenius",
-    n_probe: int = 8,
-    tie_tol: float = DEFAULT_TIE_TOL,
 ) -> WellRoundedness:
-    """MC estimate of vol(eps-thickened boundary) / vol(region) at one T.
+    """MC estimate of vol(eps-thickened boundary) / vol(region) at one T,
+    for the full-frame region in the frobenius ball.
 
     A sampled point is "boundary" when its probe orbit (the point plus
-    n_probe images under exp(eps X) with X of unit metric norm) contains
+    WR_PROBES images under exp(eps X) with X of unit metric norm) contains
     both members and nonmembers of the region.  Sampling covers a thin
     collar outside the walls so the outer half of the boundary layer is
     seen; weights are |xi| there, the magnitude of the adjacent-chart
@@ -468,24 +466,19 @@ def wellroundedness_ratio(
         raise ValueError("thickened-boundary probes need all blocks one-dimensional")
     d = ctx.d
     rng = derive_rng(seed, "wellrounded") if isinstance(seed, int) else seed
-    spec = make_spec(ctx.blocks.dims, _block_signatures(ctx), frame=frame, norm="max")
+    spec = make_spec(ctx.blocks.dims, _block_signatures(ctx))
     margins, weights = _grid_margins(
         ctx, t, rng, samples, lo=-8.0 * epsilon, pad=0.25 + 2.0 * epsilon
     )
     _, base = _sampled_forms(ctx, margins, rng)
-    steps = [expm(epsilon * x) for x in _unit_directions(d, n_probe, rng)]
+    steps = [expm(epsilon * x) for x in _unit_directions(d, WR_PROBES, rng)]
     # the probe list is dropped once stacked, before the classifier's peak
     stacked = np.concatenate([base] + [np.einsum("ij,njk,lk->nil", e, base, e) for e in steps])
     pairs = enumeration.triangle_indices(d)
     tri = np.stack([stacked[:, i, j] for (i, j) in pairs], axis=1)
-    member, _ = _classify_batch(tri, d, spec, tie_tol)
-    if norm == "max":
-        radii = np.max(np.abs(stacked), axis=(1, 2))
-    elif norm == "frobenius":
-        radii = np.sqrt(np.sum(stacked**2, axis=(1, 2)))
-    else:
-        raise ValueError("unknown norm")
-    inside = (member & (radii < t)).reshape(1 + n_probe, samples).T
+    member, _ = _classify_batch(tri, d, spec)
+    radii = np.sqrt(np.sum(stacked**2, axis=(1, 2)))
+    inside = (member & (radii < t)).reshape(1 + WR_PROBES, samples).T
     center = inside[:, 0]
     mixed = inside.any(axis=1) & (~inside).any(axis=1)
 

@@ -4,7 +4,8 @@ Each test prints a single [PASS]/[FAIL] line with the measured numbers;
 the block of all ten lines is printed in pytest's terminal summary by the
 hook in conftest.py, so output capture cannot swallow it.  Heavy inputs
 (the T = 40 scan, the stability sweep) are shared module fixtures
-computed once.
+computed once; one T = 40 scan counts both the ball and the (+,+,-)
+sector.
 """
 
 import functools
@@ -19,10 +20,16 @@ import pytest
 from conftest import ACCEPTANCE_REPORT as _REPORT
 from conftest import brute_force_forms
 from qfsectors.cartan import kah_decompose, reconstruct, signature_matrix
-from qfsectors.enumeration import count_ball, count_ball_grid, enumerate_forms, orbit_enumerate
+from qfsectors.enumeration import enumerate_forms, orbit_enumerate, tally
 from qfsectors.rootdata import predict_exponent
 from qfsectors.sampling import derive_rng, random_special_linear
-from qfsectors.sector import count_sector, fit_exponent, make_spec, sign_pattern_specs
+from qfsectors.sector import (
+    _classify_batch,
+    count_sector,
+    fit_exponent,
+    make_spec,
+    sign_pattern_specs,
+)
 from qfsectors.volume import (
     context_for,
     singular_volume,
@@ -56,17 +63,18 @@ def criterion(num):
     return deco
 
 
+def _sign_verdicts(specs):
+    return [functools.partial(_classify_batch, d=3, spec=spec) for spec in specs]
+
+
 @pytest.fixture(scope="module")
-def ball_scan():
+def t40_scan():
+    """Ball and (+,+,-) sector counts from one scan to T = 40, and its time."""
     t0 = time.monotonic()
-    counts = count_ball_grid(3, THRESHOLDS, "max", threads=1)
-    return [float(c) for c in counts], time.monotonic() - t0
-
-
-@pytest.fixture(scope="module")
-def sector_scan():
-    spec = make_spec((1, 1, 1), ["+", "+", "-"])
-    return count_sector(THRESHOLDS, spec, threads=1)
+    ball, [(members, _)] = tally(
+        3, THRESHOLDS, "max", _sign_verdicts([make_spec((1, 1, 1), ["+", "+", "-"])]), threads=1
+    )
+    return [float(c) for c in ball], [float(c) for c in members], time.monotonic() - t0
 
 
 @pytest.fixture(scope="module")
@@ -130,9 +138,10 @@ def test_criterion_01():
 
 
 @criterion(2)
-def test_criterion_02(ball_scan):
-    """Ball counts on T = 10..40 fit slope in [2.7, 3.3] within budget."""
-    counts, elapsed = ball_scan
+def test_criterion_02(t40_scan):
+    """Ball counts on T = 10..40 fit slope in [2.7, 3.3] within budget
+    (the budget covers the scan shared with criterion 3)."""
+    counts, _, elapsed = t40_scan
     fit = fit_exponent((THRESHOLDS, counts))
     ok = 2.7 <= fit.a <= 3.3 and elapsed <= 600.0
     return ok, (
@@ -142,20 +151,16 @@ def test_criterion_02(ball_scan):
 
 
 @criterion(3)
-def test_criterion_03(ball_scan, sector_scan):
+def test_criterion_03(t40_scan):
     """Sector counts grow at the ball rate, never exceed the ball, and
     the eight sign sectors partition the T = 10 ball exactly."""
-    ball, _ = ball_scan
-    fit = fit_exponent((THRESHOLDS, list(sector_scan.values)))
+    ball, sector_counts, _ = t40_scan
+    fit = fit_exponent((THRESHOLDS, sector_counts))
     slope_ok = 2.6 <= fit.a <= 3.4
-    bounded = all(s <= b for s, b in zip(sector_scan.values, ball))
-    members = []
-    degs = set()
-    for sp in sign_pattern_specs(3):
-        series = count_sector([10.0], sp, threads=1)
-        members.append(int(series.values[0]))
-        degs.add(series.degenerate[0])
-    total = count_ball(3, 10.0)
+    bounded = all(s <= b for s, b in zip(sector_counts, ball))
+    [total], counts = tally(3, [10.0], "max", _sign_verdicts(sign_pattern_specs(3)), threads=1)
+    members = [c[0][0] for c in counts]
+    degs = {c[1][0] for c in counts}
     audit_ok = len(degs) == 1 and sum(members) + degs.pop() == total
     ok = slope_ok and bounded and audit_ok
     return ok, (

@@ -172,6 +172,39 @@ def test_count_sector_artifacts(tmp_path, capsys):
     assert line == fit_doc
 
 
+def test_count_sector_takes_d_from_the_blocks(tmp_path, capsys):
+    out = tmp_path / "sector4.csv"
+    code, _, _ = run(capsys, "count-sector", "--blocks", "1,1,1,1", "--signs", "+,+,-,-",
+                     "--T-grid", "2", "--out", str(out))
+    assert code == 0
+    want = sector.count_sector([2.0], sector.make_spec((1, 1, 1, 1), ["+", "+", "-", "-"]))
+    assert want.manifest["d"] == 4
+    _, rows = read_csv(out)
+    assert rows == [["2", f"{want.values[0]:.12g}", str(want.degenerate[0])]]
+    # d is no option of its own, so it cannot disagree with the blocks
+    with pytest.raises(SystemExit) as exc:
+        main(["count-sector", "--d", "4", "--blocks", "1,1,1", "--signs", "+,+,-",
+              "--T-grid", "2", "--out", str(out)])
+    assert exc.value.code == 2
+
+
+def test_count_sector_help_has_no_d_or_tie_tolerance(capsys):
+    with pytest.raises(SystemExit):
+        main(["count-sector", "--help"])
+    text = capsys.readouterr().out
+    assert "--blocks" in text
+    assert "--d " not in text and "--d\n" not in text and "--tie-tol" not in text
+
+
+@pytest.mark.parametrize("cmd", (["count-ball"], ["count-sector", "--blocks", "1,1,1",
+                                                  "--signs", "+,+,-"]))
+def test_empty_t_grid_is_an_error(tmp_path, capsys, cmd):
+    out = tmp_path / "empty.csv"
+    code, _, err = run(capsys, *cmd, "--T-grid", "", "--out", str(out))
+    assert code == 1
+    assert err == "error: T grid must be nonempty and increasing\n"
+
+
 @pytest.mark.parametrize("signs", [",".join(p) for p in itertools.product("+-", repeat=3)])
 def test_sign_lists_work_as_separate_values(tmp_path, capsys, signs):
     """A sign list after a space, even one starting with '-', is the value

@@ -21,9 +21,10 @@ from qfsectors.enumeration import (
     iter_form_batches,
     orbit_enumerate,
     resolve_threads,
+    tally,
     triangle_indices,
 )
-from qfsectors.sector import count_sector, sign_pattern_specs
+from qfsectors.sector import _classify_batch, count_sector, sign_pattern_specs
 
 
 def test_d3_matches_brute_force_at_t15(brute_d3_t15):
@@ -64,17 +65,22 @@ def test_d4_ball_counts():
     assert count_ball_grid(4, [1.5, 2.5]) == pointwise
 
 
+D4_KS = (2, 3, 4)
+
+
 @functools.lru_cache(maxsize=None)
+def _sign_sector_series(d, norm, grid):
+    """count_sector over one grid for every sign pattern, one scan each."""
+    return [count_sector(grid, spec) for spec in sign_pattern_specs(d, norm=norm)]
+
+
 def _d4_sign_sectors(norm):
     """Sign-sector counts plus the degenerate forms at T = sqrt(2), sqrt(3)
-    and 2, one scan per sign pattern."""
-    ks = (2, 3, 4)
-    series = [
-        count_sector([math.sqrt(k) for k in ks], spec, d=4)
-        for spec in sign_pattern_specs(4, norm=norm)
-    ]
+    and 2."""
+    series = _sign_sector_series(4, norm, tuple(math.sqrt(k) for k in D4_KS))
     return {
-        k: sum(s.values[i] for s in series) + series[0].degenerate[i] for i, k in enumerate(ks)
+        k: sum(s.values[i] for s in series) + series[0].degenerate[i]
+        for i, k in enumerate(D4_KS)
     }
 
 
@@ -149,6 +155,41 @@ def test_count_ball_grid_single_scan_matches_pointwise():
         count_ball_grid(3, [3.0, 2.0])
 
 
+def test_every_count_rejects_an_empty_grid():
+    spec = sign_pattern_specs(3)[0]
+    for call in (lambda: count_ball_grid(3, []), lambda: tally(3, [], "max"),
+                 lambda: count_sector([], spec)):
+        with pytest.raises(ValueError, match="T grid must be nonempty and increasing"):
+            call()
+    # equal neighbours are a grid too
+    assert count_ball_grid(3, [2.0, 2.0]) == [308, 308]
+
+
+# the d = 4 grid is the one _d4_sign_sectors scans, so its series are shared
+TALLY_GRIDS = {2: (1.5, 2.0, 2.5), 3: (1.5, 2.0, 2.5), 4: tuple(math.sqrt(k) for k in D4_KS)}
+
+
+@pytest.mark.parametrize("norm", ("max", "frobenius"))
+@pytest.mark.parametrize("d", (2, 3, 4))
+def test_one_tally_counts_the_ball_and_every_sign_sector(d, norm):
+    """One scan with a verdict per sign pattern gives the ball counts and
+    each pattern's member and degenerate counts, as the separate scans do."""
+    grid = TALLY_GRIDS[d]
+    specs = sign_pattern_specs(d, norm=norm)
+    verdicts = [functools.partial(_classify_batch, d=d, spec=spec) for spec in specs]
+    ball, counts = tally(d, grid, norm, verdicts)
+    assert ball == count_ball_grid(d, grid, norm)
+    series = _sign_sector_series(d, norm, grid)
+    assert counts == [[[int(v) for v in s.values], list(s.degenerate)] for s in series]
+    assert sum(c[0][-1] for c in counts) + counts[0][1][-1] == ball[-1]
+
+
+def test_tally_of_an_empty_ball_still_counts_each_verdict():
+    spec = sign_pattern_specs(3)[0]
+    ball, counts = tally(3, [1.0], "max", [functools.partial(_classify_batch, d=3, spec=spec)])
+    assert ball == [0] and counts == [[[0], [0]]]
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
     d=st.sampled_from((2, 3)),
@@ -162,7 +203,7 @@ def test_entry_points_agree_at_sqrt_k(d, norm, k):
     expected = len(brute_force_forms(d, t, norm))
     assert count_ball(d, t, norm) == expected
     assert count_ball_grid(d, [1.0, t], norm)[-1] == expected
-    series = [count_sector([t], spec, d=d) for spec in sign_pattern_specs(d, norm=norm)]
+    series = [count_sector([t], spec) for spec in sign_pattern_specs(d, norm=norm)]
     assert sum(s.values[0] for s in series) + series[0].degenerate[0] == expected
 
 

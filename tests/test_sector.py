@@ -13,6 +13,7 @@ from qfsectors.sector import (
     AntiCap,
     Cap,
     CountSeries,
+    TIE_TOL,
     FullFrame,
     SectorSpec,
     _classify_batch,
@@ -135,11 +136,19 @@ def test_membership_block_window():
     assert sector_membership(q, tight).status == "nonmember"
 
 
-def test_membership_tie_tol_parameter():
-    q = np.diag([1.0 + 3e-7, 1.0, -0.5])
+def test_membership_tie_tolerance_is_the_constant():
     spec = make_spec((1, 1, 1), ["+", "+", "-"])
-    assert sector_membership(q, spec, tie_tol=1e-9).status == "member"
-    assert sector_membership(q, spec, tie_tol=1e-6).status == "degenerate"
+    assert TIE_TOL == 1e-9
+    assert sector_membership(np.diag([1.0 + 3e-7, 1.0, -0.5]), spec).status == "member"
+    assert sector_membership(np.diag([1.0 + 5e-10, 1.0, -0.5]), spec).status == "degenerate"
+
+
+def test_membership_rejects_a_form_of_another_size():
+    spec = make_spec((1, 1, 1), ["+", "+", "-"])
+    with pytest.raises(ValueError, match="d = 3"):
+        sector_membership(np.diag([5.0, 2.0, -1.0, 0.1]), spec)
+    with pytest.raises(ValueError, match="d = 3"):
+        sector_membership(np.diag([5.0, -1.0]), spec)
 
 
 def test_membership_frame_constraints():
@@ -203,7 +212,7 @@ def test_classify_batch_agrees_with_per_form_path():
     ]
     for tri, _, _ in iter_form_batches(3, 3.0, "max"):
         for spec in specs:
-            member, degenerate = _classify_batch(tri, 3, spec, 1e-9)
+            member, degenerate = _classify_batch(tri, 3, spec)
             for r in range(tri.shape[0]):
                 res = sector_membership(tri_to_matrix(tri[r]), spec)
                 assert member[r] == (res.status == "member")
@@ -252,11 +261,11 @@ def test_batched_frame_test_matches_jacobi_frames(data):
     tri = np.stack([m[np.triu_indices(d)] for m in mats])
     tops = np.stack([spectral_data(m).frame[:, 0] for m in mats])
     for base in FRAME_SPECS[d]:
-        full, full_deg = _classify_batch(tri, d, base, 1e-9)
+        full, full_deg = _classify_batch(tri, d, base)
         verdicts = []
         for frame in (Cap(axis=axis, angle=angle), AntiCap(axis=axis, angle=angle)):
             spec = dataclasses.replace(base, frame_constraint=frame)
-            member, degenerate = _classify_batch(tri, d, spec, 1e-9)
+            member, degenerate = _classify_batch(tri, d, spec)
             jacobi = [f and frame.accepts(top) for f, top in zip(full, tops)]
             assert member.tolist() == jacobi
             assert np.array_equal(degenerate, full_deg)
@@ -289,7 +298,7 @@ def test_partition_audit_small():
     for tri, _, _ in iter_form_batches(3, 4.0, "max"):
         total += tri.shape[0]
         for i, spec in enumerate(specs):
-            m, dg = _classify_batch(tri, 3, spec, 1e-9)
+            m, dg = _classify_batch(tri, 3, spec)
             members += int(m.sum())
             degs[i] += int(dg.sum())
     assert len(set(degs)) == 1
