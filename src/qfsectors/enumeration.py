@@ -45,6 +45,10 @@ import numpy as np
 
 NORMS = ("max", "frobenius")
 ORBIT_STATE_BUDGET = 500_000
+# rows per verdict call in tally: scan cells hold a few hundred rows, and
+# a verdict's fixed cost per call is worth paying once per chunk, not per
+# cell; a larger chunk only raises the classifiers' peak memory
+TALLY_ROWS = 4096
 
 
 def resolve_threads(threads: int | None = None) -> int:
@@ -187,7 +191,7 @@ def _det_split(m):
     return top[tuple(range(d - 1))], const
 
 
-def _scan(d: int, t: float, norm: str, threads: int):
+def _scan(d: int, t: float, norm: str, threads: int | None):
     """Solution batches (n, d(d+1)/2 + 1) int64: the triangle, then det.
 
     One batch per nonempty cell, cells in lexicographic order, rows
@@ -195,8 +199,15 @@ def _scan(d: int, t: float, norm: str, threads: int):
     full before it leaves.  d = 3 maps cells to `threads` workers by
     their first entry; d = 4 scans serially whatever `threads` is, since
     its cells hold at most 7**3 grid points and two threads only contend
-    for the interpreter lock.
+    for the interpreter lock.  The checks of d, T and the norm live here,
+    so every scan makes them.
     """
+    norm = _check_norm(norm)
+    if t < 1.0:
+        raise ValueError("T must be at least 1")
+    if d not in (2, 3, 4):
+        raise ValueError("supported dimensions are 2, 3, 4")
+    threads = resolve_threads(threads)
     lim = key_limit(t, norm)
     b = lim if norm == "max" else math.isqrt(lim)
     if d == 4 and b > 3:
@@ -303,15 +314,12 @@ def iter_form_batches(d: int, t: float, norm: str = "max", threads: int | None =
     """Yields (triangle (n, d(d+1)/2) int64, det (n,), norm (n,)) batches.
 
     Batches arrive in lexicographic order of the free entries; rows
-    within a batch are already sorted.  This is the bulk interface the
-    classification pipeline consumes; enumerate_forms wraps it.
+    within a batch are already sorted.  enumerate_forms and the CLI's
+    enumerate command read it; tally reads the scan's integer rows
+    itself and takes its own norm keys.
     """
     norm = _check_norm(norm)
-    if t < 1.0:
-        raise ValueError("T must be at least 1")
-    if d not in (2, 3, 4):
-        raise ValueError("supported dimensions are 2, 3, 4")
-    for full in _scan(d, t, norm, resolve_threads(threads)):
+    for full in _scan(d, t, norm, threads):
         tri = full[:, :-1]
         keys = norm_keys(tri, d, norm).astype(np.float64)
         yield tri, full[:, -1], keys if norm == "max" else np.sqrt(keys)
@@ -343,25 +351,39 @@ def t_grid_values(t_grid) -> list[float]:
 def tally(d: int, t_grid, norm: str, verdicts=(), threads: int | None = None):
     """One scan at max(T) binned by every threshold.
 
-    Each verdict maps a batch of upper triangles to a tuple of boolean
-    masks.  Returns the ball count per T and, per verdict, the count of
+    Each verdict maps a batch of upper triangles (int64) to a tuple of
+    boolean masks.  The scan's cells are joined into chunks of at least
+    TALLY_ROWS rows (the last may be shorter), and each chunk gets one
+    norm-key pass and one call per verdict; an empty ball is one empty
+    chunk.  Returns the ball count per T and, per verdict, the count of
     each of its masks per T.
     """
     norm = _check_norm(norm)
     ts = t_grid_values(t_grid)
     limits = [key_limit(t, norm) for t in ts]
-    ball, counts = np.zeros(len(ts), dtype=np.int64), None
-    for tri, _, _ in iter_form_batches(d, ts[-1], norm, threads):
+    ball, counts = np.zeros(len(ts), dtype=np.int64), [0] * len(verdicts)
+    for tri in _chunks(_scan(d, ts[-1], norm, threads), len(triangle_indices(d))):
         keys = norm_keys(tri, d, norm)
         inball = [keys <= lim for lim in limits]
         ball += [np.count_nonzero(b) for b in inball]
-        hits = [np.array([[np.count_nonzero(m & b) for b in inball] for m in fn(tri)])
-                for fn in verdicts]
-        counts = hits if counts is None else [c + h for c, h in zip(counts, hits)]
-    if counts is None:  # no form in the ball: each verdict's masks count 0
-        empty = np.zeros((0, len(triangle_indices(d))), dtype=np.int64)
-        counts = [np.zeros((len(fn(empty)), len(ts)), dtype=np.int64) for fn in verdicts]
+        counts = [c + np.array([[np.count_nonzero(m & b) for b in inball] for m in fn(tri)])
+                  for c, fn in zip(counts, verdicts)]
     return ball.tolist(), [c.tolist() for c in counts]
+
+
+def _chunks(batches, width: int):
+    """The triangles of the scan's batches, joined into chunks of at
+    least TALLY_ROWS rows; the last chunk may be short, and a scan with
+    no rows gives one empty chunk."""
+    pending, rows = [np.zeros((0, width), dtype=np.int64)], 0
+    for full in batches:
+        pending.append(full[:, :-1])
+        rows += full.shape[0]
+        if rows >= TALLY_ROWS:
+            yield np.concatenate(pending)
+            pending, rows = [], 0
+    if pending:
+        yield np.concatenate(pending)
 
 
 def count_ball_grid(

@@ -7,8 +7,15 @@ the top eigenvector.  A form belongs to the sector when its spectrum,
 grouped consecutively by the block dimensions, has strictly decreasing
 block geometric means, matching per-block signatures, spread inside the
 window, and an admissible frame.  Forms whose required strict
-inequalities sit inside the tie tolerance are "degenerate": tallied
-separately, never counted as members.
+inequalities are ties are "degenerate": tallied separately, never
+counted as members.
+
+Integer d = 3 batches in a full-frame sign sector (three 1-dim blocks)
+are decided exactly, from the integer characteristic polynomial alone
+(_sign_sector_d3).  Every other batch, and every single form, takes the
+float path: eigenvalues from the closed forms with near-ties rerun
+through Jacobi, and a strict inequality within TIE_TOL counts as a tie.
+TIE_TOL governs only the float paths.
 """
 
 from __future__ import annotations
@@ -25,7 +32,8 @@ from . import enumeration
 from .jacobi import jacobi_eigh, slot_order, sym2_eigvals_batch, sym3_eigvals_batch
 from .rootdata import BlockDecomposition
 
-# a strict |eigenvalue| or block-mean drop of at most this (in logs) is a tie
+# on the float paths, a strict |eigenvalue| or block-mean drop of at most
+# this (in logs) is a tie
 TIE_TOL = 1e-9
 # rows per _classify call: its temporaries are several times its input,
 # so a large batch is classified slice by slice
@@ -163,7 +171,16 @@ class SpectralData:
 def spectral_data(q) -> SpectralData:
     mat = q.matrix() if isinstance(q, enumeration.QuadraticForm) else np.asarray(q)
     lam, vec = jacobi_eigh(np.asarray(mat, dtype=float))
-    order = slot_order(lam)
+    # an |eigenvalue| within TIE_TOL (relative) of the next larger one is
+    # taken as the same size, so an exact +-lambda pair puts the positive
+    # one first however Jacobi rounded the two
+    alam = np.abs(lam)
+    size = alam.copy()
+    ranked = np.argsort(-alam, kind="stable")
+    for big, k in zip(ranked, ranked[1:]):
+        if size[big] - alam[k] <= TIE_TOL * size[big]:
+            size[k] = size[big]
+    order = slot_order(np.sign(lam) * size)
     lam = lam[order]
     vec = vec[:, order]
     if np.linalg.det(vec) < 0:
@@ -303,14 +320,74 @@ def _classify(tri: np.ndarray, d: int, spec: SectorSpec):
 def _classify_batch(tri: np.ndarray, d: int, spec: SectorSpec):
     """Vectorized verdicts for one batch: (member, degenerate) masks.
 
-    _classify decides each row on its own, so running it on slices of
-    CLASSIFY_ROWS rows gives the same verdicts with bounded temporaries.
-    An empty batch still makes one (empty) call."""
+    An integer d = 3 batch in a full-frame sign sector is decided exactly
+    by _sign_sector_d3 (a window never binds a 1-dim block).  Any other
+    batch goes to _classify, which decides each row on its own, so
+    running it on slices of CLASSIFY_ROWS rows gives the same verdicts
+    with bounded temporaries.  An empty batch still makes one (empty)
+    call."""
+    if (
+        np.issubdtype(tri.dtype, np.integer)
+        and d == 3
+        and spec.block.dims == (1, 1, 1)
+        and isinstance(spec.frame_constraint, FullFrame)
+    ):
+        return _sign_sector_d3(tri, spec)
     parts = [
         _classify(tri[i : i + CLASSIFY_ROWS], d, spec)[:2]
         for i in range(0, max(tri.shape[0], 1), CLASSIFY_ROWS)
     ]
     return tuple(np.concatenate(masks) for masks in zip(*parts))
+
+
+def _sign_sector_d3(tri: np.ndarray, spec: SectorSpec):
+    """Exact (member, degenerate) masks of integer 3x3 forms in a
+    full-frame sign sector, from p(x) = x^3 - c2 x^2 + c1 x - c0.
+
+    The roots of p are real, so Descartes' rule of signs is exact: the
+    sign changes of (1, -c2, c1, -c0) count the positive eigenvalues, and
+    those of (-1, 2 c2, -(c2^2 + c1), c1 c2 - c0), whose roots are the
+    pair sums lambda_i + lambda_j = c2 - lambda_k, count the positive pair
+    sums.  With no |eigenvalue| tie a pair sum has the sign of its
+    larger-|lambda| member, so a positive eigenvalue in slot k adds 2 - k
+    positive pair sums, and the two counts name the slot pattern.  An
+    |eigenvalue| tie is a zero of c1 c2 - c0 = prod(lambda_i + lambda_j)
+    (a +-lambda pair) or of the discriminant (a repeated root); those
+    forms, and singular ones (c0 = 0), are the degenerate forms.
+    """
+    b = max(int(tri.max(initial=0)), -int(tri.min(initial=0)))
+    # for |entries| <= b: |c2| <= 3b, |c1| <= 6b^2 and |c0| <= 6b^3, so the
+    # two discriminant terms below are at most 1188 b^6 and 3564 b^6, and no
+    # product or partial sum anywhere exceeds 4752 b^6
+    if 4752 * b**6 >= 2**63:
+        raise OverflowError("entries too large for the exact 64-bit sign test")
+    a00, a01, a02, a11, a12, a22 = tri.astype(np.int64).T
+    c2 = a00 + a11 + a22
+    c1 = a00 * a11 - a01 * a01 + a00 * a22 - a02 * a02 + a11 * a22 - a12 * a12
+    c0 = (
+        a00 * (a11 * a22 - a12 * a12)
+        - a01 * (a01 * a22 - a12 * a02)
+        + a02 * (a01 * a12 - a11 * a02)
+    )
+    pair_product = c1 * c2 - c0
+    disc = c1 * c1 * (c2 * c2 - 4 * c1) + c0 * (18 * c1 * c2 - 4 * c2**3 - 27 * c0)
+    degenerate = (c0 == 0) | (pair_product == 0) | (disc == 0)
+    plus = [p for p, _ in spec.block_signatures]
+    member = ~degenerate & (_sign_changes(1, -c2, c1, -c0) == sum(plus))
+    member &= _sign_changes(-1, 2 * c2, -(c2 * c2 + c1), pair_product) == sum(
+        (2 - k) * p for k, p in enumerate(plus)
+    )
+    return member, degenerate
+
+
+def _sign_changes(*coeffs) -> np.ndarray:
+    """Sign changes along a coefficient sequence, zeros skipped, per row."""
+    changes, last = 0, np.sign(coeffs[0])
+    for c in coeffs[1:]:
+        s = np.sign(c)
+        changes = changes + (s * last < 0)
+        last = np.where(s == 0, last, s)
+    return changes
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import brute_force_forms
 from qfsectors.enumeration import (
+    TALLY_ROWS,
     QuadraticForm,
     _det_split,
     _int_det,
@@ -24,7 +25,7 @@ from qfsectors.enumeration import (
     tally,
     triangle_indices,
 )
-from qfsectors.sector import _classify_batch, count_sector, sign_pattern_specs
+from qfsectors.sector import Cap, _classify_batch, count_sector, make_spec, sign_pattern_specs
 
 
 def test_d3_matches_brute_force_at_t15(brute_d3_t15):
@@ -185,9 +186,24 @@ def test_one_tally_counts_the_ball_and_every_sign_sector(d, norm):
 
 
 def test_tally_of_an_empty_ball_still_counts_each_verdict():
-    spec = sign_pattern_specs(3)[0]
-    ball, counts = tally(3, [1.0], "max", [functools.partial(_classify_batch, d=3, spec=spec)])
-    assert ball == [0] and counts == [[[0], [0]]]
+    # the sign verdict takes the exact route, the cap verdict the float one
+    cap = make_spec((1, 1, 1), ["+", "+", "-"], frame=Cap((0, 0, 1), 0.8))
+    specs = [sign_pattern_specs(3)[0], cap]
+    verdicts = [functools.partial(_classify_batch, d=3, spec=spec) for spec in specs]
+    ball, counts = tally(3, [1.0], "max", verdicts)
+    assert ball == [0] and counts == [[[0], [0]]] * 2
+
+
+def test_tally_calls_each_verdict_once_per_chunk_of_at_least_tally_rows():
+    sizes = []
+
+    def verdict(tri):
+        sizes.append(tri.shape[0])
+        return (np.ones(tri.shape[0], dtype=bool),)
+
+    ball, [[every]] = tally(3, [3.0, 6.0], "max", [verdict])
+    assert len(sizes) > 2 and min(sizes[:-1]) >= TALLY_ROWS
+    assert sum(sizes) == ball[-1] and every == ball
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -245,12 +261,18 @@ def test_batches_carry_consistent_norms():
 
 
 def test_dimension_and_scale_guards():
-    with pytest.raises(ValueError):
-        list(iter_form_batches(5, 2.0))
-    with pytest.raises(ValueError):
-        list(iter_form_batches(4, 6.0))  # d=4 stays at smoke scale
-    with pytest.raises(OverflowError):
-        list(iter_form_batches(3, 2.0e6))
+    # the scan makes these checks, so the tally behind every count makes them too
+    for scan in (lambda *a: list(iter_form_batches(*a)), count_ball):
+        with pytest.raises(ValueError):
+            scan(5, 2.0)
+        with pytest.raises(ValueError):
+            scan(4, 6.0)  # d=4 stays at smoke scale
+        with pytest.raises(ValueError, match="T must be at least 1"):
+            scan(3, 0.5)
+        with pytest.raises(ValueError, match="norm must be one of"):
+            scan(3, 2.0, "l1")
+        with pytest.raises(OverflowError):
+            scan(3, 2.0e6)
 
 
 def test_entry_bound_is_strict():

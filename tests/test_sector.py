@@ -5,9 +5,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qfsectors import sector
 from qfsectors.enumeration import enumerate_forms, iter_form_batches, triangle_indices
 from qfsectors.sector import (
     AntiCap,
@@ -50,6 +51,13 @@ def test_spectral_data_breaks_abs_ties_plus_first():
     data = spectral_data(np.diag([-2.0, 1.0, 2.0]))
     assert data.eigenvalues == (2.0, -2.0, 1.0)
     assert data.gaps == (0.0, 1.0)
+
+
+def test_spectral_data_puts_the_positive_of_a_rounded_pm_tie_first():
+    """-5 and +5 tie exactly; Jacobi's rounding must not put -5 first."""
+    data = spectral_data(np.array([[-5.0, 0.0, 0.0], [0.0, 2.0, 3.0], [0.0, 3.0, 2.0]]))
+    assert data.eigenvalues == pytest.approx((5.0, -5.0, -1.0))
+    assert abs(data.frame[:, 0] @ np.array([0.0, 1.0, 1.0])) == pytest.approx(math.sqrt(2.0))
 
 
 def test_spectral_data_identity_has_zero_gaps():
@@ -230,11 +238,11 @@ FRAME_SPECS = {
 
 
 @st.composite
-def integer_forms(draw, d):
+def integer_forms(draw, d, kinds=("random", "diagonal", "rotated")):
     """Random integer forms, and forms with an exact |eigenvalue| tie:
     diagonal ones, where the slot order of the tie is a tie-break, and
     ones whose tied eigenvectors lie off the coordinate axes."""
-    kind = draw(st.sampled_from(("random", "diagonal", "rotated")))
+    kind = draw(st.sampled_from(kinds))
     n = d * (d + 1) // 2
     if kind == "random":
         return tri_to_matrix(draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n)), d)
@@ -273,6 +281,99 @@ def test_batched_frame_test_matches_jacobi_frames(data):
         cap, anticap = verdicts
         assert not np.any(cap & anticap)
         assert np.array_equal(cap | anticap, full)
+
+
+# ------------------------------------------------- exact d = 3 sign verdict
+
+
+@st.composite
+def unimodular_forms(draw):
+    """g^T J g for J = diag(+-1) and g a product of elementary matrices
+    I + s E_ij; a step that would take an entry past 100 is skipped."""
+    j = np.diag(draw(st.lists(st.sampled_from((1, -1)), min_size=3, max_size=3)))
+    g = np.eye(3, dtype=np.int64)
+    steps = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(-3, 3))
+    for r, c, s in draw(st.lists(steps, max_size=12)):
+        h = g.copy()
+        h[r] += s * h[c]
+        if r != c and np.abs(h.T @ j @ h).max() <= 100:
+            g = h
+    return g.T @ j @ g
+
+
+def _both_routes(tri, spec):
+    exact = _classify_batch(tri, 3, spec)
+    approx = _classify_batch(tri.astype(float), 3, spec)
+    return exact, approx
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(forms=st.lists(unimodular_forms(), min_size=1, max_size=20))
+def test_exact_sign_verdict_matches_the_float_classifier(forms):
+    tri = np.stack([q[np.triu_indices(3)] for q in forms])
+    assert np.all(np.isin(np.rint(np.linalg.det(np.stack(forms))), (-1, 1)))
+    members = 0
+    for spec in sign_pattern_specs(3):
+        exact, approx = _both_routes(tri, spec)
+        assert np.array_equal(exact[0], approx[0])
+        assert np.array_equal(exact[1], approx[1])
+        members += exact[0].astype(int)
+    assert np.array_equal(members, 1 - exact[1])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(q=integer_forms(3, kinds=("diagonal", "rotated")))
+@example(q=np.diag([1, 1, -1]))
+@example(q=np.diag([2, -2, 1]))
+@example(q=np.array([[-5, 0, 0], [0, 2, 3], [0, 3, 2]]))
+@example(q=np.array([[2, 1, 0], [1, 2, 0], [0, 0, 3]]))
+def test_exact_sign_verdict_calls_every_tie_degenerate(q):
+    tri = np.rint(q[np.triu_indices(3)][None, :]).astype(np.int64)
+    for spec in sign_pattern_specs(3):
+        for member, degenerate in _both_routes(tri, spec):
+            assert degenerate[0] and not member[0]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(entries=st.lists(st.lists(st.integers(-353, 353), min_size=6, max_size=6),
+                        min_size=1, max_size=20))
+@example(entries=[[353, -353, 353, 352, -353, 353], [-353, 353, 353, -353, 353, -352]])
+def test_exact_sign_verdict_holds_up_to_its_int64_bound(entries):
+    """Entries up to 353 keep every intermediate inside int64, so the
+    verdict still agrees with the float classifier there; 354 raises."""
+    tri = np.array(entries, dtype=np.int64)
+    for spec in sign_pattern_specs(3)[:4]:
+        exact, approx = _both_routes(tri, spec)
+        assert np.array_equal(exact[0], approx[0])
+        assert np.array_equal(exact[1], approx[1])
+    with pytest.raises(OverflowError):
+        _classify_batch(np.array([[1, 0, 0, 1, 0, -354]]), 3, sign_pattern_specs(3)[0])
+
+
+@pytest.mark.parametrize("norm, t", [("max", 10.0), ("max", 14.0), ("frobenius", 20.0)])
+def test_exact_sign_verdict_matches_the_float_classifier_on_whole_balls(norm, t):
+    tri = np.concatenate([tri for tri, _, _ in iter_form_batches(3, t, norm)])
+    for spec in sign_pattern_specs(3):
+        exact, approx = _both_routes(tri, spec)
+        assert np.array_equal(exact[0], approx[0])
+        assert np.array_equal(exact[1], approx[1])
+    assert int(exact[1].sum()) == 20
+
+
+def test_full_frame_d3_counts_solve_no_eigenvalues(monkeypatch):
+    calls = []
+    for name in ("sym3_eigvals_batch", "jacobi_eigh"):
+        real = getattr(sector, name)
+        monkeypatch.setattr(
+            sector, name, lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a)
+        )
+    for norm in ("max", "frobenius"):
+        spec = make_spec((1, 1, 1), ["+", "+", "-"], norm=norm)
+        assert count_sector([3.0, 4.0], spec).values[-1] > 0
+    assert calls == []
+    # a cap frame still takes the float path, and the counters see it
+    count_sector([3.0], make_spec((1, 1, 1), ["+", "+", "-"], frame=Cap((0, 0, 1), 0.8)))
+    assert "sym3_eigvals_batch" in calls
 
 
 def test_count_sector_matches_manual_loop():

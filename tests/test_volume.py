@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfsectors import volume
+from qfsectors import sector, volume
 from qfsectors.rootdata import build_root_datum
 from qfsectors.sector import AntiCap, Cap, FullFrame
 from qfsectors.volume import (
@@ -409,6 +409,17 @@ def test_wellroundedness_guards():
     joined = context_for((1, 1, -1), joined=(1,))
     with pytest.raises(ValueError, match="one-dimensional"):
         wellroundedness_ratio(joined, 0.05, 8.0, seed=7)
+
+
+def test_wellroundedness_takes_the_float_classifier(monkeypatch):
+    """Its probe triangles are float, so the exact integer sign test,
+    which would need integer entries, never sees them."""
+    rows = []
+    real = sector.sym3_eigvals_batch
+    monkeypatch.setattr(sector, "sym3_eigvals_batch", lambda m: rows.append(len(m)) or real(m))
+    monkeypatch.setattr(sector, "_sign_sector_d3", None)
+    wellroundedness_ratio(context_for((1, 1, -1)), 0.1, 8.0, seed=31, samples=200)
+    assert sum(rows) == 200 * (1 + volume.WR_PROBES)
 
 
 def test_wellroundedness_smoke():
