@@ -19,6 +19,24 @@ the first entry).  Every emitted row's determinant is recomputed in
 full, and the accumulator width is chosen from a proven bound
 (d! b**d for entries bounded by b) that raises instead of wrapping.
 
+Conjugation by a signed permutation matrix keeps the determinant, both
+norms and the spectrum, so every count and every sector verdict is
+constant on the orbits of that group (the hyperoctahedral group; -I acts
+trivially, leaving 4, 24 and 192 elements for d = 2, 3 and 4).  Every
+orbit meets the region R where q11 >= q22 >= ... >= q_dd and q1j >= 0
+for j >= 2: sort the diagonal, then take s_j = sign(q1j).  The scan
+behind the counts visits only R, about an eighth of the box for d = 3.
+The cells and the grid take q1j >= 0 and each diagonal entry at most the
+one before it, which is already fixed; the solved q_dd is filtered to
+q_dd <= q_(d-1)(d-1).  A row found in R is canonical when no image is
+lexicographically above it, with the key ordered diagonal first, then
+the off-diagonal entries in triangle order; every orbit has exactly one
+canonical row, and it lies in R.  Each canonical row is expanded to its
+distinct images, so the counts see each form of the ball exactly once,
+in no particular order within a batch.  iter_form_batches,
+enumerate_forms and the CLI's enumerate promise rows in lexicographic
+order, so they keep the full traversal of the same kernel.
+
 Supported norms: "max" (largest absolute entry) and "frobenius" (entry
 2-norm of the full symmetric matrix).  Thresholds are strict: norm < T,
 decided exactly on integer norm keys (the largest |entry|, or the
@@ -191,15 +209,80 @@ def _det_split(m):
     return top[tuple(range(d - 1))], const
 
 
-def _scan(d: int, t: float, norm: str, threads: int | None):
+@functools.lru_cache(maxsize=None)
+def _orbit_tables(d: int):
+    """The signed permutations mod +-I acting on upper triangles.
+
+    Element g maps a triangle x to (g.x)[c] = signs[g, c] * x[cols[g, c]];
+    element 0 is the identity.  weights ranks the columns in the
+    canonical order (the diagonal first, then the off-diagonal entries in
+    triangle order) by powers of two, so sign(y - x) @ weights is
+    positive, zero or negative as y is lexicographically above, equal to
+    or below x, whatever the size of the entries: each weight exceeds the
+    sum of all lower ones.
+    earlier[g, h] says that g.h comes before g in the enumeration.
+    """
+    tri = triangle_indices(d)
+    pos = {ij: c for c, ij in enumerate(tri)}
+    maps = []
+    for perm in itertools.permutations(range(d)):
+        for tail in itertools.product((1, -1), repeat=d - 1):
+            s = (1,) + tail
+            maps.append((tuple(pos[tuple(sorted((perm[i], perm[j])))] for i, j in tri),
+                         tuple(s[i] * s[j] for i, j in tri)))
+    index = {g: n for n, g in enumerate(maps)}
+    # (g.(h.x))[c] = sg[c] * sh[cg[c]] * x[ch[cg[c]]]
+    earlier = np.array([
+        [index[(tuple(ch[c] for c in cg), tuple(a * sh[c] for a, c in zip(sg, cg)))] < n
+         for ch, sh in maps]
+        for n, (cg, sg) in enumerate(maps)
+    ])
+    key = [pos[(i, i)] for i in range(d)] + [c for c, (i, j) in enumerate(tri) if i < j]
+    weights = np.zeros(len(tri), dtype=np.int64)
+    weights[key] = 2 ** np.arange(len(tri) - 1, -1, -1)
+    cols, signs = (np.array(a, dtype=np.int64) for a in zip(*maps))
+    tables = cols, signs, weights, earlier
+    for a in tables:  # every caller shares them
+        a.flags.writeable = False
+    return tables
+
+
+def _orbits(full: np.ndarray, d: int) -> np.ndarray:
+    """The orbits of the canonical rows of full (triangle, then det).
+
+    A row is canonical when no image under the group is above it in the
+    canonical order; each of its distinct images is emitted once.  The
+    image g.x repeats an earlier one exactly when g.h comes before g for
+    some h that fixes x.
+    """
+    cols, signs, weights, earlier = _orbit_tables(d)
+    tri = full[:, :-1]
+    images = tri[:, cols] * signs
+    order = np.sign(images - tri[:, None, :]) @ weights
+    canon = np.all(order <= 0, axis=1)
+    fixes = order[canon] == 0
+    fresh = np.ones(fixes.shape, dtype=bool)
+    # most rows are fixed by the identity alone, and all their images are distinct
+    stabilized = np.any(fixes[:, 1:], axis=1)
+    fresh[stabilized] = ~np.any(fixes[stabilized, None, :] & earlier, axis=2)
+    out = np.empty((np.count_nonzero(fresh), full.shape[1]), dtype=np.int64)
+    out[:, :-1] = images[canon].reshape(-1, tri.shape[1])[fresh.ravel()]
+    out[:, -1] = np.repeat(full[canon, -1], np.count_nonzero(fresh, axis=1))
+    return out
+
+
+def _scan(d: int, t: float, norm: str, threads: int | None, lex: bool = False):
     """Solution batches (n, d(d+1)/2 + 1) int64: the triangle, then det.
 
-    One batch per nonempty cell, cells in lexicographic order, rows
-    sorted within the cell.  Every row's determinant is recomputed in
-    full before it leaves.  d = 3 maps cells to `threads` workers by
-    their first entry; d = 4 scans serially whatever `threads` is, since
-    its cells hold at most 7**3 grid points and two threads only contend
-    for the interpreter lock.  The checks of d, T and the norm live here,
+    One batch per nonempty cell.  By default the scan visits only the
+    region R of the module docstring, and each batch holds the orbits of
+    the cell's canonical rows, in no particular order.  With lex it
+    traverses the whole box, cells in lexicographic order, and each
+    batch is sorted.  Either way every emitted row's determinant is
+    recomputed in full before it leaves.  d = 3 maps cells to `threads`
+    workers by their first entry; d = 4 scans serially whatever
+    `threads` is, since its cells hold at most 7**3 grid points and two
+    threads only contend for the interpreter lock.  The checks of d, T and the norm live here,
     so every scan makes them.
     """
     norm = _check_norm(norm)
@@ -223,14 +306,21 @@ def _scan(d: int, t: float, norm: str, threads: int | None):
     ncell = max(len(free) - 3, 0)
     ngrid = len(free) - ncell
     targets = np.array([1, -1], dtype=dtype).reshape([2] + [1] * ngrid)
+    # in R a diagonal entry is at most the one before it, which is a cell entry
+    before = {k: free.index((i - 1, i - 1)) for k, (i, j) in enumerate(free) if i == j > 0}
+    penultimate = tri.index((d - 2, d - 2))
 
-    def reach(k: int, rem: int) -> int:
-        # largest |free entry k| that leaves the norm key within budget
-        return b if norm == "max" else math.isqrt(rem // weights[k])
+    def span(k: int, rem: int, fixed: tuple) -> range:
+        # the values of free entry k that leave the norm key within budget
+        # (and, unless lex, keep the row in R)
+        r = b if norm == "max" else math.isqrt(rem // weights[k])
+        if lex:
+            return range(-r, r + 1)
+        lo = 0 if free[k][0] == 0 < free[k][1] else -r
+        return range(lo, min(r, fixed[before[k]]) + 1 if k in before else r + 1)
 
     def solve(cell: tuple, rem: int) -> np.ndarray:
-        spans = [reach(k, rem) for k in range(ncell, len(free))]
-        values = [np.arange(-r, r + 1, dtype=dtype) for r in spans]
+        values = [np.array(span(k, rem, cell), dtype=dtype) for k in range(ncell, len(free))]
         axes = [v.reshape([-1 if k == a else 1 for k in range(ngrid)]) for a, v in enumerate(values)]
         minor, const = _det_split(_symmetric(d, free, list(cell) + axes))
         mz = minor == 0
@@ -276,20 +366,22 @@ def _scan(d: int, t: float, norm: str, threads: int | None):
             full[rows, -2] = qdd
             full[rows, -1] = 1 - 2 * idx[0]
             pos += qdd.size
-        return full[np.lexsort(full[:, ncell:-1].T[::-1])]
+        return full[np.lexsort(full[:, ncell:-1].T[::-1])] if lex else full
 
     def cells(prefix: tuple, rem: int):
         k = len(prefix)
         if k == ncell:
             yield prefix, rem
             return
-        r = reach(k, rem)
-        for v in range(-r, r + 1):
+        for v in span(k, rem, prefix):
             yield from cells(prefix + (v,), rem - weights[k] * v * v)
 
     def batches(prefix: tuple, rem: int):
         for cell, crem in cells(prefix, rem):
             full = solve(cell, crem)
+            if not lex:
+                # the last bound of R: q_dd <= q_(d-1)(d-1)
+                full = _orbits(full[full[:, -2] <= full[:, penultimate]], d)
             if not full.shape[0]:
                 continue
             # the audit recomputes each row's determinant in full
@@ -300,26 +392,25 @@ def _scan(d: int, t: float, norm: str, threads: int | None):
     if d != 3 or threads <= 1:
         yield from batches((), lim)
         return
-    r = reach(0, lim)
 
     def task(v: int) -> list[np.ndarray]:
         return list(batches((v,), lim - weights[0] * v * v))
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        for batch_list in pool.map(task, range(-r, r + 1)):
+        for batch_list in pool.map(task, span(0, lim, ())):
             yield from batch_list
 
 
 def iter_form_batches(d: int, t: float, norm: str = "max", threads: int | None = None):
     """Yields (triangle (n, d(d+1)/2) int64, det (n,), norm (n,)) batches.
 
-    Batches arrive in lexicographic order of the free entries; rows
-    within a batch are already sorted.  enumerate_forms and the CLI's
-    enumerate command read it; tally reads the scan's integer rows
-    itself and takes its own norm keys.
+    Batches come from the full traversal, in lexicographic order of the
+    free entries, and rows within a batch are already sorted.
+    enumerate_forms and the CLI's enumerate command read it; tally reads
+    the reduced scan's integer rows itself and takes its own norm keys.
     """
     norm = _check_norm(norm)
-    for full in _scan(d, t, norm, threads):
+    for full in _scan(d, t, norm, threads, lex=True):
         tri = full[:, :-1]
         keys = norm_keys(tri, d, norm).astype(np.float64)
         yield tri, full[:, -1], keys if norm == "max" else np.sqrt(keys)
@@ -343,6 +434,9 @@ def enumerate_forms(d: int, t: float, norm: str = "max", threads: int | None = N
 def t_grid_values(t_grid) -> list[float]:
     """The threshold grid as floats; equal neighbours are allowed."""
     ts = [float(x) for x in t_grid]
+    # NaN would pass the order check, since sorted([nan]) == [nan]
+    if not all(math.isfinite(t) for t in ts):
+        raise ValueError("T grid values must be finite")
     if not ts or sorted(ts) != ts:
         raise ValueError("T grid must be nonempty and increasing")
     return ts
@@ -352,7 +446,9 @@ def tally(d: int, t_grid, norm: str, verdicts=(), threads: int | None = None):
     """One scan at max(T) binned by every threshold.
 
     Each verdict maps a batch of upper triangles (int64) to a tuple of
-    boolean masks.  The scan's cells are joined into chunks of at least
+    boolean masks.  The reduced scan's batches hold every form of the
+    ball once, in no particular order, so a verdict counts what it would
+    over the full traversal.  They are joined into chunks of at least
     TALLY_ROWS rows (the last may be shorter), and each chunk gets one
     norm-key pass and one call per verdict; an empty ball is one empty
     chunk.  Returns the ball count per T and, per verdict, the count of

@@ -205,6 +205,17 @@ def test_empty_t_grid_is_an_error(tmp_path, capsys, cmd):
     assert err == "error: T grid must be nonempty and increasing\n"
 
 
+@pytest.mark.parametrize("grid", ("3,nan", "6,inf", "-inf,6"))
+@pytest.mark.parametrize("cmd", (["count-ball"],
+                                 ["count-sector", "--blocks", "1,1,1", "--signs", "+,+,-"],
+                                 ["volume", "--signature", "2,1"]))
+def test_non_finite_t_grid_is_an_error(tmp_path, capsys, cmd, grid):
+    out = tmp_path / "bad.csv"
+    code, _, err = run(capsys, *cmd, f"--T-grid={grid}", "--out", str(out))
+    assert code == 1
+    assert err == "error: T grid values must be finite\n"
+
+
 @pytest.mark.parametrize("signs", [",".join(p) for p in itertools.product("+-", repeat=3)])
 def test_sign_lists_work_as_separate_values(tmp_path, capsys, signs):
     """A sign list after a space, even one starting with '-', is the value

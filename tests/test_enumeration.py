@@ -1,8 +1,10 @@
 """Enumeration correctness against box-scan oracles, plus orbit closure."""
 
 import functools
+import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,11 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_force_forms
+from qfsectors import enumeration
 from qfsectors.enumeration import (
+    NORMS,
     TALLY_ROWS,
     QuadraticForm,
     _det_split,
     _int_det,
+    _scan,
     count_ball,
     count_ball_grid,
     entry_bound,
@@ -22,10 +27,12 @@ from qfsectors.enumeration import (
     iter_form_batches,
     orbit_enumerate,
     resolve_threads,
+    t_grid_values,
     tally,
     triangle_indices,
 )
 from qfsectors.sector import Cap, _classify_batch, count_sector, make_spec, sign_pattern_specs
+from qfsectors.volume import context_pq, volume_series
 
 
 def test_d3_matches_brute_force_at_t15(brute_d3_t15):
@@ -164,6 +171,112 @@ def test_every_count_rejects_an_empty_grid():
             call()
     # equal neighbours are a grid too
     assert count_ball_grid(3, [2.0, 2.0]) == [308, 308]
+
+
+@pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+def test_every_count_rejects_a_non_finite_threshold(bad):
+    spec = sign_pattern_specs(3)[0]
+    grid = [bad, 3.0] if bad < 0 else [3.0, bad]
+    for call in (lambda: t_grid_values(grid), lambda: count_ball_grid(3, grid),
+                 lambda: tally(3, grid, "max"), lambda: count_sector(grid, spec),
+                 lambda: volume_series(context_pq(3, 2, 1), [6.0, bad])):
+        with pytest.raises(ValueError, match="T grid values must be finite"):
+            call()
+
+
+def _scan_rows(d, t, norm, lex):
+    """Every row of one scan, in the order the scan emits them."""
+    empty = np.zeros((0, len(triangle_indices(d)) + 1), dtype=np.int64)
+    return np.concatenate([empty, *_scan(d, t, norm, None, lex=lex)])
+
+
+@st.composite
+def scan_cases(draw):
+    """(d, norm, T), with T on an exact norm boundary about half the time:
+    an integer for max, and sqrt(k) for frobenius, which squares either
+    side of k."""
+    d = draw(st.sampled_from((2, 3, 4)))
+    norm = draw(st.sampled_from(NORMS))
+    if norm == "max":
+        return d, norm, draw(st.integers(2, {2: 16, 3: 9, 4: 4}[d])) / 2
+    return d, norm, math.sqrt(draw(st.integers(1, {2: 60, 3: 30, 4: 10}[d])))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(case=scan_cases())
+def test_reduced_scan_emits_the_full_traversal(case):
+    """The scan over R, with each canonical row expanded to its orbit,
+    gives the rows of the full traversal, each once, in another order."""
+    d, norm, t = case
+    reduced = _scan_rows(d, t, norm, lex=False)
+    assert len(np.unique(reduced, axis=0)) == len(reduced)
+    assert np.array_equal(reduced[np.lexsort(reduced.T[::-1])], _scan_rows(d, t, norm, lex=True))
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(norm=st.sampled_from(NORMS), k=st.integers(4, 30))
+def test_tally_over_the_reduced_scan_equals_the_full_traversal(norm, k):
+    """The eight sign verdicts (exact), a cap and a windowed (1,2) sector
+    (float) count the same over the reduced scan as over the full one."""
+    top = math.sqrt(k) if norm == "frobenius" else k / 4
+    grid = [1.0, (1.0 + top) / 2, top]
+    specs = sign_pattern_specs(3) + [
+        make_spec((1, 1, 1), ["+", "+", "-"], frame=Cap((0, 0, 1), 0.8)),
+        make_spec((1, 2), ["+", (1, 1)], norm="frobenius", block_window=0.6),
+    ]
+    verdicts = [functools.partial(_classify_batch, d=3, spec=spec) for spec in specs]
+    reduced = tally(3, grid, norm, verdicts)
+    with mock.patch.object(enumeration, "_scan", functools.partial(_scan, lex=True)):
+        assert tally(3, grid, norm, verdicts) == reduced
+
+
+def test_tally_solves_at_most_a_sixth_of_the_box(monkeypatch):
+    """At entry bound 12 the box of free entries holds 25**5 grid points;
+    the scan over R solves about an eighth of them."""
+    solved = []
+
+    def counted(m):
+        minor, const = _det_split(m)
+        solved.append(np.broadcast(minor, const).size)
+        return minor, const
+
+    expected = len(_scan_rows(3, 12.5, "max", lex=True))
+    monkeypatch.setattr(enumeration, "_det_split", counted)
+    assert tally(3, [12.5], "max")[0] == [expected]
+    assert 0 < sum(solved) <= 25**5 / 6
+    solved.clear()
+    _scan_rows(3, 12.5, "max", lex=True)
+    assert sum(solved) == 25**5
+
+
+def test_each_batch_is_whole_orbits_with_a_canonical_row_in_r():
+    """With the group built here from signed permutation matrices: every
+    batch of the reduced d=3 scan is a union of whole orbits, each
+    orbit's maximum in the canonical order (diagonal first) lies in R,
+    and each orbit size divides 24, the order of the group mod -I."""
+    d, t = 3, 3.5
+    idx = triangle_indices(d)
+    rank = [idx.index((i, i)) for i in range(d)] + [c for c, (i, j) in enumerate(idx) if i < j]
+    group = np.array([np.diag(s)[list(p)] for p in itertools.permutations(range(d))
+                      for s in itertools.product((1, -1), repeat=d)])
+    seen = set()
+    for batch in _scan(d, t, "max", None):
+        tri = batch[:, :-1]
+        mats = np.zeros((len(tri), d, d), dtype=np.int64)
+        for c, (i, j) in enumerate(idx):
+            mats[:, i, j] = mats[:, j, i] = tri[:, c]
+        images = np.einsum("gik,nkl,gjl->ngij", group, mats, group)
+        rows = set(map(tuple, tri.tolist()))
+        for orbit_images in images:
+            orbit = {tuple(int(m[i, j]) for i, j in idx) for m in orbit_images}
+            assert orbit <= rows
+            assert 24 % len(orbit) == 0
+            top = dict(zip(idx, max(orbit, key=lambda e: [e[c] for c in rank])))
+            assert all(top[i, i] >= top[i + 1, i + 1] for i in range(d - 1))
+            assert all(top[0, j] >= 0 for j in range(1, d))
+        assert not rows & seen
+        seen |= rows
+    assert len(seen) == count_ball(d, t)
 
 
 # the d = 4 grid is the one _d4_sign_sectors scans, so its series are shared

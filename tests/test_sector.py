@@ -423,6 +423,40 @@ def test_cap_counts_monotone_in_angle_and_complementary():
     )
 
 
+# the shapes of the sector-frames benchmark round at seed 1: its max-norm
+# T grid, cap axis and angle, and the window T grid of its (1,2) sector
+FRAMES_AXIS = (0.7785076828718746, 0.6007048023240116, -0.18187778361948095)
+FRAMES_ANGLE = 0.9109563041491693
+
+
+@pytest.mark.parametrize("frame, members", [
+    (None, [840, 1512, 2232]),
+    (Cap(FRAMES_AXIS, FRAMES_ANGLE), [323, 586, 873]),
+    (AntiCap(FRAMES_AXIS, FRAMES_ANGLE), [517, 926, 1359]),
+])
+def test_framed_sector_counts_are_pinned(frame, members):
+    series = count_sector([4.5, 5.5, 6.5], make_spec((1, 1, 1), ["+", "+", "-"], frame=frame))
+    assert [int(v) for v in series.values] == members
+    assert list(series.degenerate) == [20, 20, 20]
+
+
+def test_windowed_frobenius_sector_counts_are_pinned():
+    grid = [5.049749883591824, 8.185947882074629, 12.749843031319651, 14.0]
+    spec = make_spec((1, 2), ["+", (1, 1)], norm="frobenius", block_window=0.6)
+    series = count_sector(grid, spec)
+    assert [int(v) for v in series.values] == [300, 636, 1308, 1524]
+    assert list(series.degenerate) == [20, 20, 20, 20]
+
+
+@pytest.mark.parametrize("norm, grid", [("max", [3.0, 5.5]), ("frobenius", [math.sqrt(10), 6.0])])
+def test_count_sector_threads_do_not_change_results(norm, grid):
+    # the exact sign verdict and the float classifier behind a cap
+    for frame in (None, Cap((0, 0, 1), 0.8)):
+        spec = make_spec((1, 1, 1), ["+", "+", "-"], frame=frame, norm=norm)
+        one, two = (count_sector(grid, spec, threads=n) for n in (1, 2))
+        assert (one.values, one.degenerate) == (two.values, two.degenerate)
+
+
 def test_count_sector_needs_increasing_grid():
     spec = make_spec((1, 1, 1), ["+", "+", "-"])
     with pytest.raises(ValueError):
