@@ -356,6 +356,8 @@ def _volume(ctx, t_grid, method, frame, norm, samples, seed, near_wall_c=None) -
     elif method in ("mc", "monte-carlo"):
         if seed is None:
             raise ValueError("monte-carlo needs a seed")
+        if int(samples) < 2:
+            raise ValueError("monte-carlo needs at least 2 samples")
         values, errs = _mc_series(ctx, ts, norm, frame, int(samples), seed, near_wall_c)
         stderr = tuple(errs)
     else:
@@ -430,6 +432,9 @@ def singular_volume(
 
 # probe images per sampled point in wellroundedness_ratio
 WR_PROBES = 8
+# relative slack of wellroundedness_ratio's probe screen, which the
+# docstring there shows to cover the float error of the verdicts
+WR_SLACK = 1e-6
 
 
 @dataclass(frozen=True)
@@ -441,6 +446,29 @@ class WellRoundedness:
     member_weight: float
     boundary_weight: float
     inconclusive: bool
+    probed: int  # sample points whose probe images were classified
+
+
+def _member_radius(forms: np.ndarray, spec):
+    """Float-classifier membership and Frobenius norm of a stack of forms."""
+    d = forms.shape[1]
+    i, j = np.asarray(enumeration.triangle_indices(d)).T
+    member, _ = _classify_batch(forms[:, i, j], d, spec)
+    return member, np.sqrt(np.sum(forms**2, axis=(1, 2)))
+
+
+def _unsettled(logs, member, radii, steps, t: float) -> np.ndarray:
+    """Rows whose probe images e S e^T might not share the centre's inside
+    verdict, by Ostrowski's bound (see wellroundedness_ratio); logs are
+    the centres' log |eigenvalues|."""
+    sv = np.linalg.svd(np.stack(steps), compute_uv=False)
+    hi2, lo2 = float(sv.max()) ** 2, float(sv.min()) ** 2
+    gaps = np.diff(np.sort(logs, axis=1), axis=1)
+    apart = np.all(gaps > math.log(hi2 / lo2) + WR_SLACK, axis=1)
+    one_side = (
+        ~member | (radii * hi2 < t * (1.0 - WR_SLACK)) | (radii * lo2 > t * (1.0 + WR_SLACK))
+    )
+    return ~(apart & one_side)
 
 
 def wellroundedness_ratio(
@@ -453,15 +481,47 @@ def wellroundedness_ratio(
     """MC estimate of vol(eps-thickened boundary) / vol(region) at one T,
     for the full-frame region in the frobenius ball.
 
-    A sampled point is "boundary" when its probe orbit (the point plus
-    WR_PROBES images under exp(eps X) with X of unit metric norm) contains
-    both members and nonmembers of the region.  Sampling covers a thin
-    collar outside the walls so the outer half of the boundary layer is
-    seen; weights are |xi| there, the magnitude of the adjacent-chart
-    density.
+    A sampled point is "boundary" when its probe orbit (the point S plus
+    WR_PROBES images e S e^T, e = exp(eps X) with X of unit metric norm)
+    contains both members and nonmembers of the region.  Sampling covers
+    a thin collar outside the walls so the outer half of the boundary
+    layer is seen; weights are |xi| there, the magnitude of the
+    adjacent-chart density.
+
+    Most points are settled without their images.  By Ostrowski's
+    theorem, for S symmetric and e invertible the k-th eigenvalue of
+    e S e^T (by value) is theta_k times that of S, with
+    sigma_min(e)^2 <= theta_k <= sigma_max(e)^2; and ||e S e^T||_F lies in
+    [sigma_min^2, sigma_max^2] ||S||_F.  With hi and lo the extreme
+    singular values over all steps, every image keeps the signs of S and
+    moves each log |eigenvalue| by at most log(hi^2 / lo^2).  A point is
+    settled when the adjacent gaps of its log |eigenvalues| (2 y, known
+    from its margins) all exceed that plus WR_SLACK, and its centre is a
+    nonmember or its radius r has r hi^2 < t (1 - WR_SLACK) or
+    r lo^2 > t (1 + WR_SLACK).  Every image then has the centre's slot
+    sign pattern, a log gap above WR_SLACK between adjacent slots and the
+    centre's side of t, hence the centre's inside verdict: the point is
+    not mixed.  Only the other points' images are built and classified;
+    `probed` counts those points.
+
+    The slack covers the float error.  The screen reasons on exact
+    spectra, while the verdicts come from the float classifier on float
+    forms.  Forming k diag k^T and e S e^T perturbs S by a few ulps of
+    ||S||_2, so by Weyl's bound each log |eigenvalue| moves by a few ulps
+    times ||S||_2 / |lambda_min|; the classifier's solvers err on the same
+    order, and the singular values of e are good to a few ulps of 1.
+    Where membership matters (r < t), ||S||_2 / |lambda_min| <= t^d
+    (det S = +-1), at most 1.7e7 for t <= 64 and d <= 4, so these errors
+    are a few times 4e-9, two orders inside WR_SLACK, and a settled image
+    keeps a gap far above the tie tolerance.  (The d = 3 closed form errs more on a near-tie of two
+    same-sign slots, which cannot change a sign pattern, and it re-solves
+    a float gap below 1e-6 by Jacobi.)  So every settled point gets the
+    verdict that probing it would give.
     """
-    if epsilon <= 0:
-        raise ValueError("need epsilon > 0")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError("need a finite epsilon > 0")
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError("need a finite t > 0")
     if any(dim != 1 for dim in ctx.blocks.dims):
         raise ValueError("thickened-boundary probes need all blocks one-dimensional")
     d = ctx.d
@@ -472,15 +532,15 @@ def wellroundedness_ratio(
     )
     _, base = _sampled_forms(ctx, margins, rng)
     steps = [expm(epsilon * x) for x in _unit_directions(d, WR_PROBES, rng)]
-    # the probe list is dropped once stacked, before the classifier's peak
-    stacked = np.concatenate([base] + [np.einsum("ij,njk,lk->nil", e, base, e) for e in steps])
-    pairs = enumeration.triangle_indices(d)
-    tri = np.stack([stacked[:, i, j] for (i, j) in pairs], axis=1)
-    member, _ = _classify_batch(tri, d, spec)
-    radii = np.sqrt(np.sum(stacked**2, axis=(1, 2)))
-    inside = (member & (radii < t)).reshape(1 + WR_PROBES, samples).T
-    center = inside[:, 0]
-    mixed = inside.any(axis=1) & (~inside).any(axis=1)
+    member, radii = _member_radius(base, spec)
+    center = member & (radii < t)
+    rows = np.flatnonzero(_unsettled(2.0 * ctx.log_coords(margins), member, radii, steps, t))
+    probe_member, probe_radii = _member_radius(
+        np.concatenate([e @ base[rows] @ e.T for e in steps]), spec
+    )
+    probe_inside = (probe_member & (probe_radii < t)).reshape(WR_PROBES, len(rows))
+    mixed = np.zeros(samples, dtype=bool)
+    mixed[rows] = np.where(center[rows], ~probe_inside.all(axis=0), probe_inside.any(axis=0))
 
     num = float(np.sum(weights * mixed))
     den = float(np.sum(weights * center))
@@ -510,4 +570,5 @@ def wellroundedness_ratio(
         member_weight=den,
         boundary_weight=num,
         inconclusive=inconclusive,
+        probed=len(rows),
     )

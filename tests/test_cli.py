@@ -9,6 +9,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -214,6 +215,19 @@ def test_non_finite_t_grid_is_an_error(tmp_path, capsys, cmd, grid):
     code, _, err = run(capsys, *cmd, f"--T-grid={grid}", "--out", str(out))
     assert code == 1
     assert err == "error: T grid values must be finite\n"
+
+
+@pytest.mark.parametrize("samples", ("0", "1"))
+def test_monte_carlo_volume_needs_two_samples(tmp_path, capsys, samples):
+    out = tmp_path / "mc.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(capsys, "volume", "--signature", "2,1", "--T-grid", "6,8",
+                           "--method", "mc", "--samples", samples, "--seed", "3",
+                           "--out", str(out))
+    assert code == 1
+    assert err == "error: monte-carlo needs at least 2 samples\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("signs", [",".join(p) for p in itertools.product("+-", repeat=3)])

@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
-from qfsectors import sector, volume
+from qfsectors import enumeration, sector, volume
 from qfsectors.rootdata import build_root_datum
+from qfsectors.sampling import derive_rng, random_rotation
 from qfsectors.sector import AntiCap, Cap, FullFrame
+from qfsectors.wavefront import _unit_directions
 from qfsectors.volume import (
     DensityContext,
     _ball_radius,
@@ -392,6 +395,17 @@ def test_volume_guards():
         volume_series(context_for((1, 1, -1), joined=(1, 2)), [4.0])
 
 
+def test_monte_carlo_needs_two_samples():
+    ctx = context_for((1, 1, -1))
+    for n in (0, 1):
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            volume_series(ctx, [6.0, 8.0], method="monte-carlo", seed=3, samples=n)
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            singular_volume(ctx, 0.5, [6.0, 8.0], method="monte-carlo", seed=3, samples=n)
+    two = volume_series(ctx, [6.0, 8.0], method="monte-carlo", seed=3, samples=2)
+    assert all(math.isfinite(v) for v in two.values + two.stderr)
+
+
 def test_context_pq_requires_d_equal_p_plus_q():
     assert context_pq(4, 2, 2) == context_for((1, 1, -1, -1))
     for d, p, q in ((4, 2, 1), (2, 2, 1), (3, 3, 1)):
@@ -404,8 +418,12 @@ def test_context_pq_requires_d_equal_p_plus_q():
 
 def test_wellroundedness_guards():
     ctx = context_for((1, 1, -1))
-    with pytest.raises(ValueError, match="epsilon"):
-        wellroundedness_ratio(ctx, 0.0, 8.0, seed=7)
+    for eps in (0.0, -0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite epsilon"):
+            wellroundedness_ratio(ctx, eps, 8.0, seed=7)
+    for t in (0.0, -8.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite t"):
+            wellroundedness_ratio(ctx, 0.05, t, seed=7)
     joined = context_for((1, 1, -1), joined=(1,))
     with pytest.raises(ValueError, match="one-dimensional"):
         wellroundedness_ratio(joined, 0.05, 8.0, seed=7)
@@ -413,13 +431,133 @@ def test_wellroundedness_guards():
 
 def test_wellroundedness_takes_the_float_classifier(monkeypatch):
     """Its probe triangles are float, so the exact integer sign test,
-    which would need integer entries, never sees them."""
+    which would need integer entries, never sees them.  The classifier
+    sees every centre once and the images of the probed points only."""
     rows = []
     real = sector.sym3_eigvals_batch
     monkeypatch.setattr(sector, "sym3_eigvals_batch", lambda m: rows.append(len(m)) or real(m))
     monkeypatch.setattr(sector, "_sign_sector_d3", None)
-    wellroundedness_ratio(context_for((1, 1, -1)), 0.1, 8.0, seed=31, samples=200)
-    assert sum(rows) == 200 * (1 + volume.WR_PROBES)
+    res = wellroundedness_ratio(context_for((1, 1, -1)), 0.1, 8.0, seed=31, samples=200)
+    assert sum(rows) == 200 + volume.WR_PROBES * res.probed
+
+
+def _probe_everything(ctx, epsilon, t, seed, samples):
+    """The ratio as it was computed before the Ostrowski screen: every
+    sampled point's WR_PROBES images are built and classified."""
+    d = ctx.d
+    rng = derive_rng(seed, "wellrounded")
+    spec = sector.make_spec(ctx.blocks.dims, volume._block_signatures(ctx))
+    margins, weights = volume._grid_margins(
+        ctx, t, rng, samples, lo=-8.0 * epsilon, pad=0.25 + 2.0 * epsilon
+    )
+    _, base = volume._sampled_forms(ctx, margins, rng)
+    steps = [expm(epsilon * x) for x in _unit_directions(d, volume.WR_PROBES, rng)]
+    stacked = np.concatenate([base] + [np.einsum("ij,njk,lk->nil", e, base, e) for e in steps])
+    pairs = enumeration.triangle_indices(d)
+    tri = np.stack([stacked[:, i, j] for (i, j) in pairs], axis=1)
+    member, _ = sector._classify_batch(tri, d, spec)
+    radii = np.sqrt(np.sum(stacked**2, axis=(1, 2)))
+    inside = (member & (radii < t)).reshape(1 + volume.WR_PROBES, samples).T
+    center = inside[:, 0]
+    mixed = inside.any(axis=1) & (~inside).any(axis=1)
+
+    num = float(np.sum(weights * mixed))
+    den = float(np.sum(weights * center))
+    ratio = math.inf if den == 0.0 else num / den
+    parts = []
+    for block in np.array_split(np.arange(samples), 20):
+        mask = np.ones(samples, dtype=bool)
+        mask[block] = False
+        dsub = float(np.sum(weights[mask] * center[mask]))
+        if dsub > 0:
+            parts.append(float(np.sum(weights[mask] * mixed[mask])) / dsub)
+    if len(parts) >= 2 and math.isfinite(ratio):
+        parts_arr = np.asarray(parts)
+        stderr = float(
+            math.sqrt((len(parts) - 1) / len(parts) * np.sum((parts_arr - parts_arr.mean()) ** 2))
+        )
+    else:
+        stderr = math.inf
+    inconclusive = not math.isfinite(ratio) or (ratio > 0 and stderr > 0.1 * ratio)
+    return volume.WellRoundedness(
+        ratio=ratio,
+        stderr=stderr,
+        epsilon=epsilon,
+        t=t,
+        member_weight=den,
+        boundary_weight=num,
+        inconclusive=inconclusive,
+        probed=samples,
+    )
+
+
+@st.composite
+def _wellroundedness_problems(draw):
+    d = draw(st.integers(2, 4))
+    p = draw(st.integers(0, d))
+    return (
+        context_pq(d, p, d - p),
+        draw(st.floats(1e-4, 0.3)),
+        draw(st.floats(2.0, 64.0)),
+        draw(st.integers(0, 2**16)),
+        draw(st.integers(2, 2000)),
+    )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(problem=_wellroundedness_problems())
+def test_screened_ratio_equals_probing_every_point(problem):
+    ctx, eps, t, seed, samples = problem
+    got = wellroundedness_ratio(ctx, eps, t, seed=seed, samples=samples)
+    assert 0 <= got.probed <= samples
+    want = _probe_everything(ctx, eps, t, seed, samples)
+    # repr keeps a nan or an inf comparable field by field
+    assert repr(dataclasses.replace(got, probed=samples)) == repr(want)
+
+
+@st.composite
+def _congruences(draw):
+    """A symmetric S with chosen log |eigenvalues| (adjacent ties down to
+    exact), random signs and frame, and an invertible e."""
+    d = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gaps = draw(st.lists(st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 1e-3, 0.1, 1.0]),
+                         min_size=d - 1, max_size=d - 1))
+    logs = np.concatenate([[0.0], -np.cumsum(gaps)]) + draw(st.floats(-2.0, 2.0))
+    frame = random_rotation(rng, d)
+    s = frame @ np.diag(rng.choice([-1.0, 1.0], d) * np.exp(logs)) @ frame.T
+    if draw(st.booleans()):
+        x = _unit_directions(d, 1, rng)[0]
+        e = expm(draw(st.floats(1e-4, 0.5)) * x)
+    else:
+        e = np.eye(d) + draw(st.floats(0.0, 0.5)) * rng.standard_normal((d, d)) / d
+    return s, e
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(problem=_congruences())
+def test_ostrowski_bounds_the_congruence(problem):
+    """lambda_k(e S e^T) = theta_k lambda_k(S), eigenvalues by value, with
+    sigma_min(e)^2 <= theta_k <= sigma_max(e)^2; the Frobenius norm moves
+    by the same factors.  These bounds are what settles a point without
+    its probe images in wellroundedness_ratio."""
+    s, e = problem
+    sv = np.linalg.svd(e, compute_uv=False)
+    lo2, hi2 = sv.min() ** 2, sv.max() ** 2
+    image = e @ s @ e.T
+    theta = np.linalg.eigvalsh(image) / np.linalg.eigvalsh(s)
+    tol = 1e-10
+    assert np.all(theta >= lo2 * (1 - tol)) and np.all(theta <= hi2 * (1 + tol))
+    norm, image_norm = np.linalg.norm(s), np.linalg.norm(image)
+    assert lo2 * norm * (1 - tol) <= image_norm <= hi2 * norm * (1 + tol)
+
+
+def test_screen_probes_few_points_at_the_benchmark_shape():
+    ctx = context_for((1, 1, -1))
+    res = wellroundedness_ratio(ctx, 0.1, 8.0, seed=31, samples=40_000)
+    assert res.probed <= 0.1 * 40_000
+    want = _probe_everything(ctx, 0.1, 8.0, 31, 40_000)
+    assert dataclasses.replace(res, probed=40_000) == want
 
 
 def test_wellroundedness_smoke():
