@@ -127,10 +127,10 @@ def weyl_matrix(w: tuple[int, ...], signature: tuple[int, int]) -> np.ndarray:
 def kah_decompose(g: np.ndarray, signature: tuple[int, int]) -> CartanFactors:
     """Decompose g in SL_d(R) as k diag(a) W(w) h.
 
-    Requires det(g) = 1 to DET_TOL and a condition number below
-    COND_BOUND.  The slots of a follow jacobi.slot_order on the
-    eigenvalues of g J g.T; an |eigenvalue| tie within AMBIGUITY_TOL
-    (log scale) sets the tie flag.
+    Requires finite entries, det(g) = 1 to DET_TOL and a condition
+    number below COND_BOUND.  The slots of a follow jacobi.slot_order
+    on the eigenvalues of g J g.T; an |eigenvalue| tie within
+    AMBIGUITY_TOL (log scale) sets the tie flag.
     """
     g = np.asarray(g, dtype=float)
     p, q = signature
@@ -139,16 +139,21 @@ def kah_decompose(g: np.ndarray, signature: tuple[int, int]) -> CartanFactors:
         raise ValueError("matrix shape does not match the signature")
     if p < 0 or q < 0 or d < 2:
         raise ValueError("bad signature")
+    if not np.isfinite(g).all():
+        raise ValueError("matrix entries must be finite")
+    # written so that a NaN (an overflow in det or svd) fails them too
     det = np.linalg.det(g)
-    if abs(det - 1.0) > DET_TOL:
+    if not abs(det - 1.0) <= DET_TOL:
         raise ValueError("determinant is not 1 to tolerance")
     sv = np.linalg.svd(g, compute_uv=False)
-    if sv[0] > COND_BOUND * sv[-1]:
+    if not sv[0] <= COND_BOUND * sv[-1]:
         raise ValueError("matrix condition exceeds COND_BOUND")
 
-    jdiag = np.array([1.0] * p + [-1.0] * q)
-    rows = list(g.copy())  # C-order rows; a rotation rebinds two of them
-    kt = list(np.eye(d))  # rows of k^T, so a rotation touches two rows
+    # the loop runs on lists of floats: per pair visit, one fused pass
+    # over the two rows costs less than the numpy calls on d-vectors
+    jsign = [1.0] * p + [-1.0] * q
+    rows = g.tolist()  # a rotation rebinds two of them
+    kt = np.eye(d).tolist()  # rows of k^T, so a rotation touches two rows
     eps_floor = 16.0 * np.finfo(float).eps
     converged = False
     for _ in range(MAX_SWEEPS):
@@ -156,33 +161,39 @@ def kah_decompose(g: np.ndarray, signature: tuple[int, int]) -> CartanFactors:
         for i in range(d - 1):
             for jj in range(i + 1, d):
                 ri, rj = rows[i], rows[jj]
-                rij = ri * jdiag
-                app = float(rij @ ri)
-                apq = float(rij @ rj)
-                aqq = float((rj * jdiag) @ rj)
+                app = apq = aqq = nii = njj = 0.0
+                for s, x, y in zip(jsign, ri, rj):
+                    sx = s * x
+                    app += sx * x
+                    apq += sx * y
+                    aqq += s * y * y
+                    nii += x * x
+                    njj += y * y
                 off = abs(apq)
                 if off <= TOL * math.sqrt(abs(app * aqq)):
                     continue
-                if off <= eps_floor * (math.sqrt(ri @ ri) * math.sqrt(rj @ rj)):
+                if off <= eps_floor * (math.sqrt(nii) * math.sqrt(njj)):
                     continue
                 rotated = True
                 c, sn = rotation_for(app, aqq, apq)
-                rows[i], rows[jj] = c * ri - sn * rj, sn * ri + c * rj
+                rows[i] = [c * x - sn * y for x, y in zip(ri, rj)]
+                rows[jj] = [sn * x + c * y for x, y in zip(ri, rj)]
                 ki, kj = kt[i], kt[jj]
-                kt[i], kt[jj] = c * ki - sn * kj, sn * ki + c * kj
+                kt[i] = [c * x - sn * y for x, y in zip(ki, kj)]
+                kt[jj] = [sn * x + c * y for x, y in zip(ki, kj)]
         if not rotated:
             converged = True
             break
     if not converged:
         raise ArithmeticError("jacobi iteration did not converge")
+    lam = [math.fsum(s * x * x for s, x in zip(jsign, r)) for r in rows]
     rows = np.array(rows)
     k = np.array(kt).T
 
-    lam = np.einsum("ij,j,ij->i", rows, jdiag, rows)
     order = slot_order(lam)
     rows = rows[order]
     k = k[:, order]
-    lam = lam[order]
+    lam = np.array(lam)[order]
     svals = np.sqrt(np.abs(lam))
     w = tuple(1 if v > 0 else -1 for v in lam)
 

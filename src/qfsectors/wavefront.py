@@ -18,6 +18,11 @@ The k and h displacements of every kept direction of a probe come from
 one stacked series log (_log_near_identity) on the factor differences,
 E_k = (k' - k) k^T and E_h = (h' - h) h^-1, with no scipy logm: forming
 k' k^T - I would cancel the leading digits of a small displacement.
+
+The coarse frame observable is the largest principal angle between
+matching column blocks of two k factors.  Their columns are already
+orthonormal, so _largest_angle takes it in closed form from one product
+a^T b, with no re-orthonormalization as in scipy's subspace_angles.
 """
 
 from __future__ import annotations
@@ -178,6 +183,21 @@ def _gauge(base: CartanFactors, probe: CartanFactors):
     return k_al, h_al
 
 
+def _largest_angle(a: np.ndarray, b: np.ndarray) -> float:
+    """Largest principal angle between the column spans of a and b.
+
+    a and b are d x m with orthonormal columns.  The angle's sine is
+    ||b - a (a^T b)||_2 and its cosine the smallest singular value of
+    a^T b; the arcsin is taken while sin^2 < 1/2 and the arccos beyond,
+    each where it is well conditioned.
+    """
+    c = a.T @ b
+    sin = float(np.linalg.norm(b - a @ c, 2))
+    if sin * sin < 0.5:
+        return math.asin(sin)
+    return math.acos(min(float(np.linalg.svd(c, compute_uv=False)[-1]), 1.0))
+
+
 def fine_probe(
     g: np.ndarray,
     signature: tuple[int, int],
@@ -228,10 +248,7 @@ def fine_probe(
         if slots is not None:
             means = np.array([np.log(probe.a)[b].mean() for b in slots])
             ratio_ai = max(ratio_ai, float(np.linalg.norm(means - base_means)) / epsilon)
-            ang = 0.0
-            for b in slots:
-                theta = scipy.linalg.subspace_angles(base.k[:, b], probe.k[:, b])
-                ang = max(ang, float(theta[0]))
+            ang = max(_largest_angle(base.k[:, b], probe.k[:, b]) for b in slots)
             ratio_frame = max(ratio_frame, ang / epsilon)
         if probe.w != base.w:
             detail.append(ProbeSample(d_input=d_in, crossed=True))
@@ -360,7 +377,8 @@ def lipschitz_sweep(
     pass per base point, on SWEEP_DIRECTIONS directions, gives the fine
     ratios and the coarse ratios that join exactly the pinned wall.
     Cells whose base-point construction fails are recorded as empty
-    rather than fabricated; a negative c or depth is a ValueError.
+    rather than fabricated; a negative or non-finite c or depth, or
+    n_per_cell below 1, is a ValueError.
     """
     p, q = signature
     d = p + q
@@ -368,10 +386,13 @@ def lipschitz_sweep(
         raise ValueError("wall must be a boundary index 1..d-1")
     c_grid = [float(c) for c in c_grid]
     depth_grid = [float(depth) for depth in depth_grid]
-    if any(v < 0.0 for v in c_grid + depth_grid):
+    if not all(0.0 <= v < math.inf for v in c_grid + depth_grid):
         # a negative margin or depth puts the base point outside the closed
-        # chamber, where kah re-sorts the slots and measures another point
-        raise ValueError("c and depth must be nonnegative")
+        # chamber, where kah re-sorts the slots and measures another point;
+        # a NaN or infinite one builds no base point at all
+        raise ValueError("c and depth must be finite and nonnegative")
+    if n_per_cell < 1:
+        raise ValueError("n_per_cell (base points per cell) must be at least 1")
     w0 = (1,) * p + (-1,) * q
     wmat = weyl_matrix(w0, signature)
     cells = []

@@ -1,11 +1,16 @@
 """Factorization round trips, invariances, and guard rails."""
 
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfsectors.cartan import (
+    AMBIGUITY_TOL,
     CartanFactors,
     kah_decompose,
     reconstruct,
@@ -13,13 +18,15 @@ from qfsectors.cartan import (
     signature_matrix,
     weyl_matrix,
 )
-from qfsectors.jacobi import MAX_SWEEPS, TOL, rotation_for
+from qfsectors.jacobi import MAX_SWEEPS, TOL, rotation_for, slot_order
 from qfsectors.sampling import (
     derive_rng,
     random_indefinite_orthogonal,
     random_rotation,
     random_special_linear,
 )
+
+U = np.finfo(float).eps / 2.0  # unit roundoff
 
 
 def well_conditioned_sl(rng, d, cond_cap=50.0):
@@ -47,8 +54,9 @@ def test_round_trip_random(signature):
 
 def array_jacobi(g, signature):
     """The one-sided Jacobi loop on a 2-D array of rows and the columns
-    of k, with the row-norm floor from np.linalg.norm: the reference the
-    list-of-rows loop in kah_decompose must match bit for bit."""
+    of k, with the row-norm floor from np.linalg.norm: a reference for
+    the plain-float loop in kah_decompose, which takes the same rotations
+    but sums its row products in another order."""
     p, q = signature
     jdiag = np.array([1.0] * p + [-1.0] * q)
     rows = np.asarray(g, dtype=float).copy()  # C order, whatever the input's
@@ -75,8 +83,10 @@ def array_jacobi(g, signature):
 
 @pytest.mark.parametrize("signature", [(2, 1), (1, 2), (3, 1), (2, 2), (3, 2)])
 def test_jacobi_loop_matches_the_array_reference(signature):
-    """k, a, w and h equal the factors the array loop gives, bit for bit,
-    on well- and ill-conditioned inputs, C- or Fortran-ordered."""
+    """w equals, and k, a and h agree to 1e-13 relative with, the factors
+    the array loop gives, on well- and ill-conditioned inputs, C- or
+    Fortran-ordered.  Not bit for bit: numpy's dot products round
+    differently from the plain-float sums."""
     rng = derive_rng(8, "jacobi-reference", signature)
     jdiag = np.array([1.0] * signature[0] + [-1.0] * signature[1])
     for n in range(40):
@@ -95,7 +105,54 @@ def test_jacobi_loop_matches_the_array_reference(signature):
         h = weyl_matrix(w, signature).T @ (rows / a[:, None])
         assert fac.w == w
         for got, ref in ((fac.k, k), (fac.a, a), (fac.h, h)):
-            assert np.array_equal(got, ref)
+            assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+@st.composite
+def sl_inputs(draw):
+    """(g, signature, cond): g = k1 diag(s) k2 in SL_d(R) for d = 2..4 and
+    any signature, with cond(g) from 10^0.5 to 10^5."""
+    d = draw(st.integers(2, 4))
+    p = draw(st.integers(0, d))
+    log_cond = draw(st.floats(0.5, 5.0)) * math.log(10.0)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.uniform(0.0, 1.0, d)
+    x = (x - x.min()) / np.ptp(x) * log_cond
+    g = random_rotation(rng, d) @ (np.exp(x - x.mean())[:, None] * random_rotation(rng, d))
+    g /= np.linalg.det(g) ** (1.0 / d)
+    return g, (p, d - p), float(np.linalg.cond(g))
+
+
+def mp_reference(g, signature):
+    """log a, w and the tie flag from the eigenvalues of g J g^T, the
+    float g taken exactly and everything after it at 50 digits."""
+    p, q = signature
+    with mpmath.workdps(50):
+        gm = mpmath.matrix(g.tolist())
+        lam, _ = mpmath.eigsy(gm * mpmath.diag([1] * p + [-1] * q) * gm.T)
+        lam = [lam[i] for i in range(p + q)]
+        order = slot_order(lam)
+        logs = [mpmath.log(abs(lam[i])) / 2 for i in order]
+        tie = any(2 * (x - y) <= AMBIGUITY_TOL for x, y in zip(logs, logs[1:]))
+        return [float(x) for x in logs], tuple(1 if lam[i] > 0 else -1 for i in order), tie
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=sl_inputs())
+def test_kah_decompose_matches_a_50_digit_reference(case):
+    """log a within 1e-13 + 4 u cond(g) of the 50-digit eigenvalues of
+    g J g^T, the same tie flag, the same w unless tied, and g back to
+    1e-12.  The cond(g) term is the backward-stability floor: a flat
+    1e-13 fails for the numpy-array form of the loop as well, whose
+    error reaches 2e-12 near cond(g) = 1e5."""
+    g, signature, cond = case
+    fac = kah_decompose(g, signature)
+    logs, w, tie = mp_reference(g, signature)
+    assert np.abs(np.log(fac.a) - logs).max() <= 1e-13 + 4.0 * U * cond
+    assert fac.tie == tie
+    if not tie:  # under a tie, w follows the tie-break and is not stable
+        assert fac.w == w
+    assert np.linalg.norm(reconstruct(fac) - g) <= 1e-12 * np.linalg.norm(g)
 
 
 def test_riemannian_signature_gives_orthogonal_h():
@@ -144,6 +201,20 @@ def test_input_guards():
         kah_decompose(np.eye(3), (2, 2))  # shape mismatch
     with pytest.raises(ValueError):
         kah_decompose(np.diag([1e4, 1e-4, 1.0]), (2, 1))  # condition 1e8
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_entries_are_a_value_error(value):
+    """NaN used to pass the det test (abs(nan - 1) > tol is False) and
+    fail in the SVD; now any non-finite entry is rejected before numpy
+    sees it, without a RuntimeWarning."""
+    one = np.eye(3)
+    one[1, 2] = value
+    for g in (np.full((3, 3), value), one):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                kah_decompose(g, (2, 1))
 
 
 def test_weyl_matrix_properties():

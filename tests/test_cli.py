@@ -342,14 +342,33 @@ def test_wavefront_csv_contract(tmp_path, capsys):
 
 
 def test_wavefront_rejects_negative_c_or_depth(tmp_path, capsys):
+    """A negative, NaN or infinite grid value is one error line, exit 1,
+    and no artifact; NaN and inf used to end in an SVD failure."""
     out = tmp_path / "w.csv"
-    for grids in (["--c-grid=-0.5", "--depth-grid", "2"], ["--c-grid", "0.5", "--depth-grid=-2"]):
+    for grids in (
+        ["--c-grid=-0.5", "--depth-grid", "2"], ["--c-grid", "0.5", "--depth-grid=-2"],
+        ["--c-grid", "nan", "--depth-grid", "2"], ["--c-grid", "0.5", "--depth-grid", "inf"],
+    ):
         code, _, err = run(
             capsys, "wavefront", "--signature", "2,1", *grids, "--samples", "2",
             "--seed", "1", "--out", str(out),
         )
         assert code == 1
         assert err.startswith("error:") and "nonnegative" in err
+        assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_wavefront_rejects_no_base_points(tmp_path, capsys, samples):
+    """--samples below 1 used to exit 0 with an empty cell."""
+    out = tmp_path / "w.csv"
+    code, _, err = run(
+        capsys, "wavefront", "--signature", "2,1", "--c-grid", "0.5", "--depth-grid", "2",
+        "--samples", samples, "--seed", "1", "--out", str(out),
+    )
+    assert code == 1
+    assert err.startswith("error:") and "at least 1" in err and err.count("\n") == 1
     assert not out.exists()
 
 

@@ -412,14 +412,50 @@ def test_coarse_ratios_equal_a_separate_coarse_pass(margins, joined, epsilon):
     rng = derive_rng(41, "oracle-directions", len(joined))
     dirs = [unit_direction(rng, 3) for _ in range(16)]
     report = coarse_probe(g, (2, 1), joined, epsilon, 0, None, directions=dirs)
-    assert (report.ratio_coarse_aI, report.ratio_coarse_frame) == separate_coarse_pass(
-        g, (2, 1), joined, epsilon, dirs
-    )
+    ratio_ai, ratio_frame = separate_coarse_pass(g, (2, 1), joined, epsilon, dirs)
+    assert report.ratio_coarse_aI == ratio_ai
+    # the probe's closed-form angle against scipy: at a = e both values
+    # are rounding noise of order 1e-13
+    assert report.ratio_coarse_frame == pytest.approx(ratio_frame, rel=1e-10, abs=1e-12)
     fine = fine_probe(g, (2, 1), epsilon, 0, None, directions=dirs)
     assert (report.crossings, report.detail) == (fine.crossings, fine.detail)
     if margins == [0.0, 0.0]:
         # crossed directions still enter the coarse ratios
         assert 0 < report.crossings < len(dirs)
+
+
+@st.composite
+def column_blocks(draw):
+    """(a, b, angle): d x m blocks with orthonormal columns, d = 2..5 and
+    m = 1..d-1, whose spans meet at drawn principal angles (near 0, near
+    pi/2 or anywhere), the largest of them being angle."""
+    d = draw(st.integers(2, 5))
+    m = draw(st.integers(1, d - 1))
+    small = st.floats(1e-9, 1e-3)
+    angle = st.one_of(small, small.map(lambda t: math.pi / 2 - t), st.floats(0.0, math.pi / 2))
+    thetas = draw(st.lists(angle, min_size=min(m, d - m), max_size=min(m, d - m)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q = random_rotation(rng, d)
+    b = q[:, :m].copy()
+    for i, t in enumerate(thetas):  # tilt column i towards q[:, m + i]
+        b[:, i] = math.cos(t) * q[:, i] + math.sin(t) * q[:, m + i]
+    # other orthonormal bases of the same two spans
+    return q[:, :m] @ random_rotation(rng, m), b @ random_rotation(rng, m), max(thetas)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=column_blocks())
+def test_largest_angle_matches_the_drawn_angle_and_scipy(case):
+    """_largest_angle is the largest drawn angle to 1e-14 on either side
+    of its arcsin/arccos switch.  scipy's subspace_angles takes the
+    arcsin whenever its largest cosine has cos^2 >= 1/2, which loses
+    digits once the largest angle nears pi/2; everywhere else the two
+    agree to 1e-14."""
+    a, b, angle = case
+    got = wavefront._largest_angle(a, b)
+    assert got == pytest.approx(angle, abs=1e-14)
+    if scipy.linalg.svdvals(a.T @ b).max() ** 2 < 0.5 or math.sin(angle) ** 2 < 0.5:
+        assert got == pytest.approx(scipy.linalg.subspace_angles(a, b)[0], abs=1e-14)
 
 
 def test_sweep_factors_each_perturbation_once(monkeypatch):
@@ -441,7 +477,6 @@ def test_sweep_factors_each_perturbation_once(monkeypatch):
     monkeypatch.setattr(wavefront, "scipy", types.SimpleNamespace(linalg=types.SimpleNamespace(
         expm=counted("expm", linalg.expm),
         logm=counted("logm", linalg.logm),
-        subspace_angles=linalg.subspace_angles,
     )))
     (cell,) = lipschitz_sweep(
         (2, 1), c_grid=[0.5], depth_grid=[2.0], epsilon=1e-3, n_per_cell=4, seed=4, wall=1,
@@ -482,9 +517,19 @@ def test_lipschitz_sweep_shape_and_empty_cells():
 
 
 def test_lipschitz_sweep_rejects_negative_c_or_depth():
-    for c_grid, depth_grid in (([-0.5], [2.0]), ([0.5], [2.0, -1.0])):
+    """Negative, NaN and infinite values are rejected before any base
+    point is built (NaN used to slip past a v < 0 test into the SVD)."""
+    bad = (([-0.5], [2.0]), ([0.5], [2.0, -1.0]), ([math.nan], [2.0]),
+           ([0.5], [math.inf]), ([-math.inf], [2.0]), ([0.5], [math.nan]))
+    for c_grid, depth_grid in bad:
         with pytest.raises(ValueError, match="nonnegative"):
             lipschitz_sweep((2, 1), c_grid, depth_grid, 1e-3, 1, seed=1)
+
+
+def test_lipschitz_sweep_needs_a_base_point_per_cell():
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="at least 1"):
+            lipschitz_sweep((2, 1), [0.5], [2.0], 1e-3, n, seed=1)
 
 
 @pytest.mark.parametrize(
@@ -499,14 +544,16 @@ def test_lipschitz_sweep_rejects_negative_c_or_depth():
         ((2, 2), dict(c_grid=[0.2], depth_grid=[1.5, 3.0], n_per_cell=2, seed=6), [
             ["0.2", "1.5", "2.60285552721", "0.256710092196", "2.27194826161",
              "0.198308897087", "0.215155705121", "0"],
-            ["0.2", "3", "2.83106833531", "0.179354164633", "2.78447897658",
-             "0.156758729875", "0.281511715622", "0"],
+            ["0.2", "3", "2.83106833531", "0.179354164634", "2.78447897658",
+             "0.156758729876", "0.281511715622", "0"],
         ]),
     ],
 )
 def test_lipschitz_sweep_rows_are_pinned(signature, kw, rows):
-    """The sweep's CSV rows, at the 12 digits the CLI writes, stay the
-    values recorded before the metric took its closed form."""
+    """The sweep's CSV rows, at the 12 digits the CLI writes.  Their last
+    digit is below the float pipeline's accuracy (about 1e-11 relative
+    against a 50-digit recomputation), so a change in rounding may move
+    it; a re-pin is checked against such a recomputation first."""
     cells = lipschitz_sweep(signature, epsilon=1e-3, **kw)
     assert [[_fmt(getattr(cell, col)) for col in SWEEP_COLUMNS] for cell in cells] == rows
 
