@@ -11,31 +11,38 @@ pins q_dd to (e - const) / minor per target e = +-1, and minor == 0
 demands const = e with q_dd sweeping its whole legal range.
 
 The free entries are the upper triangle without q_dd, in triangle
-order.  The last three of them form one broadcast integer grid per
-cell, and the entries before them index the cell: (q11, q12) for d=3,
-(q11 .. q23) for d=4, and a single cell for d=2.  Cells are
+order.  The last three of them form the broadcast integer grid, and the
+entries before them index the cell: (q11, q12) for d=3, (q11 .. q23)
+for d=4, and a single cell for d=2.  The full traversal solves one cell
+at a time.  The reduced scan below solves a run of consecutive values of
+the cell's last entry at once, as one more broadcast axis, sized so
+that one solve stays within SCAN_POINTS grid points.  Cells are
 independent, which is where the optional thread pool parallelizes (by
 the first entry).  Every emitted row's determinant is recomputed in
 full, and the accumulator width is chosen from a proven bound
 (d! b**d for entries bounded by b) that raises instead of wrapping.
 
 Conjugation by a signed permutation matrix keeps the determinant, both
-norms and the spectrum, so every count and every sector verdict is
-constant on the orbits of that group (the hyperoctahedral group; -I acts
-trivially, leaving 4, 24 and 192 elements for d = 2, 3 and 4).  Every
-orbit meets the region R where q11 >= q22 >= ... >= q_dd and q1j >= 0
-for j >= 2: sort the diagonal, then take s_j = sign(q1j).  The scan
-behind the counts visits only R, about an eighth of the box for d = 3.
-The cells and the grid take q1j >= 0 and each diagonal entry at most the
-one before it, which is already fixed; the solved q_dd is filtered to
-q_dd <= q_(d-1)(d-1).  A row found in R is canonical when no image is
-lexicographically above it, with the key ordered diagonal first, then
-the off-diagonal entries in triangle order; every orbit has exactly one
-canonical row, and it lies in R.  Each canonical row is expanded to its
-distinct images, so the counts see each form of the ball exactly once,
-in no particular order within a batch.  iter_form_batches,
-enumerate_forms and the CLI's enumerate promise rows in lexicographic
-order, so they keep the full traversal of the same kernel.
+norms and the spectrum, so every count and every sector verdict that
+reads only the spectrum is constant on the orbits of that group (the
+hyperoctahedral group; -I acts trivially, leaving 4, 24 and 192
+elements for d = 2, 3 and 4).  Every orbit meets the region R where
+q11 >= q22 >= ... >= q_dd and q1j >= 0 for j >= 2: sort the diagonal,
+then take s_j = sign(q1j).  The scan behind the counts visits only R,
+about an eighth of the box for d = 3.  The cells and the grid take
+q1j >= 0 and each diagonal entry at most the one before it, which is
+already fixed; the solved q_dd is filtered to q_dd <= q_(d-1)(d-1).  A
+row found in R is canonical when no image is lexicographically above
+it, with the key ordered diagonal first, then the off-diagonal entries
+in triangle order; every orbit has exactly one canonical row, and it
+lies in R.  The counts take each canonical row once, weighted by its
+orbit size.  A verdict that is not constant on orbits (a cap frame
+reads the top eigenvector, which the group moves) sees each canonical
+row expanded to its distinct images instead, so it sees each form of
+the ball exactly once, in no particular order within a batch.
+iter_form_batches, enumerate_forms and the CLI's enumerate promise rows
+in lexicographic order, so they keep the full traversal of the same
+kernel.
 
 Supported norms: "max" (largest absolute entry) and "frobenius" (entry
 2-norm of the full symmetric matrix).  Thresholds are strict: norm < T,
@@ -44,7 +51,8 @@ integer norm squared against the exact square of the float T).
 
 Every integer count goes through `tally`: one scan at the largest
 threshold, binned by each threshold on those keys, with any number of
-verdicts (sector classifiers) counted in the same pass.
+verdicts (sector classifiers) counted in the same pass, each row
+counting the forms it stands for.
 """
 
 from __future__ import annotations
@@ -54,7 +62,6 @@ import itertools
 import math
 import operator
 import os
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -63,10 +70,15 @@ import numpy as np
 
 NORMS = ("max", "frobenius")
 ORBIT_STATE_BUDGET = 500_000
-# rows per verdict call in tally: scan cells hold a few hundred rows, and
-# a verdict's fixed cost per call is worth paying once per chunk, not per
-# cell; a larger chunk only raises the classifiers' peak memory
+# rows per verdict call in tally: a scan batch holds a few hundred rows,
+# and a verdict's fixed cost per call is worth paying once per chunk, not
+# per batch; a larger chunk only raises the classifiers' peak memory
 TALLY_ROWS = 4096
+# broadcast points per solve of the reduced scan, both target determinants
+# counted: enough that a solve's fixed Python cost stops dominating (325
+# solves of count_ball(3, 12.5) become 59), while each int32 temporary
+# stays at 256 KiB
+SCAN_POINTS = 2**16
 
 
 def resolve_threads(threads: int | None = None) -> int:
@@ -147,11 +159,14 @@ def _key_of_rows(rows, norm_kind: str) -> int:
     return sum(v * v for r in rows for v in r)
 
 
+def _norm_of_key(key: int, norm_kind: str) -> float:
+    return float(key) if norm_kind == "max" else math.sqrt(key)
+
+
 def _norm_of_rows(rows, norm_kind: str) -> float:
     if norm_kind not in NORMS:
         raise ValueError(f"unknown norm {norm_kind!r}")
-    key = _key_of_rows(rows, norm_kind)
-    return float(key) if norm_kind == "max" else math.sqrt(key)
+    return _norm_of_key(_key_of_rows(rows, norm_kind), norm_kind)
 
 
 def _check_norm(norm: str) -> str:
@@ -230,30 +245,40 @@ def _orbit_tables(d: int):
             s = (1,) + tail
             maps.append((tuple(pos[tuple(sorted((perm[i], perm[j])))] for i, j in tri),
                          tuple(s[i] * s[j] for i, j in tri)))
-    index = {g: n for n, g in enumerate(maps)}
-    # (g.(h.x))[c] = sg[c] * sh[cg[c]] * x[ch[cg[c]]]
-    earlier = np.array([
-        [index[(tuple(ch[c] for c in cg), tuple(a * sh[c] for a, c in zip(sg, cg)))] < n
-         for ch, sh in maps]
-        for n, (cg, sg) in enumerate(maps)
-    ])
+    cols, signs = (np.array(a, dtype=np.int64) for a in zip(*maps))
+    # (g.(h.x))[c] = signs[g, c] * signs[h, cols[g, c]] * x[cols[h, cols[g, c]]];
+    # an element is found by its code, which lists its columns and signs
+    radix = 2 * len(tri)
+    place = radix ** np.arange(len(tri), dtype=np.int64)
+
+    def code(c, s):
+        return (2 * c + (s < 0)) @ place
+
+    codes = code(cols, signs)
+    ranked = np.argsort(codes)
+    composed = code(cols[:, cols].transpose(1, 0, 2),
+                    signs[:, None, :] * signs[:, cols].transpose(1, 0, 2))
+    index = ranked[np.searchsorted(codes[ranked], composed)]
+    earlier = index < np.arange(len(maps))[:, None]
     key = [pos[(i, i)] for i in range(d)] + [c for c, (i, j) in enumerate(tri) if i < j]
     weights = np.zeros(len(tri), dtype=np.int64)
     weights[key] = 2 ** np.arange(len(tri) - 1, -1, -1)
-    cols, signs = (np.array(a, dtype=np.int64) for a in zip(*maps))
     tables = cols, signs, weights, earlier
     for a in tables:  # every caller shares them
         a.flags.writeable = False
     return tables
 
 
-def _orbits(full: np.ndarray, d: int) -> np.ndarray:
-    """The orbits of the canonical rows of full (triangle, then det).
+def _orbits(full: np.ndarray, d: int, expand: bool = False):
+    """The canonical rows of full (triangle, then det) and their weights.
 
     A row is canonical when no image under the group is above it in the
-    canonical order; each of its distinct images is emitted once.  The
-    image g.x repeats an earlier one exactly when g.h comes before g for
-    some h that fixes x.
+    canonical order.  Its weight is its orbit size, the number of its
+    distinct images: the group order over the order of its stabilizer,
+    the elements g with g.x = x.  With expand, each canonical row is
+    replaced by its distinct images instead, each of weight 1; the image
+    g.x repeats an earlier one exactly when g.h comes before g for some h
+    that fixes x.
     """
     cols, signs, weights, earlier = _orbit_tables(d)
     tri = full[:, :-1]
@@ -261,6 +286,8 @@ def _orbits(full: np.ndarray, d: int) -> np.ndarray:
     order = np.sign(images - tri[:, None, :]) @ weights
     canon = np.all(order <= 0, axis=1)
     fixes = order[canon] == 0
+    if not expand:
+        return full[canon], len(cols) // np.count_nonzero(fixes, axis=1)
     fresh = np.ones(fixes.shape, dtype=bool)
     # most rows are fixed by the identity alone, and all their images are distinct
     stabilized = np.any(fixes[:, 1:], axis=1)
@@ -268,22 +295,33 @@ def _orbits(full: np.ndarray, d: int) -> np.ndarray:
     out = np.empty((np.count_nonzero(fresh), full.shape[1]), dtype=np.int64)
     out[:, :-1] = images[canon].reshape(-1, tri.shape[1])[fresh.ravel()]
     out[:, -1] = np.repeat(full[canon, -1], np.count_nonzero(fresh, axis=1))
-    return out
+    return out, np.ones(out.shape[0], dtype=np.int64)
 
 
-def _scan(d: int, t: float, norm: str, threads: int | None, lex: bool = False):
-    """Solution batches (n, d(d+1)/2 + 1) int64: the triangle, then det.
+def _scan(d: int, t: float, norm: str, threads: int | None, lex: bool = False,
+          expand: bool = False):
+    """Batches (full, weight): full is (n, d(d+1)/2 + 1) int64, the
+    triangle then det, and weight (n,) int64 is how many forms each row
+    stands for.
 
-    One batch per nonempty cell.  By default the scan visits only the
-    region R of the module docstring, and each batch holds the orbits of
-    the cell's canonical rows, in no particular order.  With lex it
-    traverses the whole box, cells in lexicographic order, and each
-    batch is sorted.  Either way every emitted row's determinant is
-    recomputed in full before it leaves.  d = 3 maps cells to `threads`
-    workers by their first entry; d = 4 scans serially whatever
-    `threads` is, since its cells hold at most 7**3 grid points and two
-    threads only contend for the interpreter lock.  The checks of d, T and the norm live here,
-    so every scan makes them.
+    By default the scan visits only the region R of the module docstring
+    and each batch holds canonical rows weighted by their orbit sizes, in
+    no particular order; with expand each canonical row is replaced by
+    its distinct images, each of weight 1.  With lex it traverses the
+    whole box in lexicographic order, one cell at a time for d >= 3,
+    each batch sorted and each row of weight 1 (expand changes nothing).
+    Either way every emitted row's determinant is recomputed in full
+    before it leaves.
+
+    Apart from lex, one solve covers a run of consecutive values of the
+    last cell entry (q12 for d = 3, q23 for d = 4; q11 for d = 2, whose
+    only cell is the whole box): the run grows while its grid, with both
+    target determinants, holds at most SCAN_POINTS points.  The run's
+    grid spans are those of its smallest |value|, the widest of the run,
+    and the norm budget drops the points beyond a row's own spans.
+    d = 3 maps its runs to `threads` workers by their first entry; d = 4,
+    which stops at entry bound 3, scans serially whatever `threads` is.
+    The checks of d, T and the norm live here, so every scan makes them.
     """
     norm = _check_norm(norm)
     if t < 1.0:
@@ -303,10 +341,13 @@ def _scan(d: int, t: float, norm: str, threads: int | None, lex: bool = False):
     tri = triangle_indices(d)
     free = tri[:-1]
     weights = [1 if i == j else 2 for i, j in free]
-    ncell = max(len(free) - 3, 0)
-    ngrid = len(free) - ncell
-    targets = np.array([1, -1], dtype=dtype).reshape([2] + [1] * ngrid)
-    # in R a diagonal entry is at most the one before it, which is a cell entry
+    # entries fixed per solve; the broadcast axes are the run axis free[lead]
+    # (the last cell entry for d >= 3) and the grid entries after it
+    lead = max(len(free) - 4, 0)
+    naxes = len(free) - lead
+    targets = np.array([1, -1], dtype=dtype).reshape([2] + [1] * naxes)
+    # in R a diagonal entry is at most the one before it, which is fixed
+    # before the run axis
     before = {k: free.index((i - 1, i - 1)) for k, (i, j) in enumerate(free) if i == j > 0}
     penultimate = tri.index((d - 2, d - 2))
 
@@ -319,9 +360,30 @@ def _scan(d: int, t: float, norm: str, threads: int | None, lex: bool = False):
         lo = 0 if free[k][0] == 0 < free[k][1] else -r
         return range(lo, min(r, fixed[before[k]]) + 1 if k in before else r + 1)
 
-    def solve(cell: tuple, rem: int) -> np.ndarray:
-        values = [np.array(span(k, rem, cell), dtype=dtype) for k in range(ncell, len(free))]
-        axes = [v.reshape([-1 if k == a else 1 for k in range(ngrid)]) for a, v in enumerate(values)]
+    def grid_spans(cell: tuple, rem: int, v: int) -> list[range]:
+        # the spans of the grid axes after the run axis takes value v
+        left = rem - weights[lead] * v * v
+        return [span(k, left, cell) for k in range(lead + 1, len(free))]
+
+    def runs(cell: tuple, rem: int):
+        # lex solves one cell at a time; for d >= 3 the run axis is the
+        # cell's last entry
+        one = lex and lead > 0
+        run, widest = [], 0
+        for v in span(lead, rem, cell):
+            size = math.prod(map(len, grid_spans(cell, rem, v)))
+            if run and (one or 2 * (len(run) + 1) * max(widest, size) > SCAN_POINTS):
+                yield run
+                run, widest = [], 0
+            run.append(v)
+            widest = max(widest, size)
+        if run:
+            yield run
+
+    def solve(cell: tuple, run: list, rem: int) -> np.ndarray:
+        values = [np.array(run, dtype=dtype)]
+        values += [np.array(s, dtype=dtype) for s in grid_spans(cell, rem, min(map(abs, run)))]
+        axes = [v.reshape([-1 if k == a else 1 for k in range(naxes)]) for a, v in enumerate(values)]
         minor, const = _det_split(_symmetric(d, free, list(cell) + axes))
         mz = minor == 0
         anyz = bool(mz.any())
@@ -329,7 +391,7 @@ def _scan(d: int, t: float, norm: str, threads: int | None, lex: bool = False):
         if norm == "frobenius":
             # what the norm key leaves for q_dd**2 at each grid point
             budget = rem
-            for w, ax in zip(weights[ncell:], axes):
+            for w, ax in zip(weights[lead:], axes):
                 budget = budget - w * ax.astype(np.int64) ** 2
 
         # the leading axis holds the target determinant e = +1, -1
@@ -357,20 +419,20 @@ def _scan(d: int, t: float, norm: str, threads: int | None, lex: bool = False):
             offset = np.arange(pick.size) - np.repeat(np.cumsum(counts) - counts, counts)
             found.append((tuple(i[pick] for i in idx), offset - sweep[pick]))
         full = np.empty((sum(q.size for _, q in found), len(tri) + 1), dtype=np.int64)
-        full[:, :ncell] = cell
+        full[:, :lead] = cell
         pos = 0
         for idx, qdd in found:
             rows = slice(pos, pos + qdd.size)
-            for a in range(ngrid):
-                full[rows, ncell + a] = values[a][idx[a + 1]]
+            for a in range(naxes):
+                full[rows, lead + a] = values[a][idx[a + 1]]
             full[rows, -2] = qdd
             full[rows, -1] = 1 - 2 * idx[0]
             pos += qdd.size
-        return full[np.lexsort(full[:, ncell:-1].T[::-1])] if lex else full
+        return full[np.lexsort(full[:, lead:-1].T[::-1])] if lex else full
 
     def cells(prefix: tuple, rem: int):
         k = len(prefix)
-        if k == ncell:
+        if k == lead:
             yield prefix, rem
             return
         for v in span(k, rem, prefix):
@@ -378,22 +440,25 @@ def _scan(d: int, t: float, norm: str, threads: int | None, lex: bool = False):
 
     def batches(prefix: tuple, rem: int):
         for cell, crem in cells(prefix, rem):
-            full = solve(cell, crem)
-            if not lex:
-                # the last bound of R: q_dd <= q_(d-1)(d-1)
-                full = _orbits(full[full[:, -2] <= full[:, penultimate]], d)
-            if not full.shape[0]:
-                continue
-            # the audit recomputes each row's determinant in full
-            if not np.array_equal(_int_det(_symmetric(d, tri, full.T)), full[:, -1]):
-                raise RuntimeError("internal determinant check failed")
-            yield full
+            for run in runs(cell, crem):
+                full = solve(cell, run, crem)
+                if lex:
+                    weight = np.ones(full.shape[0], dtype=np.int64)
+                else:
+                    # the last bound of R: q_dd <= q_(d-1)(d-1)
+                    full, weight = _orbits(full[full[:, -2] <= full[:, penultimate]], d, expand)
+                if not full.shape[0]:
+                    continue
+                # the audit recomputes each row's determinant in full
+                if not np.array_equal(_int_det(_symmetric(d, tri, full.T)), full[:, -1]):
+                    raise RuntimeError("internal determinant check failed")
+                yield full, weight
 
     if d != 3 or threads <= 1:
         yield from batches((), lim)
         return
 
-    def task(v: int) -> list[np.ndarray]:
+    def task(v: int) -> list[tuple]:
         return list(batches((v,), lim - weights[0] * v * v))
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -410,7 +475,7 @@ def iter_form_batches(d: int, t: float, norm: str = "max", threads: int | None =
     the reduced scan's integer rows itself and takes its own norm keys.
     """
     norm = _check_norm(norm)
-    for full in _scan(d, t, norm, threads, lex=True):
+    for full, _ in _scan(d, t, norm, threads, lex=True):
         tri = full[:, :-1]
         keys = norm_keys(tri, d, norm).astype(np.float64)
         yield tri, full[:, -1], keys if norm == "max" else np.sqrt(keys)
@@ -442,44 +507,52 @@ def t_grid_values(t_grid) -> list[float]:
     return ts
 
 
-def tally(d: int, t_grid, norm: str, verdicts=(), threads: int | None = None):
+def tally(d: int, t_grid, norm: str, verdicts=(), threads: int | None = None, *,
+          invariant: bool = False):
     """One scan at max(T) binned by every threshold.
 
     Each verdict maps a batch of upper triangles (int64) to a tuple of
-    boolean masks.  The reduced scan's batches hold every form of the
-    ball once, in no particular order, so a verdict counts what it would
-    over the full traversal.  They are joined into chunks of at least
-    TALLY_ROWS rows (the last may be shorter), and each chunk gets one
-    norm-key pass and one call per verdict; an empty ball is one empty
-    chunk.  Returns the ball count per T and, per verdict, the count of
-    each of its masks per T.
+    boolean masks.  With invariant, the caller states that every verdict
+    is constant on the orbits of the signed permutations (true of every
+    verdict that reads only the spectrum), so the verdicts see the
+    canonical rows alone and each row counts its orbit size.  Otherwise
+    each verdict sees every form of the ball once, in no particular
+    order, and so counts what it would over the full traversal; without
+    verdicts there is nothing to expand.  The rows are joined into
+    chunks of at least TALLY_ROWS rows (the last may be shorter), and
+    each chunk gets one norm-key pass and one call per verdict; an empty
+    ball is one empty chunk.  Returns the ball count per T and, per
+    verdict, the count of each of its masks per T.
     """
     norm = _check_norm(norm)
     ts = t_grid_values(t_grid)
     limits = [key_limit(t, norm) for t in ts]
     ball, counts = np.zeros(len(ts), dtype=np.int64), [0] * len(verdicts)
-    for tri in _chunks(_scan(d, ts[-1], norm, threads), len(triangle_indices(d))):
+    expand = bool(verdicts) and not invariant
+    scan = _scan(d, ts[-1], norm, threads, expand=expand)
+    for tri, weight in _chunks(scan, len(triangle_indices(d))):
         keys = norm_keys(tri, d, norm)
-        inball = [keys <= lim for lim in limits]
-        ball += [np.count_nonzero(b) for b in inball]
-        counts = [c + np.array([[np.count_nonzero(m & b) for b in inball] for m in fn(tri)])
+        inball = [np.where(keys <= lim, weight, 0) for lim in limits]
+        ball += [w.sum() for w in inball]
+        counts = [c + np.array([[w[m].sum() for w in inball] for m in fn(tri)])
                   for c, fn in zip(counts, verdicts)]
     return ball.tolist(), [c.tolist() for c in counts]
 
 
 def _chunks(batches, width: int):
-    """The triangles of the scan's batches, joined into chunks of at
-    least TALLY_ROWS rows; the last chunk may be short, and a scan with
-    no rows gives one empty chunk."""
-    pending, rows = [np.zeros((0, width), dtype=np.int64)], 0
-    for full in batches:
-        pending.append(full[:, :-1])
+    """The triangles and weights of the scan's batches, joined into
+    chunks of at least TALLY_ROWS rows; the last chunk may be short, and
+    a scan with no rows gives one empty chunk."""
+    empty = np.zeros((0, width), dtype=np.int64), np.zeros(0, dtype=np.int64)
+    pending, rows = [empty], 0
+    for full, weight in batches:
+        pending.append((full[:, :-1], weight))
         rows += full.shape[0]
         if rows >= TALLY_ROWS:
-            yield np.concatenate(pending)
+            yield tuple(np.concatenate(part) for part in zip(*pending))
             pending, rows = [], 0
     if pending:
-        yield np.concatenate(pending)
+        yield tuple(np.concatenate(part) for part in zip(*pending))
 
 
 def count_ball_grid(
@@ -501,14 +574,32 @@ class OrbitResult:
     visited: int
 
 
-def _elementary_generators(d: int) -> list[tuple[int, int, int]]:
-    return [
-        (i, j, s)
-        for i in range(d)
-        for j in range(d)
-        if i != j
-        for s in (1, -1)
-    ]
+def _elementary_generators(d: int) -> np.ndarray:
+    """(g, m, m) int64: the congruences q -> g' q g, g = I + s E_ij
+    (i != j, s = +-1), as linear maps of upper triangles, in the order
+    i, then j, then s = +1 before -1."""
+    idx = triangle_indices(d)
+    maps = []
+    for i, j, s in itertools.product(range(d), range(d), (1, -1)):
+        if i == j:
+            continue
+        cols = []
+        for c in range(len(idx)):
+            nxt = _symmetric(d, idx, [int(k == c) for k in range(len(idx))])
+            # column then row update
+            for r in range(d):
+                nxt[r][j] += s * nxt[r][i]
+            for r in range(d):
+                nxt[j][r] += s * nxt[i][r]
+            cols.append([nxt[a][b] for a, b in idx])
+        maps.append(np.array(cols, dtype=np.int64).T)
+    return np.array(maps)
+
+
+def _rows_as_keys(rows: np.ndarray) -> np.ndarray:
+    """One opaque key per int64 row, equal exactly when the rows are."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
 
 
 def orbit_enumerate(
@@ -524,8 +615,16 @@ def orbit_enumerate(
     both decided on integer norm keys (see key_limit).
     Best effort: points of the orbit inside the T-ball reachable only
     through states outside the slack corridor are missed, and exceeding
-    the state budget sets the partial flag.  Deduplication is exact, on
-    the triangle encoding, with unbounded integer arithmetic.
+    the state budget sets the partial flag.  Deduplication is exact.
+
+    The search runs a level at a time: every generator acts on the whole
+    frontier as int64 arrays, and the new states keep their first
+    discovery order (frontier order, then generator order), so states,
+    budget cut and partial flag are those of a one-state-at-a-time FIFO
+    search.  Each generator's inverse is a generator too, so a state
+    found from level k lies at level k - 1, k or k + 1, and only the
+    previous level and the frontier need checking for repeats.  Raises
+    OverflowError when an entry or a norm key could leave int64.
     """
     norm = _check_norm(norm)
     if slack < 1.0:
@@ -535,47 +634,42 @@ def orbit_enumerate(
     else:
         mat0 = [[int(x) for x in row] for row in np.asarray(q0)]
     d = len(mat0)
-    if _int_det(mat0) not in (1, -1):
-        raise ValueError("base form must have determinant +-1")
-    gens = _elementary_generators(d)
-    idx = triangle_indices(d)
-
-    def encode(m) -> tuple[int, ...]:
-        return tuple(m[i][j] for i, j in idx)
-
-    start = encode(mat0)
-    corridor = key_limit(slack * t, norm)
-    seen = {start}
-    queue = deque([mat0])
-    partial = False
-    while queue:
-        mat = queue.popleft()
-        for i, j, s in gens:
-            nxt = [row[:] for row in mat]
-            # g = I + s E_ij acting by congruence: column then row update
-            for r in range(d):
-                nxt[r][j] += s * nxt[r][i]
-            for c in range(d):
-                nxt[j][c] += s * nxt[i][c]
-            key = encode(nxt)
-            if key in seen:
-                continue
-            if _key_of_rows(nxt, norm) > corridor:
-                continue
-            if len(seen) >= max_states:
-                partial = True
-                queue.clear()
-                break
-            seen.add(key)
-            queue.append(nxt)
     det0 = _int_det(mat0)
-    lim = key_limit(t, norm)
-    forms = []
-    for key in sorted(seen):
-        rows = _symmetric(d, idx, key)
-        if _key_of_rows(rows, norm) <= lim:
-            nv = _norm_of_rows(rows, norm)
-            forms.append(
-                QuadraticForm(d=d, entries=key, det=det0, norm=nv, norm_kind=norm)
-            )
-    return OrbitResult(forms=tuple(forms), partial=partial, visited=len(seen))
+    if det0 not in (1, -1):
+        raise ValueError("base form must have determinant +-1")
+    idx = triangle_indices(d)
+    corridor = key_limit(slack * t, norm)
+    # a state is the start or lies in the corridor; one generator at most
+    # quadruples its largest entry
+    big = 4 * max([corridor if norm == "max" else math.isqrt(corridor)]
+                  + [abs(v) for row in mat0 for v in row])
+    if (big if norm == "max" else d * d * big * big) >= 2**63:
+        raise OverflowError("orbit entries too large for 64-bit arithmetic")
+    gens = _elementary_generators(d)
+    frontier = np.array([[mat0[i][j] for i, j in idx]], dtype=np.int64)
+    previous = frontier[:0]
+    levels, visited, partial = [frontier], 1, False
+    while frontier.shape[0] and not partial:
+        found = np.einsum("nk,gmk->ngm", frontier, gens).reshape(-1, len(idx))
+        found = found[norm_keys(found, d, norm) <= corridor]
+        _, first = np.unique(_rows_as_keys(found), return_index=True)
+        found = found[np.sort(first)]
+        found = found[~np.isin(_rows_as_keys(found),
+                               _rows_as_keys(np.concatenate([previous, frontier])))]
+        room = max(max_states - visited, 0)
+        if found.shape[0] > room:
+            found, partial = found[:room], True
+        visited += found.shape[0]
+        levels.append(found)
+        previous, frontier = frontier, found
+    states = np.concatenate(levels)
+    keys = norm_keys(states, d, norm)
+    inside = keys <= key_limit(t, norm)
+    states, keys = states[inside], keys[inside]
+    order = np.lexsort(states.T[::-1])
+    forms = tuple(
+        QuadraticForm(d=d, entries=tuple(row), det=det0, norm=_norm_of_key(key, norm),
+                      norm_kind=norm)
+        for row, key in zip(states[order].tolist(), keys[order].tolist())
+    )
+    return OrbitResult(forms=forms, partial=partial, visited=visited)

@@ -93,15 +93,9 @@ def sym2_eigvals_batch(mats: np.ndarray) -> np.ndarray:
     return np.stack([half + rad, half - rad], axis=1)
 
 
-def sym3_eigvals_batch(mats: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a stack of symmetric 3x3 matrices, shape (n, 3).
-
-    Trigonometric closed form plus Newton polish on the characteristic
-    polynomial.  The polynomial coefficients are exact whenever the
-    entries are integers well inside 2**53, so the polished roots carry
-    full relative accuracy even for badly scaled spectra.
-    """
-    m = np.asarray(mats, dtype=float)
+def _sym3_closed_form(m: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a float stack of symmetric 3x3 matrices by the
+    trigonometric closed form alone, shape (n, 3), largest first."""
     a00 = m[:, 0, 0]
     a11 = m[:, 1, 1]
     a22 = m[:, 2, 2]
@@ -135,26 +129,49 @@ def sym3_eigvals_batch(mats: np.ndarray) -> np.ndarray:
     e2 = 3.0 * q - e1 - e3
     eig = np.stack([e1, e2, e3], axis=1)
     eig[~safe] = q[~safe, None]
+    return eig
+
+
+def sym3_eigvals_batch(mats: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a stack of symmetric 3x3 matrices, shape (n, 3).
+
+    Trigonometric closed form plus two Newton steps on the characteristic
+    polynomial.  The polynomial coefficients are exact whenever the
+    entries are integers well inside 2**53, so the polished roots carry
+    full relative accuracy even for badly scaled spectra.  A step is
+    taken only where it cannot leave its own root: it must be shorter
+    than half the distance to the nearest other estimate.  Near a double
+    root the closed form's error can exceed the gap to the neighbouring
+    root, and there a longer step lands on that root or beyond it.
+    """
+    m = np.asarray(mats, dtype=float)
+    eig = _sym3_closed_form(m)
+    a00 = m[:, 0, 0]
+    a11 = m[:, 1, 1]
+    a22 = m[:, 2, 2]
+    a01 = m[:, 0, 1]
+    a02 = m[:, 0, 2]
+    a12 = m[:, 1, 2]
 
     # char poly x^3 - c2 x^2 + c1 x - c0, coefficients from the entries
-    c2 = a00 + a11 + a22
+    c2 = (a00 + a11 + a22)[:, None]
     c1 = (
         a00 * a11 - a01 * a01
         + a00 * a22 - a02 * a02
         + a11 * a22 - a12 * a12
-    )
+    )[:, None]
     c0 = (
         a00 * (a11 * a22 - a12 * a12)
         - a01 * (a01 * a22 - a12 * a02)
         + a02 * (a01 * a12 - a11 * a02)
-    )
+    )[:, None]
+
     for _ in range(2):
-        f = ((eig - c2[:, None]) * eig + c1[:, None]) * eig - c0[:, None]
-        fp = (3.0 * eig - 2.0 * c2[:, None]) * eig + c1[:, None]
+        f = ((eig - c2) * eig + c1) * eig - c0
+        fp = (3.0 * eig - 2.0 * c2) * eig + c1
+        # a double root makes fp vanish, and the closed form is fine there
         step = np.where(np.abs(fp) > 1e-30, f / np.where(fp == 0, 1.0, fp), 0.0)
-        # Newton is only trustworthy away from multiple roots; a double
-        # root makes fp vanish and the trig value is already fine there
-        scale = np.abs(eig) + np.abs(c2[:, None]) + 1.0
-        ok = np.abs(step) < 1e-3 * scale
-        eig = eig - np.where(ok, step, 0.0)
+        g01, g02, g12 = (np.abs(eig[:, a] - eig[:, b]) for a, b in ((0, 1), (0, 2), (1, 2)))
+        nearest = np.stack([np.minimum(g01, g02), np.minimum(g01, g12), np.minimum(g02, g12)], axis=1)
+        eig = eig - np.where(np.abs(step) < 0.5 * nearest, step, 0.0)
     return eig

@@ -433,12 +433,19 @@ def with_fit(series: CountSeries, b_fixed: int = 1) -> CountSeries:
 
 
 def count_sector(t_grid, spec: SectorSpec, threads: int | None = None) -> CountSeries:
-    """Stream the ball at max(T), classify once per form, bin by threshold."""
+    """Stream the ball at max(T), classify, bin by threshold.
+
+    A full-frame verdict reads only the spectrum, which conjugation by a
+    signed permutation keeps, so it classifies once per orbit and counts
+    the orbit's size; a cap or anticap verdict reads the top eigenvector,
+    which the group moves, so it classifies once per form.
+    """
     d = spec.block.d
     ts = enumeration.t_grid_values(t_grid)
     # _classify_batch is looked up per call, so a patched one is the one run
     _, [(counts, degs)] = enumeration.tally(
-        d, ts, spec.norm, [lambda tri: _classify_batch(tri, d, spec)], threads
+        d, ts, spec.norm, [lambda tri: _classify_batch(tri, d, spec)], threads,
+        invariant=isinstance(spec.frame_constraint, FullFrame),
     )
     series = CountSeries(
         t_grid=tuple(ts),

@@ -72,7 +72,8 @@ def t40_scan():
     """Ball and (+,+,-) sector counts from one scan to T = 40, and its time."""
     t0 = time.monotonic()
     ball, [(members, _)] = tally(
-        3, THRESHOLDS, "max", _sign_verdicts([make_spec((1, 1, 1), ["+", "+", "-"])]), threads=1
+        3, THRESHOLDS, "max", _sign_verdicts([make_spec((1, 1, 1), ["+", "+", "-"])]), threads=1,
+        invariant=True,
     )
     return [float(c) for c in ball], [float(c) for c in members], time.monotonic() - t0
 
@@ -158,7 +159,8 @@ def test_criterion_03(t40_scan):
     fit = fit_exponent((THRESHOLDS, sector_counts))
     slope_ok = 2.6 <= fit.a <= 3.4
     bounded = all(s <= b for s, b in zip(sector_counts, ball))
-    [total], counts = tally(3, [10.0], "max", _sign_verdicts(sign_pattern_specs(3)), threads=1)
+    [total], counts = tally(3, [10.0], "max", _sign_verdicts(sign_pattern_specs(3)), threads=1,
+                            invariant=True)
     members = [c[0][0] for c in counts]
     degs = {c[1][0] for c in counts}
     audit_ok = len(degs) == 1 and sum(members) + degs.pop() == total

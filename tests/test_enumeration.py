@@ -1,5 +1,6 @@
 """Enumeration correctness against box-scan oracles, plus orbit closure."""
 
+import collections
 import functools
 import itertools
 import math
@@ -12,9 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_force_forms
-from qfsectors import enumeration
+from qfsectors import enumeration, sector
 from qfsectors.enumeration import (
     NORMS,
+    ORBIT_STATE_BUDGET,
     TALLY_ROWS,
     QuadraticForm,
     _det_split,
@@ -185,9 +187,26 @@ def test_every_count_rejects_a_non_finite_threshold(bad):
 
 
 def _scan_rows(d, t, norm, lex):
-    """Every row of one scan, in the order the scan emits them."""
+    """Every row of one scan, in the order the scan emits them; the
+    reduced scan expands each canonical row to its orbit."""
     empty = np.zeros((0, len(triangle_indices(d)) + 1), dtype=np.int64)
-    return np.concatenate([empty, *_scan(d, t, norm, None, lex=lex)])
+    batches = _scan(d, t, norm, None, lex=lex, expand=True)
+    return np.concatenate([empty, *(full for full, _ in batches)])
+
+
+def _signed_permutations(d):
+    """Every signed permutation matrix of size d, built without the package."""
+    return np.array([np.diag(s)[list(p)] for p in itertools.permutations(range(d))
+                     for s in itertools.product((1, -1), repeat=d)])
+
+
+def _images(tri, d):
+    """(n, group, d, d): each upper triangle's conjugates by the group."""
+    group = _signed_permutations(d)
+    mats = np.zeros((len(tri), d, d), dtype=np.int64)
+    for c, (i, j) in enumerate(triangle_indices(d)):
+        mats[:, i, j] = mats[:, j, i] = tri[:, c]
+    return np.einsum("gik,nkl,gjl->ngij", group, mats, group)
 
 
 @st.composite
@@ -230,9 +249,8 @@ def test_tally_over_the_reduced_scan_equals_the_full_traversal(norm, k):
         assert tally(3, grid, norm, verdicts) == reduced
 
 
-def test_tally_solves_at_most_a_sixth_of_the_box(monkeypatch):
-    """At entry bound 12 the box of free entries holds 25**5 grid points;
-    the scan over R solves about an eighth of them."""
+def _counting_solves(monkeypatch):
+    """Patch _det_split to record the grid points of every solve."""
     solved = []
 
     def counted(m):
@@ -240,13 +258,35 @@ def test_tally_solves_at_most_a_sixth_of_the_box(monkeypatch):
         solved.append(np.broadcast(minor, const).size)
         return minor, const
 
-    expected = len(_scan_rows(3, 12.5, "max", lex=True))
     monkeypatch.setattr(enumeration, "_det_split", counted)
+    return solved
+
+
+def test_tally_solves_at_most_a_sixth_of_the_box(monkeypatch):
+    """At entry bound 12 the box of free entries holds 25**5 grid points;
+    the scan over R solves about an eighth of them."""
+    expected = len(_scan_rows(3, 12.5, "max", lex=True))
+    solved = _counting_solves(monkeypatch)
     assert tally(3, [12.5], "max")[0] == [expected]
-    assert 0 < sum(solved) <= 25**5 / 6
+    assert sum(solved) == 1_373_125 <= 25**5 / 6
     solved.clear()
     _scan_rows(3, 12.5, "max", lex=True)
     assert sum(solved) == 25**5
+
+
+@pytest.mark.parametrize("t", (14.0, 48.0))
+def test_runs_solve_at_most_twice_the_frobenius_points_of_single_cells(monkeypatch, t):
+    """A run takes its grid spans from its smallest |q12|, so under the
+    frobenius norm it solves a looser box than one cell at a time would,
+    in fewer solves; the count is the same either way."""
+    solved = _counting_solves(monkeypatch)
+    grouped = count_ball(3, t, "frobenius")
+    runs, points = len(solved), sum(solved)
+    solved.clear()
+    # a budget of one point leaves every run a single value
+    monkeypatch.setattr(enumeration, "SCAN_POINTS", 1)
+    assert count_ball(3, t, "frobenius") == grouped
+    assert runs < len(solved) and sum(solved) <= points <= 2 * sum(solved)
 
 
 def test_each_batch_is_whole_orbits_with_a_canonical_row_in_r():
@@ -257,17 +297,11 @@ def test_each_batch_is_whole_orbits_with_a_canonical_row_in_r():
     d, t = 3, 3.5
     idx = triangle_indices(d)
     rank = [idx.index((i, i)) for i in range(d)] + [c for c, (i, j) in enumerate(idx) if i < j]
-    group = np.array([np.diag(s)[list(p)] for p in itertools.permutations(range(d))
-                      for s in itertools.product((1, -1), repeat=d)])
     seen = set()
-    for batch in _scan(d, t, "max", None):
+    for batch, _ in _scan(d, t, "max", None, expand=True):
         tri = batch[:, :-1]
-        mats = np.zeros((len(tri), d, d), dtype=np.int64)
-        for c, (i, j) in enumerate(idx):
-            mats[:, i, j] = mats[:, j, i] = tri[:, c]
-        images = np.einsum("gik,nkl,gjl->ngij", group, mats, group)
         rows = set(map(tuple, tri.tolist()))
-        for orbit_images in images:
+        for orbit_images in _images(tri, d):
             orbit = {tuple(int(m[i, j]) for i, j in idx) for m in orbit_images}
             assert orbit <= rows
             assert 24 % len(orbit) == 0
@@ -277,6 +311,69 @@ def test_each_batch_is_whole_orbits_with_a_canonical_row_in_r():
         assert not rows & seen
         seen |= rows
     assert len(seen) == count_ball(d, t)
+
+
+@pytest.mark.parametrize("norm", NORMS)
+@pytest.mark.parametrize("d,t", ((2, 6.5), (3, 3.5), (4, 2.0)))
+def test_each_canonical_row_weighs_its_orbit_size(d, t, norm):
+    """With the group built here: every row of the reduced scan weighs
+    the number of its distinct images, and the weights add up to the
+    full traversal's row count."""
+    idx = triangle_indices(d)
+    total = 0
+    for full, weight in _scan(d, t, norm, None):
+        sizes = [len({tuple(int(m[i, j]) for i, j in idx) for m in orbit})
+                 for orbit in _images(full[:, :-1], d)]
+        assert weight.tolist() == sizes
+        total += int(weight.sum())
+    assert total == len(_scan_rows(d, t, norm, lex=True))
+
+
+def _full_traversal():
+    """Counts made inside this patch run over the full traversal, where
+    every row weighs 1."""
+    return mock.patch.object(enumeration, "_scan", functools.partial(_scan, lex=True))
+
+
+@pytest.mark.parametrize("norm", NORMS)
+def test_weighted_tally_equals_the_full_traversal_in_d3(norm):
+    """The eight exact sign verdicts and the windowed (1,2) float verdict
+    see only canonical rows; a cap, which is not constant on orbits,
+    takes the expanded rows through count_sector."""
+    grid = [1.0, 4.0, 6.5] if norm == "max" else [1.0, math.sqrt(20), math.sqrt(60)]
+    specs = sign_pattern_specs(3) + [
+        make_spec((1, 2), ["+", (1, 1)], norm="frobenius", block_window=0.6)]
+    verdicts = [functools.partial(_classify_batch, d=3, spec=spec) for spec in specs]
+    cap = make_spec((1, 1, 1), ["+", "+", "-"], frame=Cap((0, 0, 1), 0.8), norm=norm)
+    weighted, expanded = tally(3, grid, norm, verdicts, invariant=True), count_sector(grid, cap)
+    with _full_traversal():
+        assert tally(3, grid, norm, verdicts) == weighted
+        assert count_sector(grid, cap) == expanded
+    assert expanded.values[-1] > 0
+
+
+def test_weighted_tally_equals_the_full_traversal_in_d4(monkeypatch):
+    """The sixteen d=4 sign verdicts over 2,648 canonical rows count what
+    they count over the 464,924 forms of the T=2.5 ball.  On the full
+    traversal each chunk's spectrum is solved once and shared by the
+    sixteen verdicts, which would each solve the same one."""
+    grid = [1.5, 2.0, 2.5]
+    verdicts = [functools.partial(_classify_batch, d=4, spec=spec) for spec in sign_pattern_specs(4)]
+    weighted = tally(4, grid, "max", verdicts, invariant=True)
+    solve = sector._eigvals_batch
+    shared = {}
+
+    def once(mats):
+        key = mats.tobytes()
+        if key not in shared:
+            shared.clear()
+            shared[key] = solve(mats)
+        return shared[key].copy()
+
+    monkeypatch.setattr(sector, "_eigvals_batch", once)
+    with _full_traversal():
+        assert tally(4, grid, "max", verdicts) == weighted
+    assert weighted[0] == [16700, 16700, 464924]
 
 
 # the d = 4 grid is the one _d4_sign_sectors scans, so its series are shared
@@ -291,7 +388,7 @@ def test_one_tally_counts_the_ball_and_every_sign_sector(d, norm):
     grid = TALLY_GRIDS[d]
     specs = sign_pattern_specs(d, norm=norm)
     verdicts = [functools.partial(_classify_batch, d=d, spec=spec) for spec in specs]
-    ball, counts = tally(d, grid, norm, verdicts)
+    ball, counts = tally(d, grid, norm, verdicts, invariant=True)
     assert ball == count_ball_grid(d, grid, norm)
     series = _sign_sector_series(d, norm, grid)
     assert counts == [[[int(v) for v in s.values], list(s.degenerate)] for s in series]
@@ -308,15 +405,20 @@ def test_tally_of_an_empty_ball_still_counts_each_verdict():
 
 
 def test_tally_calls_each_verdict_once_per_chunk_of_at_least_tally_rows():
-    sizes = []
+    """Chunks hold the canonical rows of the reduced scan, or with a
+    verdict that is not invariant, every form of the ball."""
+    for invariant, t in ((True, 14.0), (False, 6.0)):
+        sizes = []
 
-    def verdict(tri):
-        sizes.append(tri.shape[0])
-        return (np.ones(tri.shape[0], dtype=bool),)
+        def verdict(tri):
+            sizes.append(tri.shape[0])
+            return (np.ones(tri.shape[0], dtype=bool),)
 
-    ball, [[every]] = tally(3, [3.0, 6.0], "max", [verdict])
-    assert len(sizes) > 2 and min(sizes[:-1]) >= TALLY_ROWS
-    assert sum(sizes) == ball[-1] and every == ball
+        ball, [[every]] = tally(3, [3.0, t], "max", [verdict], invariant=invariant)
+        assert len(sizes) > 2 and min(sizes[:-1]) >= TALLY_ROWS
+        rows = sum(len(full) for full, _ in _scan(3, t, "max", None, expand=not invariant))
+        assert sum(sizes) == rows and every == ball
+        assert (rows < ball[-1]) if invariant else (rows == ball[-1])
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -431,6 +533,76 @@ def test_orbit_of_identity_reaches_the_frobenius_boundary(k):
     orb = orbit_enumerate(np.eye(3, dtype=int), t, norm="frobenius")
     assert not orb.partial
     assert {f.entries for f in orb.forms} == positive
+
+
+def _fifo_orbit(q0, t, slack, norm, max_states):
+    """The one-state-at-a-time FIFO search over Python lists, as the
+    package ran it before its search went a level at a time: the oracle
+    for the states, the budget cut and the partial flag."""
+    mat0 = [[int(x) for x in row] for row in np.asarray(q0)]
+    d = len(mat0)
+    idx = triangle_indices(d)
+    gens = [(i, j, s) for i in range(d) for j in range(d) if i != j for s in (1, -1)]
+
+    def key_of(m):
+        cells = [v for row in m for v in row]
+        return max(map(abs, cells)) if norm == "max" else sum(v * v for v in cells)
+
+    corridor = enumeration.key_limit(slack * t, norm)
+    seen = {tuple(mat0[i][j] for i, j in idx)}
+    queue = collections.deque([mat0])
+    partial = False
+    while queue:
+        mat = queue.popleft()
+        for i, j, s in gens:
+            nxt = [row[:] for row in mat]
+            for r in range(d):
+                nxt[r][j] += s * nxt[r][i]
+            for c in range(d):
+                nxt[j][c] += s * nxt[i][c]
+            key = tuple(nxt[a][b] for a, b in idx)
+            if key in seen or key_of(nxt) > corridor:
+                continue
+            if len(seen) >= max_states:
+                partial = True
+                queue.clear()
+                break
+            seen.add(key)
+            queue.append(nxt)
+    lim = enumeration.key_limit(t, norm)
+    inside = [k for k in sorted(seen) if key_of(enumeration._symmetric(d, idx, k)) <= lim]
+    return inside, partial, len(seen)
+
+
+ORBIT_BASES = ([[1, 0], [0, 1]], [[1, 0], [0, -1]], [[0, 1], [1, 0]], np.eye(3, dtype=int),
+               np.diag([1, 1, -1]), [[0, 1, 0], [1, 0, 0], [0, 0, -1]], [[2, 1, 0], [1, 1, 0], [0, 0, 1]],
+               np.eye(4, dtype=int))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    base=st.sampled_from(ORBIT_BASES),
+    norm=st.sampled_from(NORMS),
+    t=st.sampled_from((1.5, 2.0, 2.5, math.sqrt(7))),
+    slack=st.sampled_from((1.0, 1.5, 2.0)),
+    max_states=st.one_of(st.integers(0, 60), st.just(ORBIT_STATE_BUDGET)),
+)
+def test_orbit_search_matches_the_fifo_search(base, norm, t, slack, max_states):
+    got = orbit_enumerate(np.array(base), t, slack, norm, max_states)
+    forms, partial, visited = _fifo_orbit(base, t, slack, norm, max_states)
+    assert [f.entries for f in got.forms] == forms
+    assert (got.partial, got.visited) == (partial, visited)
+    ref = [QuadraticForm.from_matrix(f.matrix(), norm) for f in got.forms]
+    assert list(got.forms) == ref
+
+
+def test_orbit_raises_before_an_entry_leaves_int64():
+    with pytest.raises(OverflowError):
+        orbit_enumerate(np.eye(3, dtype=int), 2.0**62)
+    with pytest.raises(OverflowError):
+        orbit_enumerate([[2**62, 1], [1, 0]], 2.0)
+    with pytest.raises(OverflowError):
+        orbit_enumerate(np.eye(3, dtype=int), 2.0**29, norm="frobenius")
 
 
 def test_orbit_guards_and_budget():

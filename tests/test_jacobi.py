@@ -5,6 +5,7 @@ import pytest
 
 from qfsectors.enumeration import enumerate_forms
 from qfsectors.jacobi import (
+    _sym3_closed_form,
     jacobi_eigh,
     slot_order,
     sym2_eigvals_batch,
@@ -108,3 +109,27 @@ def test_sym3_handles_repeated_eigenvalues():
     eig = np.sort(sym3_eigvals_batch(mats), axis=1)
     assert np.allclose(eig[0], [1.0, 1.0, 1.0], atol=1e-13)
     assert np.allclose(eig[1], [-1.0, 2.0, 2.0], atol=1e-13)
+
+
+@pytest.mark.parametrize("big", (4.0, 5.0, 8.0))
+def test_sym3_polish_keeps_a_near_tied_small_pair(big):
+    """k diag(e^L, e^(-L/2 + g/2), e^(-L/2 - g/2)) k^T, g log-uniform in
+    [1e-6, 0.1]: the closed form misses the small pair by far more than
+    their gap, so a Newton step can cross to the other root or past
+    zero.  The polish changes no sign and worsens no log|eigenvalue|."""
+    rng = np.random.default_rng(int(big))
+    n = 20_000
+    gap = np.exp(rng.uniform(np.log(1e-6), np.log(0.1), n))
+    lam = np.stack([np.full(n, np.exp(big)), np.exp((gap - big) / 2), np.exp(-(gap + big) / 2)], axis=1)
+    k, r = np.linalg.qr(rng.standard_normal((n, 3, 3)))
+    k = k * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
+    mats = np.einsum("nij,nj,nkj->nik", k, lam, k)
+    ref = np.linalg.eigvalsh(mats)
+    got = np.sort(sym3_eigvals_batch(mats), axis=1)
+    raw = np.sort(_sym3_closed_form(mats), axis=1)
+    assert np.array_equal(np.sign(got), np.sign(ref))
+
+    def worst(eig):
+        return np.max(np.abs(np.log(np.abs(eig)) - np.log(np.abs(ref))))
+
+    assert worst(got) <= worst(raw)
