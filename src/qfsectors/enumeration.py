@@ -37,12 +37,11 @@ it, with the key ordered diagonal first, then the off-diagonal entries
 in triangle order; every orbit has exactly one canonical row, and it
 lies in R.  The counts take each canonical row once, weighted by its
 orbit size.  A verdict that is not constant on orbits (a cap frame
-reads the top eigenvector, which the group moves) sees each canonical
-row expanded to its distinct images instead, so it sees each form of
-the ball exactly once, in no particular order within a batch.
-iter_form_batches, enumerate_forms and the CLI's enumerate promise rows
-in lexicographic order, so they keep the full traversal of the same
-kernel.
+reads the top eigenvector, which the group moves) gets the weights
+too, and counts how many forms of each orbit it accepts itself (see
+sector.count_sector).  iter_form_batches, enumerate_forms and the CLI's
+enumerate promise rows in lexicographic order, so they keep the full
+traversal of the same kernel.
 
 Supported norms: "max" (largest absolute entry) and "frobenius" (entry
 2-norm of the full symmetric matrix).  Thresholds are strict: norm < T,
@@ -225,91 +224,74 @@ def _det_split(m):
 
 
 @functools.lru_cache(maxsize=None)
-def _orbit_tables(d: int):
-    """The signed permutations mod +-I acting on upper triangles.
+def signed_permutations(d: int) -> np.ndarray:
+    """(g, d, d) int64: the signed permutation matrices P with
+    P[i, perm[i]] = s_i and s_0 = 1, one of each pair +-P, so one per
+    element of the group mod -I; element 0 is the identity.  P acts on
+    forms as Q -> P Q P^T and on their eigenvectors as v -> P v."""
+    mats = np.zeros((math.factorial(d) * 2 ** (d - 1), d, d), dtype=np.int64)
+    elements = itertools.product(itertools.permutations(range(d)),
+                                 itertools.product((1, -1), repeat=d - 1))
+    for p, (perm, tail) in zip(mats, elements):
+        p[range(d), perm] = (1,) + tail
+    mats.flags.writeable = False  # every caller shares it
+    return mats
 
-    Element g maps a triangle x to (g.x)[c] = signs[g, c] * x[cols[g, c]];
-    element 0 is the identity.  weights ranks the columns in the
-    canonical order (the diagonal first, then the off-diagonal entries in
-    triangle order) by powers of two, so sign(y - x) @ weights is
-    positive, zero or negative as y is lexicographically above, equal to
-    or below x, whatever the size of the entries: each weight exceeds the
-    sum of all lower ones.
-    earlier[g, h] says that g.h comes before g in the enumeration.
+
+@functools.lru_cache(maxsize=None)
+def _orbit_tables(d: int):
+    """The group of signed_permutations acting on upper triangles.
+
+    Element g maps a triangle x to (g.x)[c] = signs[g, c] * x[cols[g, c]].
+    weights ranks the columns in the canonical order (the diagonal first,
+    then the off-diagonal entries in triangle order) by powers of two, so
+    sign(y - x) @ weights is positive, zero or negative as y is
+    lexicographically above, equal to or below x, whatever the size of
+    the entries: each weight exceeds the sum of all lower ones.
     """
     tri = triangle_indices(d)
-    pos = {ij: c for c, ij in enumerate(tri)}
-    maps = []
-    for perm in itertools.permutations(range(d)):
-        for tail in itertools.product((1, -1), repeat=d - 1):
-            s = (1,) + tail
-            maps.append((tuple(pos[tuple(sorted((perm[i], perm[j])))] for i, j in tri),
-                         tuple(s[i] * s[j] for i, j in tri)))
-    cols, signs = (np.array(a, dtype=np.int64) for a in zip(*maps))
-    # (g.(h.x))[c] = signs[g, c] * signs[h, cols[g, c]] * x[cols[h, cols[g, c]]];
-    # an element is found by its code, which lists its columns and signs
-    radix = 2 * len(tri)
-    place = radix ** np.arange(len(tri), dtype=np.int64)
-
-    def code(c, s):
-        return (2 * c + (s < 0)) @ place
-
-    codes = code(cols, signs)
-    ranked = np.argsort(codes)
-    composed = code(cols[:, cols].transpose(1, 0, 2),
-                    signs[:, None, :] * signs[:, cols].transpose(1, 0, 2))
-    index = ranked[np.searchsorted(codes[ranked], composed)]
-    earlier = index < np.arange(len(maps))[:, None]
-    key = [pos[(i, i)] for i in range(d)] + [c for c, (i, j) in enumerate(tri) if i < j]
+    group = signed_permutations(d)
+    # (P Q P^T)[i, j] = s_i s_j Q[perm[i], perm[j]]
+    perm, s = np.argmax(np.abs(group), axis=2), group.sum(axis=2)
+    column = np.zeros((d, d), dtype=np.int64)
+    for c, (i, j) in enumerate(tri):
+        column[i, j] = column[j, i] = c
+    rows, cols = np.array(tri).T
+    cols, signs = column[perm[:, rows], perm[:, cols]], s[:, rows] * s[:, cols]
+    key = [tri.index((i, i)) for i in range(d)] + [c for c, (i, j) in enumerate(tri) if i < j]
     weights = np.zeros(len(tri), dtype=np.int64)
     weights[key] = 2 ** np.arange(len(tri) - 1, -1, -1)
-    tables = cols, signs, weights, earlier
+    tables = cols, signs, weights
     for a in tables:  # every caller shares them
         a.flags.writeable = False
     return tables
 
 
-def _orbits(full: np.ndarray, d: int, expand: bool = False):
+def _orbits(full: np.ndarray, d: int):
     """The canonical rows of full (triangle, then det) and their weights.
 
     A row is canonical when no image under the group is above it in the
     canonical order.  Its weight is its orbit size, the number of its
     distinct images: the group order over the order of its stabilizer,
-    the elements g with g.x = x.  With expand, each canonical row is
-    replaced by its distinct images instead, each of weight 1; the image
-    g.x repeats an earlier one exactly when g.h comes before g for some h
-    that fixes x.
+    the elements g with g.x = x.
     """
-    cols, signs, weights, earlier = _orbit_tables(d)
+    cols, signs, weights = _orbit_tables(d)
     tri = full[:, :-1]
-    images = tri[:, cols] * signs
-    order = np.sign(images - tri[:, None, :]) @ weights
+    order = np.sign(tri[:, cols] * signs - tri[:, None, :]) @ weights
     canon = np.all(order <= 0, axis=1)
-    fixes = order[canon] == 0
-    if not expand:
-        return full[canon], len(cols) // np.count_nonzero(fixes, axis=1)
-    fresh = np.ones(fixes.shape, dtype=bool)
-    # most rows are fixed by the identity alone, and all their images are distinct
-    stabilized = np.any(fixes[:, 1:], axis=1)
-    fresh[stabilized] = ~np.any(fixes[stabilized, None, :] & earlier, axis=2)
-    out = np.empty((np.count_nonzero(fresh), full.shape[1]), dtype=np.int64)
-    out[:, :-1] = images[canon].reshape(-1, tri.shape[1])[fresh.ravel()]
-    out[:, -1] = np.repeat(full[canon, -1], np.count_nonzero(fresh, axis=1))
-    return out, np.ones(out.shape[0], dtype=np.int64)
+    return full[canon], len(cols) // np.count_nonzero(order[canon] == 0, axis=1)
 
 
-def _scan(d: int, t: float, norm: str, threads: int | None, lex: bool = False,
-          expand: bool = False):
+def _scan(d: int, t: float, norm: str, threads: int | None, lex: bool = False):
     """Batches (full, weight): full is (n, d(d+1)/2 + 1) int64, the
     triangle then det, and weight (n,) int64 is how many forms each row
     stands for.
 
     By default the scan visits only the region R of the module docstring
     and each batch holds canonical rows weighted by their orbit sizes, in
-    no particular order; with expand each canonical row is replaced by
-    its distinct images, each of weight 1.  With lex it traverses the
-    whole box in lexicographic order, one cell at a time for d >= 3,
-    each batch sorted and each row of weight 1 (expand changes nothing).
+    no particular order.  With lex it traverses the whole box in
+    lexicographic order, one cell at a time for d >= 3, each batch
+    sorted and each row of weight 1.
     Either way every emitted row's determinant is recomputed in full
     before it leaves.
 
@@ -446,7 +428,7 @@ def _scan(d: int, t: float, norm: str, threads: int | None, lex: bool = False,
                     weight = np.ones(full.shape[0], dtype=np.int64)
                 else:
                     # the last bound of R: q_dd <= q_(d-1)(d-1)
-                    full, weight = _orbits(full[full[:, -2] <= full[:, penultimate]], d, expand)
+                    full, weight = _orbits(full[full[:, -2] <= full[:, penultimate]], d)
                 if not full.shape[0]:
                     continue
                 # the audit recomputes each row's determinant in full
@@ -507,34 +489,29 @@ def t_grid_values(t_grid) -> list[float]:
     return ts
 
 
-def tally(d: int, t_grid, norm: str, verdicts=(), threads: int | None = None, *,
-          invariant: bool = False):
+def tally(d: int, t_grid, norm: str, verdicts=(), threads: int | None = None):
     """One scan at max(T) binned by every threshold.
 
-    Each verdict maps a batch of upper triangles (int64) to a tuple of
-    boolean masks.  With invariant, the caller states that every verdict
-    is constant on the orbits of the signed permutations (true of every
-    verdict that reads only the spectrum), so the verdicts see the
-    canonical rows alone and each row counts its orbit size.  Otherwise
-    each verdict sees every form of the ball once, in no particular
-    order, and so counts what it would over the full traversal; without
-    verdicts there is nothing to expand.  The rows are joined into
-    chunks of at least TALLY_ROWS rows (the last may be shorter), and
-    each chunk gets one norm-key pass and one call per verdict; an empty
-    ball is one empty chunk.  Returns the ball count per T and, per
-    verdict, the count of each of its masks per T.
+    The scan gives canonical rows, each standing for the forms of its
+    orbit, and their weights, the orbit sizes.  Each verdict maps a
+    batch of upper triangles (int64) and their weights to a tuple of
+    per-row counts: how many of the forms a row stands for it counts.  A
+    verdict that reads only the spectrum, which the group keeps, counts
+    mask * weight; sector.count_sector's verdicts do the rest.  The rows
+    are joined into chunks of at least TALLY_ROWS rows (the last may be
+    shorter), and each chunk gets one norm-key pass and one call per
+    verdict; an empty ball is one empty chunk.  Returns the ball count
+    per T and, per verdict, the sum of each of its counts per T.
     """
     norm = _check_norm(norm)
     ts = t_grid_values(t_grid)
     limits = [key_limit(t, norm) for t in ts]
     ball, counts = np.zeros(len(ts), dtype=np.int64), [0] * len(verdicts)
-    expand = bool(verdicts) and not invariant
-    scan = _scan(d, ts[-1], norm, threads, expand=expand)
-    for tri, weight in _chunks(scan, len(triangle_indices(d))):
+    for tri, weight in _chunks(_scan(d, ts[-1], norm, threads), len(triangle_indices(d))):
         keys = norm_keys(tri, d, norm)
-        inball = [np.where(keys <= lim, weight, 0) for lim in limits]
-        ball += [w.sum() for w in inball]
-        counts = [c + np.array([[w[m].sum() for w in inball] for m in fn(tri)])
+        inball = [keys <= lim for lim in limits]
+        ball += [weight[m].sum() for m in inball]
+        counts = [c + np.array([[n[m].sum() for m in inball] for n in fn(tri, weight)])
                   for c, fn in zip(counts, verdicts)]
     return ball.tolist(), [c.tolist() for c in counts]
 

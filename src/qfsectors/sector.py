@@ -15,11 +15,15 @@ are decided exactly, from the integer characteristic polynomial alone
 (_sign_sector_d3).  Every other batch, and every single form, takes the
 float path: eigenvalues from the closed forms with near-ties rerun
 through Jacobi, and a strict inequality within TIE_TOL counts as a tie.
-TIE_TOL governs only the float paths.
+TIE_TOL governs only the float paths.  count_sector classifies each
+signed-permutation orbit once with the frame left out (so a framed d = 3
+sign sector is decided exactly up to its frame), and tests a cap on the
+group's images of the orbit's top eigenvector.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -59,10 +63,15 @@ class Cap:
 
     def __post_init__(self) -> None:
         v = np.asarray(self.axis, dtype=float)
-        n = float(np.linalg.norm(v))
-        if n == 0.0:
+        if v.ndim != 1 or not np.all(np.isfinite(v)):
+            raise ValueError("cap axis must be a vector of finite numbers")
+        big = float(np.max(np.abs(v), initial=0.0))
+        if big == 0.0:
             raise ValueError("cap axis must be nonzero")
-        object.__setattr__(self, "axis", tuple(v / n))
+        # scaled by its largest |component| first, the norm neither
+        # overflows nor underflows
+        v = v / big
+        object.__setattr__(self, "axis", tuple(v / np.linalg.norm(v)))
         if not 0.0 < self.angle < math.pi:
             raise ValueError("cap angle must lie in (0, pi)")
 
@@ -106,6 +115,10 @@ class SectorSpec:
             raise ValueError("block window must be positive when given")
         if self.norm not in enumeration.NORMS:
             raise ValueError("unknown norm")
+        frame = self.frame_constraint
+        if isinstance(frame, Cap) and len(frame.axis) != self.block.d:
+            raise ValueError(
+                f"a cap axis of length {len(frame.axis)} does not fit d = {self.block.d}")
 
     def digest(self) -> str:
         frame = self.frame_constraint
@@ -252,14 +265,20 @@ def _eigvals_batch(mats: np.ndarray) -> np.ndarray:
     return lam
 
 
+def _top_tied(lam_s: np.ndarray) -> np.ndarray:
+    """Rows whose top |eigenvalue| is within 1e-6 (relative) of the next."""
+    alam = np.abs(lam_s)
+    return alam[:, 0] - alam[:, 1] <= 1e-6 * alam[:, 0]
+
+
 def _top_vectors(mats: np.ndarray, lam_s: np.ndarray) -> np.ndarray:
     """Unit eigenvectors of lam_s[:, 0], the top |eigenvalue|, one per row.
 
     The eigenvector spans the kernel of A = Q - lam I: for d=3 it is the
     largest cross product of two rows of A, for d=2 a row of A turned by
-    a right angle.  Rows whose top |eigenvalue| is within 1e-6 (relative)
-    of the next, where the kernel is ill-conditioned or the slot order is
-    a tie-break, take spectral_data's Jacobi frame, as does d >= 4."""
+    a right angle.  _top_tied rows, where the kernel is ill-conditioned
+    or the slot order is a tie-break, take spectral_data's Jacobi frame,
+    as does d >= 4."""
     n, d = lam_s.shape
     vec = np.zeros((n, d))
     fallback = np.ones(n, dtype=bool)
@@ -273,25 +292,33 @@ def _top_vectors(mats: np.ndarray, lam_s: np.ndarray) -> np.ndarray:
         best = np.argmax(size, axis=1)
         top = size[np.arange(n), best]
         vec = cands[np.arange(n), best] / np.where(top > 0, top, 1.0)[:, None]
-        alam = np.abs(lam_s)
-        fallback = (top == 0) | (alam[:, 0] - alam[:, 1] <= 1e-6 * alam[:, 0])
+        fallback = (top == 0) | _top_tied(lam_s)
     for r in np.nonzero(fallback)[0]:
         vec[r] = spectral_data(mats[r]).frame[:, 0]
     return vec
+
+
+def _matrices(tri: np.ndarray, d: int) -> np.ndarray:
+    """Float symmetric matrices of a batch of upper triangles."""
+    mats = np.zeros((tri.shape[0], d, d))
+    for col, (i, j) in enumerate(enumeration.triangle_indices(d)):
+        mats[:, i, j] = mats[:, j, i] = tri[:, col]
+    return mats
+
+
+def _slot_spectrum(mats: np.ndarray) -> np.ndarray:
+    """Eigenvalues in |eigenvalue|-descending slot order, one row per matrix."""
+    lam = _eigvals_batch(mats)
+    return np.take_along_axis(lam, np.argsort(-np.abs(lam), axis=1, kind="stable"), axis=1)
 
 
 def _classify(tri: np.ndarray, d: int, spec: SectorSpec):
     """Verdicts for a batch of upper triangles: (member, degenerate) masks,
     the eigenvalues in |eigenvalue|-descending slot order and the block
     log means."""
-    mats = np.zeros((tri.shape[0], d, d))
-    for col, (i, j) in enumerate(enumeration.triangle_indices(d)):
-        mats[:, i, j] = mats[:, j, i] = tri[:, col]
-    lam = _eigvals_batch(mats)
-    alam = np.abs(lam)
-    order = np.argsort(-alam, axis=1, kind="stable")
-    lam_s = np.take_along_axis(lam, order, axis=1)
-    alam_s = np.take_along_axis(alam, order, axis=1)
+    mats = _matrices(tri, d)
+    lam_s = _slot_spectrum(mats)
+    alam_s = np.abs(lam_s)
     logs = np.log(np.maximum(alam_s, 1e-300))
     dims = np.asarray(spec.block.dims)
     starts = (0,) + spec.block.cuts
@@ -315,6 +342,36 @@ def _classify(tri: np.ndarray, d: int, spec: SectorSpec):
         tops = _top_vectors(mats[rows], lam_s[rows])
         member[rows] = spec.frame_constraint.accepts_rows(tops)
     return member, degenerate, lam_s, means
+
+
+def _orbit_frame_counts(mats: np.ndarray, weight: np.ndarray, frame: Cap) -> np.ndarray:
+    """How many forms of each row's orbit have a frame that frame accepts.
+
+    The image P Q P^T of a form Q under a signed permutation P has the
+    top eigenvector P v when Q has v.  The g = |G| elements of the group
+    reach each of the weight distinct images of Q from g / weight
+    elements, so the orbit holds weight * #{P : frame accepts P v} / g
+    accepted forms: an element that fixes Q fixes the line of v when the
+    top eigenvalue is simple.  A _top_tied row, whose top line may not be
+    a function of the form, takes the frame of each distinct image
+    P Q P^T from spectral_data instead, as classifying the images one by
+    one would.
+    A count that is not a whole number raises."""
+    n, d = mats.shape[:2]
+    group = enumeration.signed_permutations(d).astype(float)
+    lam_s = _slot_spectrum(mats)
+    tops = np.einsum("gij,nj->ngi", group, _top_vectors(mats, lam_s))
+    for r in np.nonzero(_top_tied(lam_s))[0]:
+        images = (group @ mats[r] @ group.transpose(0, 2, 1)).reshape(len(group), -1)
+        distinct, inverse = np.unique(images, axis=0, return_inverse=True)
+        own = [spectral_data(m.reshape(d, d)).frame[:, 0] for m in distinct]
+        tops[r] = np.array(own)[inverse.ravel()]
+    hits = frame.accepts_rows(tops.reshape(-1, d)).reshape(n, len(group)).sum(axis=1)
+    counts, rest = np.divmod(weight * hits, len(group))
+    if np.any(rest):
+        raise RuntimeError("internal orbit check failed: a frame verdict differs "
+                           "between group elements that give the same form")
+    return counts
 
 
 def _classify_batch(tri: np.ndarray, d: int, spec: SectorSpec):
@@ -432,21 +489,39 @@ def with_fit(series: CountSeries, b_fixed: int = 1) -> CountSeries:
     )
 
 
-def count_sector(t_grid, spec: SectorSpec, threads: int | None = None) -> CountSeries:
-    """Stream the ball at max(T), classify, bin by threshold.
+def tally_verdict(spec: SectorSpec):
+    """spec's verdict for enumeration.tally: (triangles, weights) to the
+    per-row counts of member and degenerate forms.
 
-    A full-frame verdict reads only the spectrum, which conjugation by a
-    signed permutation keeps, so it classifies once per orbit and counts
-    the orbit's size; a cap or anticap verdict reads the top eigenvector,
-    which the group moves, so it classifies once per form.
+    Each canonical row is classified once, with the frame left out:
+    degeneracy and the spectral conditions read only the spectrum, which
+    conjugation by a signed permutation keeps, so a row counts its
+    weight or nothing.  A cap or anticap reads the top eigenvector,
+    which the group moves, so each member row counts the forms of its
+    orbit that the frame accepts (_orbit_frame_counts).
     """
+    d, frame = spec.block.d, spec.frame_constraint
+    bare = dataclasses.replace(spec, frame_constraint=FullFrame())
+
+    def verdict(tri: np.ndarray, weight: np.ndarray):
+        # _classify_batch is looked up per call, so a patched one is the one run
+        member, degenerate = _classify_batch(tri, d, bare)
+        members = member * weight
+        if not isinstance(frame, FullFrame):
+            rows = np.nonzero(member)[0]
+            members[rows] = _orbit_frame_counts(_matrices(tri[rows], d), weight[rows], frame)
+        return members, degenerate * weight
+
+    return verdict
+
+
+def count_sector(t_grid, spec: SectorSpec, threads: int | None = None) -> CountSeries:
+    """Stream the ball at max(T), classify, bin by threshold: one
+    enumeration.tally with spec's tally_verdict, which classifies each
+    signed-permutation orbit once, framed or not."""
     d = spec.block.d
     ts = enumeration.t_grid_values(t_grid)
-    # _classify_batch is looked up per call, so a patched one is the one run
-    _, [(counts, degs)] = enumeration.tally(
-        d, ts, spec.norm, [lambda tri: _classify_batch(tri, d, spec)], threads,
-        invariant=isinstance(spec.frame_constraint, FullFrame),
-    )
+    _, [(counts, degs)] = enumeration.tally(d, ts, spec.norm, [tally_verdict(spec)], threads)
     series = CountSeries(
         t_grid=tuple(ts),
         values=tuple(float(c) for c in counts),

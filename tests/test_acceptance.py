@@ -24,11 +24,11 @@ from qfsectors.enumeration import enumerate_forms, orbit_enumerate, tally
 from qfsectors.rootdata import predict_exponent
 from qfsectors.sampling import derive_rng, random_special_linear
 from qfsectors.sector import (
-    _classify_batch,
     count_sector,
     fit_exponent,
     make_spec,
     sign_pattern_specs,
+    tally_verdict,
 )
 from qfsectors.volume import (
     context_for,
@@ -64,7 +64,7 @@ def criterion(num):
 
 
 def _sign_verdicts(specs):
-    return [functools.partial(_classify_batch, d=3, spec=spec) for spec in specs]
+    return [tally_verdict(spec) for spec in specs]
 
 
 @pytest.fixture(scope="module")
@@ -72,8 +72,7 @@ def t40_scan():
     """Ball and (+,+,-) sector counts from one scan to T = 40, and its time."""
     t0 = time.monotonic()
     ball, [(members, _)] = tally(
-        3, THRESHOLDS, "max", _sign_verdicts([make_spec((1, 1, 1), ["+", "+", "-"])]), threads=1,
-        invariant=True,
+        3, THRESHOLDS, "max", _sign_verdicts([make_spec((1, 1, 1), ["+", "+", "-"])]), threads=1
     )
     return [float(c) for c in ball], [float(c) for c in members], time.monotonic() - t0
 
@@ -159,8 +158,7 @@ def test_criterion_03(t40_scan):
     fit = fit_exponent((THRESHOLDS, sector_counts))
     slope_ok = 2.6 <= fit.a <= 3.4
     bounded = all(s <= b for s, b in zip(sector_counts, ball))
-    [total], counts = tally(3, [10.0], "max", _sign_verdicts(sign_pattern_specs(3)), threads=1,
-                            invariant=True)
+    [total], counts = tally(3, [10.0], "max", _sign_verdicts(sign_pattern_specs(3)), threads=1)
     members = [c[0][0] for c in counts]
     degs = {c[1][0] for c in counts}
     audit_ok = len(degs) == 1 and sum(members) + degs.pop() == total

@@ -33,7 +33,14 @@ from qfsectors.enumeration import (
     tally,
     triangle_indices,
 )
-from qfsectors.sector import Cap, _classify_batch, count_sector, make_spec, sign_pattern_specs
+from qfsectors.sector import (
+    Cap,
+    _classify_batch,
+    count_sector,
+    make_spec,
+    sign_pattern_specs,
+    tally_verdict,
+)
 from qfsectors.volume import context_pq, volume_series
 
 
@@ -187,11 +194,11 @@ def test_every_count_rejects_a_non_finite_threshold(bad):
 
 
 def _scan_rows(d, t, norm, lex):
-    """Every row of one scan, in the order the scan emits them; the
-    reduced scan expands each canonical row to its orbit."""
+    """Every row of one scan, in the order the scan emits them; each row
+    of the reduced scan is expanded to its orbit by the group built here."""
     empty = np.zeros((0, len(triangle_indices(d)) + 1), dtype=np.int64)
-    batches = _scan(d, t, norm, None, lex=lex, expand=True)
-    return np.concatenate([empty, *(full for full, _ in batches)])
+    batches = _scan(d, t, norm, None, lex=lex)
+    return np.concatenate([empty, *(full if lex else _expanded(full, d) for full, _ in batches)])
 
 
 def _signed_permutations(d):
@@ -207,6 +214,30 @@ def _images(tri, d):
     for c, (i, j) in enumerate(triangle_indices(d)):
         mats[:, i, j] = mats[:, j, i] = tri[:, c]
     return np.einsum("gik,nkl,gjl->ngij", group, mats, group)
+
+
+def _expanded(full, d):
+    """The distinct images of each row of full (triangle, then det) under
+    the group built here: row by row, each row's images in sorted order."""
+    i, j = np.array(triangle_indices(d)).T
+    tri = _images(full[:, :-1], d)[:, :, i, j]
+    n, g, k = tri.shape
+    keyed = np.concatenate([np.repeat(np.arange(n), g)[:, None], tri.reshape(-1, k),
+                            np.repeat(full[:, -1], g)[:, None]], axis=1)
+    return np.unique(keyed, axis=0)[:, 1:]
+
+
+def _per_form_counts(d, grid, norm, spec):
+    """Member and degenerate counts per T of the full traversal, each
+    form classified on its own: no orbit enters."""
+    members, degenerate = np.zeros(len(grid), dtype=np.int64), np.zeros(len(grid), dtype=np.int64)
+    limits = np.array([enumeration.key_limit(t, norm) for t in grid])
+    for tri, _, _ in iter_form_batches(d, grid[-1], norm):
+        inside = enumeration.norm_keys(tri, d, norm)[:, None] <= limits
+        member, degen = _classify_batch(tri, d, spec)
+        members += np.sum(inside & member[:, None], axis=0)
+        degenerate += np.sum(inside & degen[:, None], axis=0)
+    return members.tolist(), degenerate.tolist()
 
 
 @st.composite
@@ -235,18 +266,21 @@ def test_reduced_scan_emits_the_full_traversal(case):
 @settings(max_examples=12, deadline=None, derandomize=True)
 @given(norm=st.sampled_from(NORMS), k=st.integers(4, 30))
 def test_tally_over_the_reduced_scan_equals_the_full_traversal(norm, k):
-    """The eight sign verdicts (exact), a cap and a windowed (1,2) sector
-    (float) count the same over the reduced scan as over the full one."""
+    """The eight sign verdicts (exact) and a windowed (1,2) sector (float)
+    count the same over the reduced scan as over the full one; a cap,
+    counted per orbit, counts what classifying each form does."""
     top = math.sqrt(k) if norm == "frobenius" else k / 4
     grid = [1.0, (1.0 + top) / 2, top]
     specs = sign_pattern_specs(3) + [
-        make_spec((1, 1, 1), ["+", "+", "-"], frame=Cap((0, 0, 1), 0.8)),
         make_spec((1, 2), ["+", (1, 1)], norm="frobenius", block_window=0.6),
     ]
-    verdicts = [functools.partial(_classify_batch, d=3, spec=spec) for spec in specs]
+    verdicts = [tally_verdict(spec) for spec in specs]
     reduced = tally(3, grid, norm, verdicts)
     with mock.patch.object(enumeration, "_scan", functools.partial(_scan, lex=True)):
         assert tally(3, grid, norm, verdicts) == reduced
+    cap = make_spec((1, 1, 1), ["+", "+", "-"], frame=Cap((0, 0, 1), 0.8), norm=norm)
+    _, [counts] = tally(3, grid, norm, [tally_verdict(cap)])
+    assert counts == list(_per_form_counts(3, grid, norm, cap))
 
 
 def _counting_solves(monkeypatch):
@@ -290,26 +324,27 @@ def test_runs_solve_at_most_twice_the_frobenius_points_of_single_cells(monkeypat
 
 
 def test_each_batch_is_whole_orbits_with_a_canonical_row_in_r():
-    """With the group built here from signed permutation matrices: every
-    batch of the reduced d=3 scan is a union of whole orbits, each
-    orbit's maximum in the canonical order (diagonal first) lies in R,
-    and each orbit size divides 24, the order of the group mod -I."""
+    """With the group built here from signed permutation matrices: each
+    row of the reduced d=3 scan is its orbit's maximum in the canonical
+    order (diagonal first) and lies in R, each orbit size divides 24,
+    the order of the group mod -I, and the rows' orbits cover the ball,
+    each orbit once."""
     d, t = 3, 3.5
     idx = triangle_indices(d)
     rank = [idx.index((i, i)) for i in range(d)] + [c for c, (i, j) in enumerate(idx) if i < j]
     seen = set()
-    for batch, _ in _scan(d, t, "max", None, expand=True):
+    for batch, _ in _scan(d, t, "max", None):
         tri = batch[:, :-1]
-        rows = set(map(tuple, tri.tolist()))
-        for orbit_images in _images(tri, d):
+        for row, orbit_images in zip(map(tuple, tri.tolist()), _images(tri, d)):
             orbit = {tuple(int(m[i, j]) for i, j in idx) for m in orbit_images}
-            assert orbit <= rows
             assert 24 % len(orbit) == 0
-            top = dict(zip(idx, max(orbit, key=lambda e: [e[c] for c in rank])))
+            top = max(orbit, key=lambda e: [e[c] for c in rank])
+            assert row == top
+            top = dict(zip(idx, top))
             assert all(top[i, i] >= top[i + 1, i + 1] for i in range(d - 1))
             assert all(top[0, j] >= 0 for j in range(1, d))
-        assert not rows & seen
-        seen |= rows
+            assert not orbit & seen
+            seen |= orbit
     assert len(seen) == count_ball(d, t)
 
 
@@ -339,17 +374,19 @@ def _full_traversal():
 def test_weighted_tally_equals_the_full_traversal_in_d3(norm):
     """The eight exact sign verdicts and the windowed (1,2) float verdict
     see only canonical rows; a cap, which is not constant on orbits,
-    takes the expanded rows through count_sector."""
+    counts each orbit's accepted images through count_sector, and counts
+    what classifying each form of the full traversal does."""
     grid = [1.0, 4.0, 6.5] if norm == "max" else [1.0, math.sqrt(20), math.sqrt(60)]
     specs = sign_pattern_specs(3) + [
         make_spec((1, 2), ["+", (1, 1)], norm="frobenius", block_window=0.6)]
-    verdicts = [functools.partial(_classify_batch, d=3, spec=spec) for spec in specs]
+    verdicts = [tally_verdict(spec) for spec in specs]
     cap = make_spec((1, 1, 1), ["+", "+", "-"], frame=Cap((0, 0, 1), 0.8), norm=norm)
-    weighted, expanded = tally(3, grid, norm, verdicts, invariant=True), count_sector(grid, cap)
+    weighted, framed = tally(3, grid, norm, verdicts), count_sector(grid, cap)
     with _full_traversal():
         assert tally(3, grid, norm, verdicts) == weighted
-        assert count_sector(grid, cap) == expanded
-    assert expanded.values[-1] > 0
+    members, degenerate = _per_form_counts(3, grid, norm, cap)
+    assert ([int(v) for v in framed.values], list(framed.degenerate)) == (members, degenerate)
+    assert framed.values[-1] > 0
 
 
 def test_weighted_tally_equals_the_full_traversal_in_d4(monkeypatch):
@@ -358,8 +395,8 @@ def test_weighted_tally_equals_the_full_traversal_in_d4(monkeypatch):
     traversal each chunk's spectrum is solved once and shared by the
     sixteen verdicts, which would each solve the same one."""
     grid = [1.5, 2.0, 2.5]
-    verdicts = [functools.partial(_classify_batch, d=4, spec=spec) for spec in sign_pattern_specs(4)]
-    weighted = tally(4, grid, "max", verdicts, invariant=True)
+    verdicts = [tally_verdict(spec) for spec in sign_pattern_specs(4)]
+    weighted = tally(4, grid, "max", verdicts)
     solve = sector._eigvals_batch
     shared = {}
 
@@ -387,8 +424,7 @@ def test_one_tally_counts_the_ball_and_every_sign_sector(d, norm):
     each pattern's member and degenerate counts, as the separate scans do."""
     grid = TALLY_GRIDS[d]
     specs = sign_pattern_specs(d, norm=norm)
-    verdicts = [functools.partial(_classify_batch, d=d, spec=spec) for spec in specs]
-    ball, counts = tally(d, grid, norm, verdicts, invariant=True)
+    ball, counts = tally(d, grid, norm, [tally_verdict(spec) for spec in specs])
     assert ball == count_ball_grid(d, grid, norm)
     series = _sign_sector_series(d, norm, grid)
     assert counts == [[[int(v) for v in s.values], list(s.degenerate)] for s in series]
@@ -396,29 +432,27 @@ def test_one_tally_counts_the_ball_and_every_sign_sector(d, norm):
 
 
 def test_tally_of_an_empty_ball_still_counts_each_verdict():
-    # the sign verdict takes the exact route, the cap verdict the float one
+    # the cap verdict also solves the spectra of its (no) member rows
     cap = make_spec((1, 1, 1), ["+", "+", "-"], frame=Cap((0, 0, 1), 0.8))
     specs = [sign_pattern_specs(3)[0], cap]
-    verdicts = [functools.partial(_classify_batch, d=3, spec=spec) for spec in specs]
-    ball, counts = tally(3, [1.0], "max", verdicts)
+    ball, counts = tally(3, [1.0], "max", [tally_verdict(spec) for spec in specs])
     assert ball == [0] and counts == [[[0], [0]]] * 2
 
 
 def test_tally_calls_each_verdict_once_per_chunk_of_at_least_tally_rows():
-    """Chunks hold the canonical rows of the reduced scan, or with a
-    verdict that is not invariant, every form of the ball."""
-    for invariant, t in ((True, 14.0), (False, 6.0)):
-        sizes = []
+    """Chunks hold the canonical rows of the reduced scan and their
+    weights; a verdict that counts each row's weight counts the ball."""
+    sizes = []
 
-        def verdict(tri):
-            sizes.append(tri.shape[0])
-            return (np.ones(tri.shape[0], dtype=bool),)
+    def verdict(tri, weight):
+        sizes.append(tri.shape[0])
+        return (weight,)
 
-        ball, [[every]] = tally(3, [3.0, t], "max", [verdict], invariant=invariant)
-        assert len(sizes) > 2 and min(sizes[:-1]) >= TALLY_ROWS
-        rows = sum(len(full) for full, _ in _scan(3, t, "max", None, expand=not invariant))
-        assert sum(sizes) == rows and every == ball
-        assert (rows < ball[-1]) if invariant else (rows == ball[-1])
+    # T = 14: at T = 6 there are fewer than two chunks of canonical rows
+    ball, [[every]] = tally(3, [3.0, 14.0], "max", [verdict])
+    assert len(sizes) > 2 and min(sizes[:-1]) >= TALLY_ROWS
+    rows = sum(len(full) for full, _ in _scan(3, 14.0, "max", None))
+    assert sum(sizes) == rows < ball[-1] and every == ball
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

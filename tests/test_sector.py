@@ -1,14 +1,18 @@
 """Spectral classification, counting, and exponent fitting."""
 
 import dataclasses
+import functools
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qfsectors import sector
+from conftest import brute_force_forms
+from qfsectors import enumeration, sector
 from qfsectors.enumeration import enumerate_forms, iter_form_batches, triangle_indices
 from qfsectors.sector import (
     AntiCap,
@@ -180,6 +184,19 @@ def test_cap_validation():
         Cap(axis=(1.0, 0.0, 0.0), angle=0.0)
     with pytest.raises(ValueError):
         Cap(axis=(1.0, 0.0, 0.0), angle=math.pi)
+    for bad in ((math.inf, 0, 0), (1, -math.inf, 0), (math.nan, 1, 0)):
+        for frame in (Cap, AntiCap):
+            with pytest.raises(ValueError, match="finite"):
+                frame(axis=bad, angle=0.5)
+    # the squares of these components leave the float range either way
+    half = math.sqrt(0.5)
+    for big, small in ((1e308, 1e308), (1e-200, 1e-200)):
+        assert np.allclose(Cap(axis=(big, small, 0), angle=0.5).axis, (half, half, 0.0))
+    for axis in ((0, 1), (0, 0, 1, 0)):
+        for frame in (Cap(axis, 0.5), AntiCap(axis, 0.5)):
+            with pytest.raises(ValueError, match="does not fit d = 3"):
+                make_spec((1, 1, 1), ["+", "+", "-"], frame=frame)
+    assert make_spec((1, 2), ["+", (1, 1)], frame=Cap((0, 1, 1), 0.5)).block.d == 3
 
 
 def test_spec_validation_and_digest():
@@ -421,6 +438,135 @@ def test_cap_counts_monotone_in_angle_and_complementary():
         count_sector([3.0], cap).values[0] + count_sector([3.0], anti).values[0]
         == full
     )
+
+
+FRAMED_BASES = {
+    2: sign_pattern_specs(2),
+    # (3,) and (4,) keep forms whose top |eigenvalue| ties the next
+    3: sign_pattern_specs(3) + [make_spec((1, 2), ["+", (1, 1)]),
+                                make_spec((2, 1), [(1, 1), "-"]), make_spec((3,), [(2, 1)])],
+    4: [make_spec((1, 1, 1, 1), "+-+-"), make_spec((2, 2), [(1, 1), (1, 1)]),
+        make_spec((4,), [(2, 2)])],
+}
+FRAMED_TOPS = {2: 8.0, 3: 3.5, 4: 2.0}
+
+
+@functools.lru_cache(maxsize=None)
+def _box_verdicts(d, norm, base):
+    """The box scan's forms classified one by one under base (full
+    frame), with the top eigenvector of each member form: what
+    _classify's frame step reads."""
+    forms = np.array(brute_force_forms(d, FRAMED_TOPS[d], norm), dtype=np.int64)
+    forms = forms.reshape(-1, d * (d + 1) // 2)
+    member, degenerate, lam_s, _ = sector._classify(forms, d, base)
+    mats = sector._matrices(forms[member], d)
+    return forms, member, degenerate, sector._top_vectors(mats, lam_s[member])
+
+
+@st.composite
+def cap_axes(draw, d):
+    """Random axes, and coordinate and diagonal ones, on which images of
+    the top eigenvector collide."""
+    kind = draw(st.sampled_from(("random", "coordinate", "diagonal")))
+    if kind == "random":
+        return draw(st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d)
+                    .filter(lambda v: np.linalg.norm(v) > 1e-3))
+    if kind == "coordinate":
+        k = draw(st.integers(0, d - 1))
+        return [float(i == k) for i in range(d)]
+    return draw(st.lists(st.sampled_from((-1.0, 0.0, 1.0)), min_size=d, max_size=d)
+                .filter(any))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_per_orbit_frame_counts_match_the_form_by_form_box_scan(data):
+    """count_sector counts a cap and its anticap per signed-permutation
+    orbit; the box scan classifies every form on its own, and the member
+    and degenerate series agree."""
+    d = data.draw(st.sampled_from((2, 3, 4)))
+    norm = data.draw(st.sampled_from(("max", "frobenius")))
+    base = dataclasses.replace(data.draw(st.sampled_from(FRAMED_BASES[d])), norm=norm)
+    axis, angle = data.draw(cap_axes(d)), data.draw(st.floats(0.05, 3.0))
+    grid = sorted([data.draw(st.floats(1.0, FRAMED_TOPS[d])), FRAMED_TOPS[d]])
+    forms, member, degenerate, tops = _box_verdicts(d, norm, base)
+    if norm == "max":
+        inside = [np.abs(forms).max(axis=1, initial=0) < t for t in grid]
+    else:
+        weights = [1 if i == j else 2 for i, j in triangle_indices(d)]
+        inside = [(forms * forms) @ weights <= math.ceil(Fraction(t) ** 2) - 1 for t in grid]
+    for frame in (Cap(axis, angle), AntiCap(axis, angle)):
+        framed = member.copy()
+        framed[member] = frame.accepts_rows(tops)
+        series = count_sector(grid, dataclasses.replace(base, frame_constraint=frame))
+        assert [int(v) for v in series.values] == [int(np.sum(framed & m)) for m in inside]
+        assert list(series.degenerate) == [int(np.sum(degenerate & m)) for m in inside]
+
+
+def _conjugates(q):
+    """q's conjugates by all 48 signed permutation matrices, built here."""
+    group = np.array([np.diag(s)[list(p)] for p in itertools.permutations(range(3))
+                      for s in itertools.product((1, -1), repeat=3)])
+    return group, group @ q @ group.transpose(0, 2, 1)
+
+
+TIED_FRAMES = [frame(axis, angle) for frame in (Cap, AntiCap)
+               for axis in ((0, 0, 1), (1, 1, 0), (1, 2, 3)) for angle in (0.3, 0.8, 1.2)]
+
+
+def test_top_tied_rows_count_their_images_one_by_one():
+    """_top_vectors takes Jacobi's frame for rows whose top two
+    |eigenvalues| lie within 1e-6 (relative).  In the d=3 max-norm ball
+    at T = 20.5 the only such canonical rows are six exact ties, every
+    |eigenvalue| 1: the symmetric signed permutations, degenerate in
+    every sector with a cut.  Their top line is not a function of the
+    form, so _orbit_frame_counts classifies each image P Q P^T itself,
+    and counts what classifying the distinct images one by one does."""
+    scan = list(enumeration._scan(3, 20.5, "max", None))
+    tri = np.concatenate([full[:, :-1] for full, _ in scan])
+    weight = np.concatenate([w for _, w in scan])
+    mats = sector._matrices(tri, 3)
+    lam_s = sector._slot_spectrum(mats)
+    tied = np.nonzero(sector._top_tied(lam_s))[0]
+    assert len(tied) == 6 and np.allclose(np.abs(lam_s[tied]), 1.0)
+    for r in tied:
+        distinct = np.unique(_conjugates(mats[r])[1].reshape(-1, 9), axis=0).reshape(-1, 3, 3)
+        assert len(distinct) == weight[r]
+        images = np.stack([m[np.triu_indices(3)] for m in distinct])
+        signature = (int(np.sum(lam_s[r] > 0)), int(np.sum(lam_s[r] < 0)))
+        for frame in TIED_FRAMES:
+            spec = make_spec((3,), [signature], frame=frame)
+            one_by_one = int(np.sum(_classify_batch(images, 3, spec)[0]))
+            assert sector._orbit_frame_counts(mats[r:r + 1], weight[r:r + 1], frame) == [one_by_one]
+
+
+def test_near_tied_float_forms_move_their_top_vector_with_the_group():
+    """No integer row of the T = 20.5 ball is a near tie, so float forms
+    with top |eigenvalues| lam and -lam (1 - gap) stand in.  At gap =
+    1e-7 the top line is well defined: for each signed permutation P the
+    cap verdict of P v, v Jacobi's top vector of Q, is that of the image
+    P Q P^T classified on its own.  At gap = 1e-10, inside TIE_TOL, the
+    slot order of the pair is a tie-break and P v need not be the
+    image's own top vector.  Either way the per-orbit count is the count
+    of the images classified one by one."""
+    rng = np.random.default_rng(16)
+    for gap in (1e-7, 1e-10):
+        for _ in range(12):
+            rot = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+            lam = rng.uniform(2.0, 12.0) * rng.choice((1, -1))
+            q = rot @ np.diag([lam, -lam * (1 - gap), 1 / lam**2]) @ rot.T
+            q = (q + q.T) / 2
+            group, images = _conjugates(q)
+            lam_s = sector._slot_spectrum(q[None])
+            assert sector._top_tied(lam_s)[0]
+            moved = group @ sector._top_vectors(q[None], lam_s)[0]
+            own = sector._top_vectors(images, sector._slot_spectrum(images))
+            for frame in TIED_FRAMES:
+                hits = frame.accepts_rows(own)
+                if gap > TIE_TOL:
+                    assert np.array_equal(frame.accepts_rows(moved), hits)
+                # the 48 matrices are the 24 distinct images, each twice (P and -P)
+                assert sector._orbit_frame_counts(q[None], np.array([24]), frame) == [hits.sum() // 2]
 
 
 # the shapes of the sector-frames benchmark round at seed 1: its max-norm
