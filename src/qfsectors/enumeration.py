@@ -13,14 +13,13 @@ demands const = e with q_dd sweeping its whole legal range.
 The free entries are the upper triangle without q_dd, in triangle
 order.  The last three of them form the broadcast integer grid, and the
 entries before them index the cell: (q11, q12) for d=3, (q11 .. q23)
-for d=4, and a single cell for d=2.  The full traversal solves one cell
-at a time.  The reduced scan below solves a run of consecutive values of
-the cell's last entry at once, as one more broadcast axis, sized so
-that one solve stays within SCAN_POINTS grid points.  Cells are
-independent, which is where the optional thread pool parallelizes (by
-the first entry).  Every emitted row's determinant is recomputed in
-full, and the accumulator width is chosen from a proven bound
-(d! b**d for entries bounded by b) that raises instead of wrapping.
+for d=4, and a single cell for d=2.  The scan solves a run of
+consecutive values of the cell's last entry at once, as one more
+broadcast axis, sized so that one solve stays within SCAN_POINTS grid
+points.  Cells are independent, which is where the optional thread pool
+parallelizes (by the first entry).  Every emitted row's determinant is
+recomputed in full, and the accumulator width is chosen from a proven
+bound (d! b**d for entries bounded by b) that raises instead of wrapping.
 
 Conjugation by a signed permutation matrix keeps the determinant, both
 norms and the spectrum, so every count and every sector verdict that
@@ -28,10 +27,10 @@ reads only the spectrum is constant on the orbits of that group (the
 hyperoctahedral group; -I acts trivially, leaving 4, 24 and 192
 elements for d = 2, 3 and 4).  Every orbit meets the region R where
 q11 >= q22 >= ... >= q_dd and q1j >= 0 for j >= 2: sort the diagonal,
-then take s_j = sign(q1j).  The scan behind the counts visits only R,
-about an eighth of the box for d = 3.  The cells and the grid take
-q1j >= 0 and each diagonal entry at most the one before it, which is
-already fixed; the solved q_dd is filtered to q_dd <= q_(d-1)(d-1).  A
+then take s_j = sign(q1j).  The scan visits only R, about an eighth
+of the box for d = 3.  The cells and the grid take q1j >= 0 and each
+diagonal entry at most the one before it, which is already fixed; the
+solved q_dd is filtered to q_dd <= q_(d-1)(d-1).  A
 row found in R is canonical when no image is lexicographically above
 it, with the key ordered diagonal first, then the off-diagonal entries
 in triangle order; every orbit has exactly one canonical row, and it
@@ -40,8 +39,8 @@ orbit size.  A verdict that is not constant on orbits (a cap frame
 reads the top eigenvector, which the group moves) gets the weights
 too, and counts how many forms of each orbit it accepts itself (see
 sector.count_sector).  iter_form_batches, enumerate_forms and the CLI's
-enumerate promise rows in lexicographic order, so they keep the full
-traversal of the same kernel.
+enumerate promise every form in lexicographic order: they keep the
+canonical rows in memory and expand them one value of q11 at a time.
 
 Supported norms: "max" (largest absolute entry) and "frobenius" (entry
 2-norm of the full symmetric matrix).  Thresholds are strict: norm < T,
@@ -128,25 +127,28 @@ class QuadraticForm:
     norm_kind: str = "max"
 
     def matrix(self) -> np.ndarray:
-        m = np.zeros((self.d, self.d), dtype=np.int64)
-        for (i, j), v in zip(triangle_indices(self.d), self.entries):
-            m[i, j] = v
-            m[j, i] = v
-        return m
+        return np.array(_symmetric(self.d, triangle_indices(self.d), self.entries), dtype=np.int64)
 
     @classmethod
     def from_matrix(cls, mat, norm_kind: str = "max") -> "QuadraticForm":
+        """The form of a square symmetric integer matrix (integral floats
+        count), with its determinant and norm key exact in Python ints."""
+        norm_kind = _check_norm(norm_kind)
         m = np.asarray(mat)
-        d = m.shape[0]
-        if m.shape != (d, d) or np.any(m != m.T):
+        if m.ndim != 2 or not 0 < m.shape[0] == m.shape[1]:
             raise ValueError("matrix must be square and symmetric")
-        rows = [[int(m[i, j]) for j in range(d)] for i in range(d)]
-        entries = tuple(int(m[i, j]) for i, j in triangle_indices(d))
+        rows = m.tolist()
+        if not all(isinstance(v, (int, np.integer)) or isinstance(v, float) and v.is_integer()
+                   for r in rows for v in r):
+            raise ValueError("matrix entries must be integers")
+        rows = [[int(v) for v in r] for r in rows]
+        if rows != [list(c) for c in zip(*rows)]:
+            raise ValueError("matrix must be square and symmetric")
         return cls(
-            d=d,
-            entries=entries,
+            d=len(rows),
+            entries=tuple(rows[i][j] for i, j in triangle_indices(len(rows))),
             det=_int_det(rows),
-            norm=_norm_of_rows(rows, norm_kind),
+            norm=_norm_of_key(_key_of_rows(rows, norm_kind), norm_kind),
             norm_kind=norm_kind,
         )
 
@@ -160,12 +162,6 @@ def _key_of_rows(rows, norm_kind: str) -> int:
 
 def _norm_of_key(key: int, norm_kind: str) -> float:
     return float(key) if norm_kind == "max" else math.sqrt(key)
-
-
-def _norm_of_rows(rows, norm_kind: str) -> float:
-    if norm_kind not in NORMS:
-        raise ValueError(f"unknown norm {norm_kind!r}")
-    return _norm_of_key(_key_of_rows(rows, norm_kind), norm_kind)
 
 
 def _check_norm(norm: str) -> str:
@@ -282,23 +278,20 @@ def _orbits(full: np.ndarray, d: int):
     return full[canon], len(cols) // np.count_nonzero(order[canon] == 0, axis=1)
 
 
-def _scan(d: int, t: float, norm: str, threads: int | None, lex: bool = False):
+def _scan(d: int, t: float, norm: str, threads: int | None):
     """Batches (full, weight): full is (n, d(d+1)/2 + 1) int64, the
     triangle then det, and weight (n,) int64 is how many forms each row
     stands for.
 
-    By default the scan visits only the region R of the module docstring
-    and each batch holds canonical rows weighted by their orbit sizes, in
-    no particular order.  With lex it traverses the whole box in
-    lexicographic order, one cell at a time for d >= 3, each batch
-    sorted and each row of weight 1.
-    Either way every emitted row's determinant is recomputed in full
-    before it leaves.
+    The scan visits only the region R of the module docstring, and each
+    batch holds canonical rows weighted by their orbit sizes, in no
+    particular order.  Every emitted row's determinant is recomputed in
+    full before it leaves.
 
-    Apart from lex, one solve covers a run of consecutive values of the
-    last cell entry (q12 for d = 3, q23 for d = 4; q11 for d = 2, whose
-    only cell is the whole box): the run grows while its grid, with both
-    target determinants, holds at most SCAN_POINTS points.  The run's
+    One solve covers a run of consecutive values of the last cell entry
+    (q12 for d = 3, q23 for d = 4; q11 for d = 2, whose only cell is the
+    whole box): the run grows while its grid, with both target
+    determinants, holds at most SCAN_POINTS points.  The run's
     grid spans are those of its smallest |value|, the widest of the run,
     and the norm budget drops the points beyond a row's own spans.
     d = 3 maps its runs to `threads` workers by their first entry; d = 4,
@@ -335,10 +328,8 @@ def _scan(d: int, t: float, norm: str, threads: int | None, lex: bool = False):
 
     def span(k: int, rem: int, fixed: tuple) -> range:
         # the values of free entry k that leave the norm key within budget
-        # (and, unless lex, keep the row in R)
+        # and keep the row in R
         r = b if norm == "max" else math.isqrt(rem // weights[k])
-        if lex:
-            return range(-r, r + 1)
         lo = 0 if free[k][0] == 0 < free[k][1] else -r
         return range(lo, min(r, fixed[before[k]]) + 1 if k in before else r + 1)
 
@@ -348,13 +339,11 @@ def _scan(d: int, t: float, norm: str, threads: int | None, lex: bool = False):
         return [span(k, left, cell) for k in range(lead + 1, len(free))]
 
     def runs(cell: tuple, rem: int):
-        # lex solves one cell at a time; for d >= 3 the run axis is the
-        # cell's last entry
-        one = lex and lead > 0
+        # for d >= 3 the run axis is the cell's last entry
         run, widest = [], 0
         for v in span(lead, rem, cell):
             size = math.prod(map(len, grid_spans(cell, rem, v)))
-            if run and (one or 2 * (len(run) + 1) * max(widest, size) > SCAN_POINTS):
+            if run and 2 * (len(run) + 1) * max(widest, size) > SCAN_POINTS:
                 yield run
                 run, widest = [], 0
             run.append(v)
@@ -410,7 +399,7 @@ def _scan(d: int, t: float, norm: str, threads: int | None, lex: bool = False):
             full[rows, -2] = qdd
             full[rows, -1] = 1 - 2 * idx[0]
             pos += qdd.size
-        return full[np.lexsort(full[:, lead:-1].T[::-1])] if lex else full
+        return full
 
     def cells(prefix: tuple, rem: int):
         k = len(prefix)
@@ -424,11 +413,8 @@ def _scan(d: int, t: float, norm: str, threads: int | None, lex: bool = False):
         for cell, crem in cells(prefix, rem):
             for run in runs(cell, crem):
                 full = solve(cell, run, crem)
-                if lex:
-                    weight = np.ones(full.shape[0], dtype=np.int64)
-                else:
-                    # the last bound of R: q_dd <= q_(d-1)(d-1)
-                    full, weight = _orbits(full[full[:, -2] <= full[:, penultimate]], d)
+                # the last bound of R: q_dd <= q_(d-1)(d-1)
+                full, weight = _orbits(full[full[:, -2] <= full[:, penultimate]], d)
                 if not full.shape[0]:
                     continue
                 # the audit recomputes each row's determinant in full
@@ -449,15 +435,33 @@ def _scan(d: int, t: float, norm: str, threads: int | None, lex: bool = False):
 
 
 def iter_form_batches(d: int, t: float, norm: str = "max", threads: int | None = None):
-    """Yields (triangle (n, d(d+1)/2) int64, det (n,), norm (n,)) batches.
+    """Yields (triangle (n, d(d+1)/2) int64, det (n,), norm (n,)) batches:
+    every form of the ball once, in lexicographic order of the triangle,
+    one batch per value of q11.
 
-    Batches come from the full traversal, in lexicographic order of the
-    free entries, and rows within a batch are already sorted.
-    enumerate_forms and the CLI's enumerate command read it; tally reads
-    the reduced scan's integer rows itself and takes its own norm keys.
+    The scan's canonical rows stay in memory.  Element g of the group
+    moves diagonal entry cols[g, 0] to the corner, so the forms with
+    q11 = v are the images of the rows with v at entry k under the
+    elements with cols[g, 0] = k; each batch is sorted and loses its
+    repeats.  enumerate_forms and the CLI's enumerate read it; tally
+    reads the canonical rows itself.
     """
     norm = _check_norm(norm)
-    for full, _ in _scan(d, t, norm, threads, lex=True):
+    width = len(triangle_indices(d))
+    canon = np.concatenate([np.zeros((0, width + 1), dtype=np.int64)]
+                           + [full for full, _ in _scan(d, t, norm, threads)])
+    cols, signs, _ = _orbit_tables(d)
+    # the det column rides along, unchanged by every element
+    cols = np.column_stack([cols, np.full(len(cols), width)])
+    signs = np.column_stack([signs, np.ones(len(signs), dtype=np.int64)])
+    diag = [c for c, (i, j) in enumerate(triangle_indices(d)) if i == j]
+    # per diagonal entry k, the elements that move it to the corner
+    corner = [(k, cols[cols[:, 0] == k], signs[cols[:, 0] == k]) for k in diag]
+    for v in np.unique(canon[:, diag]):
+        full = np.concatenate([(canon[canon[:, k] == v][:, c] * s).reshape(-1, width + 1)
+                               for k, c, s in corner])
+        full = full[np.lexsort(full.T[::-1])]
+        full = full[np.append(True, np.any(full[1:] != full[:-1], axis=1))]
         tri = full[:, :-1]
         keys = norm_keys(tri, d, norm).astype(np.float64)
         yield tri, full[:, -1], keys if norm == "max" else np.sqrt(keys)
@@ -468,14 +472,8 @@ def enumerate_forms(d: int, t: float, norm: str = "max", threads: int | None = N
     exactly once, in lexicographic order of the free entries."""
     norm = _check_norm(norm)
     for tri, det, norms in iter_form_batches(d, t, norm, threads):
-        for row, dv, nv in zip(tri, det, norms):
-            yield QuadraticForm(
-                d=d,
-                entries=tuple(int(x) for x in row),
-                det=int(dv),
-                norm=float(nv),
-                norm_kind=norm,
-            )
+        for row, dv, nv in zip(tri.tolist(), det.tolist(), norms.tolist()):
+            yield QuadraticForm(d=d, entries=tuple(row), det=dv, norm=nv, norm_kind=norm)
 
 
 def t_grid_values(t_grid) -> list[float]:
@@ -601,17 +599,16 @@ def orbit_enumerate(
     search.  Each generator's inverse is a generator too, so a state
     found from level k lies at level k - 1, k or k + 1, and only the
     previous level and the frontier need checking for repeats.  Raises
-    OverflowError when an entry or a norm key could leave int64.
+    ValueError for a base that is not a square symmetric integer matrix
+    of determinant +-1, and OverflowError when an entry or a norm key
+    could leave int64.
     """
     norm = _check_norm(norm)
     if slack < 1.0:
         raise ValueError("slack must be >= 1")
-    if isinstance(q0, QuadraticForm):
-        mat0 = [[int(x) for x in row] for row in q0.matrix()]
-    else:
-        mat0 = [[int(x) for x in row] for row in np.asarray(q0)]
-    d = len(mat0)
-    det0 = _int_det(mat0)
+    # from_matrix raises unless the base is square, symmetric and integer
+    base = QuadraticForm.from_matrix(q0.matrix() if isinstance(q0, QuadraticForm) else q0)
+    d, det0 = base.d, base.det
     if det0 not in (1, -1):
         raise ValueError("base form must have determinant +-1")
     idx = triangle_indices(d)
@@ -619,11 +616,11 @@ def orbit_enumerate(
     # a state is the start or lies in the corridor; one generator at most
     # quadruples its largest entry
     big = 4 * max([corridor if norm == "max" else math.isqrt(corridor)]
-                  + [abs(v) for row in mat0 for v in row])
+                  + [abs(v) for v in base.entries])
     if (big if norm == "max" else d * d * big * big) >= 2**63:
         raise OverflowError("orbit entries too large for 64-bit arithmetic")
     gens = _elementary_generators(d)
-    frontier = np.array([[mat0[i][j] for i, j in idx]], dtype=np.int64)
+    frontier = np.array([base.entries], dtype=np.int64)
     previous = frontier[:0]
     levels, visited, partial = [frontier], 1, False
     while frontier.shape[0] and not partial:

@@ -20,20 +20,25 @@ import qfsectors
 
 def brute_force_forms(d: int, t: float, norm: str = "max"):
     """Every symmetric integer matrix with det ±1, norm < t, as a sorted
-    list of upper-triangle tuples.  Box scan, no pruning."""
+    list of upper-triangle tuples.  Box scan, built one entry at a time
+    in lexicographic order; under the frobenius norm each new entry
+    drops the points whose partial norm squared is already past t."""
     t2 = Fraction(t) ** 2
     b = int(np.ceil(t)) - 1 if float(t).is_integer() else int(np.floor(t))
+    # an integer n satisfies n < t2 exactly when n <= ceil(t2) - 1
     if norm == "frobenius":
         b = math.isqrt(math.ceil(t2) - 1)
     idx = [(i, j) for i in range(d) for j in range(i, d)]
-    weights = np.array([1 if i == j else 2 for i, j in idx])
-    axes = [np.arange(-b, b + 1)] * len(idx)
-    box = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(idx))
+    values = np.arange(-b, b + 1)
+    box, spent = np.zeros((1, 0), dtype=np.int64), np.zeros(1, dtype=np.int64)
+    for i, j in idx:
+        box = np.column_stack([np.repeat(box, len(values), axis=0), np.tile(values, len(box))])
+        if norm == "frobenius":
+            spent = np.repeat(spent, len(values)) + (1 if i == j else 2) * box[:, -1] ** 2
+            keep = spent <= math.ceil(t2) - 1
+            box, spent = box[keep], spent[keep]
     if norm == "max":
         box = box[np.abs(box).max(axis=1) < t]
-    else:
-        # an integer n satisfies n < t2 exactly when n <= ceil(t2) - 1
-        box = box[(box * box) @ weights <= math.ceil(t2) - 1]
     m = np.zeros((box.shape[0], d, d))
     for col, (i, j) in enumerate(idx):
         m[:, i, j] = m[:, j, i] = box[:, col]

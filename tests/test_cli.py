@@ -122,11 +122,23 @@ def test_manifest_records_the_machine(tmp_path, capsys, monkeypatch):
     assert threads["OMP_NUM_THREADS"] == "unset"
 
 
+# sha256 of enumerate's CSV, as the whole-box lexicographic traversal wrote it
+ENUMERATE_DIGESTS = {
+    ("--T", "10"): "56a4ebe2c02e90c4c4fa141f3fe7c44ad27821c4ef87812d34ee0bcf9ce95e1f",
+    ("--d", "4", "--T", "2.5", "--norm", "frobenius"):
+        "e7b01e8d99e470c6127be5df67216238f464658ba12d5cff2db1a5e29bbcde5b",
+    ("--d", "2", "--T", "9.5"): "cfb4668c127b416ef3759436891cc5d54095f17e1be3eedf679376837459ca5c",
+}
+
+
 def test_enumerate_reruns_are_byte_identical(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     run(capsys, "enumerate", "--T", "2.0", "--out", str(a))
     run(capsys, "enumerate", "--T", "2.0", "--out", str(b))
     assert a.read_bytes() == b.read_bytes()
+    for args, digest in ENUMERATE_DIGESTS.items():
+        run(capsys, "enumerate", *args, "--out", str(a))
+        assert hashlib.sha256(a.read_bytes()).hexdigest() == digest, args
 
 
 def test_enumerate_marks_partial_runs(tmp_path, capsys, monkeypatch):

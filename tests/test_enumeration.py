@@ -5,7 +5,6 @@ import functools
 import itertools
 import math
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -193,12 +192,20 @@ def test_every_count_rejects_a_non_finite_threshold(bad):
             call()
 
 
-def _scan_rows(d, t, norm, lex):
-    """Every row of one scan, in the order the scan emits them; each row
-    of the reduced scan is expanded to its orbit by the group built here."""
+def _scan_rows(d, t, norm):
+    """Every row of the scan, each expanded to its orbit by the group
+    built here, in the order the scan emits them."""
     empty = np.zeros((0, len(triangle_indices(d)) + 1), dtype=np.int64)
-    batches = _scan(d, t, norm, None, lex=lex)
-    return np.concatenate([empty, *(full if lex else _expanded(full, d) for full, _ in batches)])
+    return np.concatenate([empty, *(_expanded(full, d) for full, _ in _scan(d, t, norm, None))])
+
+
+def _oracle_rows(d, t, norm):
+    """brute_force_forms with each form's determinant, from a float
+    determinant of the small entries, as a last column."""
+    tri = np.array(brute_force_forms(d, t, norm), dtype=np.int64)
+    tri = tri.reshape(-1, len(triangle_indices(d)))
+    det = np.rint(np.linalg.det(_matrices(tri, d))).astype(np.int64)
+    return np.column_stack([tri, det])
 
 
 def _signed_permutations(d):
@@ -207,13 +214,18 @@ def _signed_permutations(d):
                      for s in itertools.product((1, -1), repeat=d)])
 
 
+def _matrices(tri, d):
+    """(n, d, d): the symmetric matrices of a batch of upper triangles."""
+    mats = np.zeros((len(tri), d, d), dtype=tri.dtype)
+    for c, (i, j) in enumerate(triangle_indices(d)):
+        mats[:, i, j] = mats[:, j, i] = tri[:, c]
+    return mats
+
+
 def _images(tri, d):
     """(n, group, d, d): each upper triangle's conjugates by the group."""
     group = _signed_permutations(d)
-    mats = np.zeros((len(tri), d, d), dtype=np.int64)
-    for c, (i, j) in enumerate(triangle_indices(d)):
-        mats[:, i, j] = mats[:, j, i] = tri[:, c]
-    return np.einsum("gik,nkl,gjl->ngij", group, mats, group)
+    return np.einsum("gik,nkl,gjl->ngij", group, _matrices(tri, d), group)
 
 
 def _expanded(full, d):
@@ -227,60 +239,81 @@ def _expanded(full, d):
     return np.unique(keyed, axis=0)[:, 1:]
 
 
-def _per_form_counts(d, grid, norm, spec):
-    """Member and degenerate counts per T of the full traversal, each
-    form classified on its own: no orbit enters."""
-    members, degenerate = np.zeros(len(grid), dtype=np.int64), np.zeros(len(grid), dtype=np.int64)
+def _per_form_tally(d, grid, norm, specs):
+    """What tally gives for the specs' verdicts, but over every form of
+    iter_form_batches, each weighing 1 and classified on its own by
+    _classify_batch, frame included: no orbit enters.  The forms are
+    classified TALLY_ROWS at a time."""
     limits = np.array([enumeration.key_limit(t, norm) for t in grid])
-    for tri, _, _ in iter_form_batches(d, grid[-1], norm):
-        inside = enumeration.norm_keys(tri, d, norm)[:, None] <= limits
-        member, degen = _classify_batch(tri, d, spec)
-        members += np.sum(inside & member[:, None], axis=0)
-        degenerate += np.sum(inside & degen[:, None], axis=0)
-    return members.tolist(), degenerate.tolist()
+    ball = np.zeros(len(grid), dtype=np.int64)
+    counts = np.zeros((len(specs), 2, len(grid)), dtype=np.int64)
+    for batch, _, _ in iter_form_batches(d, grid[-1], norm):
+        for tri in np.split(batch, range(TALLY_ROWS, len(batch), TALLY_ROWS)):
+            inside = enumeration.norm_keys(tri, d, norm)[:, None] <= limits
+            ball += inside.sum(axis=0)
+            for count, spec in zip(counts, specs):
+                masks = _classify_batch(tri, d, spec)
+                count += [np.sum(inside & mask[:, None], axis=0) for mask in masks]
+    return ball.tolist(), counts.tolist()
 
 
 @st.composite
 def scan_cases(draw):
-    """(d, norm, T), with T on an exact norm boundary about half the time:
-    an integer for max, and sqrt(k) for frobenius, which squares either
-    side of k."""
+    """(d, norm, T), with T on an exact norm boundary about half the time
+    under either norm: an integer for max, and sqrt(k) for an integer k
+    for frobenius, which squares either side of k."""
     d = draw(st.sampled_from((2, 3, 4)))
     norm = draw(st.sampled_from(NORMS))
     if norm == "max":
         return d, norm, draw(st.integers(2, {2: 16, 3: 9, 4: 4}[d])) / 2
-    return d, norm, math.sqrt(draw(st.integers(1, {2: 60, 3: 30, 4: 10}[d])))
+    return d, norm, math.sqrt(draw(st.integers(2, {2: 120, 3: 60, 4: 20}[d])) / 2)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(case=scan_cases())
 def test_reduced_scan_emits_the_full_traversal(case):
     """The scan over R, with each canonical row expanded to its orbit,
-    gives the rows of the full traversal, each once, in another order."""
+    gives the forms of the box scan and their determinants, each once,
+    in another order."""
     d, norm, t = case
-    reduced = _scan_rows(d, t, norm, lex=False)
+    reduced = _scan_rows(d, t, norm)
     assert len(np.unique(reduced, axis=0)) == len(reduced)
-    assert np.array_equal(reduced[np.lexsort(reduced.T[::-1])], _scan_rows(d, t, norm, lex=True))
+    assert np.array_equal(reduced[np.lexsort(reduced.T[::-1])], _oracle_rows(d, t, norm))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(case=scan_cases())
+def test_form_batches_stream_the_box_scan_in_order(case):
+    """iter_form_batches gives the box scan's forms, determinants and
+    norms in its lexicographic order, one batch per value of q11."""
+    d, norm, t = case
+    width = len(triangle_indices(d))
+    batches = list(iter_form_batches(d, t, norm))
+    rows = np.concatenate([np.zeros((0, width + 1), dtype=np.int64)]
+                          + [np.column_stack([tri, det]) for tri, det, _ in batches])
+    assert np.array_equal(rows, _oracle_rows(d, t, norm))
+    assert [set(tri[:, 0].tolist()) for tri, _, _ in batches] == \
+        [{v} for v in sorted(set(rows[:, 0].tolist()))]
+    norms = np.concatenate([np.zeros(0)] + [n for _, _, n in batches])
+    keys = enumeration.norm_keys(rows[:, :-1], d, norm)
+    assert np.array_equal(norms, keys if norm == "max" else np.sqrt(keys))
 
 
 @settings(max_examples=12, deadline=None, derandomize=True)
 @given(norm=st.sampled_from(NORMS), k=st.integers(4, 30))
 def test_tally_over_the_reduced_scan_equals_the_full_traversal(norm, k):
-    """The eight sign verdicts (exact) and a windowed (1,2) sector (float)
-    count the same over the reduced scan as over the full one; a cap,
-    counted per orbit, counts what classifying each form does."""
+    """The eight sign verdicts (exact), a windowed (1,2) sector (float)
+    and a cap, counted per orbit, count what classifying each form of
+    the ball does."""
     top = math.sqrt(k) if norm == "frobenius" else k / 4
     grid = [1.0, (1.0 + top) / 2, top]
     specs = sign_pattern_specs(3) + [
         make_spec((1, 2), ["+", (1, 1)], norm="frobenius", block_window=0.6),
     ]
-    verdicts = [tally_verdict(spec) for spec in specs]
-    reduced = tally(3, grid, norm, verdicts)
-    with mock.patch.object(enumeration, "_scan", functools.partial(_scan, lex=True)):
-        assert tally(3, grid, norm, verdicts) == reduced
     cap = make_spec((1, 1, 1), ["+", "+", "-"], frame=Cap((0, 0, 1), 0.8), norm=norm)
-    _, [counts] = tally(3, grid, norm, [tally_verdict(cap)])
-    assert counts == list(_per_form_counts(3, grid, norm, cap))
+    specs.append(cap)
+    verdicts = [tally_verdict(spec) for spec in specs]
+    assert tally(3, grid, norm, verdicts) == _per_form_tally(3, grid, norm, specs)
 
 
 def _counting_solves(monkeypatch):
@@ -299,13 +332,10 @@ def _counting_solves(monkeypatch):
 def test_tally_solves_at_most_a_sixth_of_the_box(monkeypatch):
     """At entry bound 12 the box of free entries holds 25**5 grid points;
     the scan over R solves about an eighth of them."""
-    expected = len(_scan_rows(3, 12.5, "max", lex=True))
     solved = _counting_solves(monkeypatch)
-    assert tally(3, [12.5], "max")[0] == [expected]
+    # the ball's form count, as a traversal of the whole box found it
+    assert tally(3, [12.5], "max")[0] == [313_604]
     assert sum(solved) == 1_373_125 <= 25**5 / 6
-    solved.clear()
-    _scan_rows(3, 12.5, "max", lex=True)
-    assert sum(solved) == 25**5
 
 
 @pytest.mark.parametrize("t", (14.0, 48.0))
@@ -353,7 +383,7 @@ def test_each_batch_is_whole_orbits_with_a_canonical_row_in_r():
 def test_each_canonical_row_weighs_its_orbit_size(d, t, norm):
     """With the group built here: every row of the reduced scan weighs
     the number of its distinct images, and the weights add up to the
-    full traversal's row count."""
+    box scan's form count."""
     idx = triangle_indices(d)
     total = 0
     for full, weight in _scan(d, t, norm, None):
@@ -361,42 +391,35 @@ def test_each_canonical_row_weighs_its_orbit_size(d, t, norm):
                  for orbit in _images(full[:, :-1], d)]
         assert weight.tolist() == sizes
         total += int(weight.sum())
-    assert total == len(_scan_rows(d, t, norm, lex=True))
-
-
-def _full_traversal():
-    """Counts made inside this patch run over the full traversal, where
-    every row weighs 1."""
-    return mock.patch.object(enumeration, "_scan", functools.partial(_scan, lex=True))
+    assert total == len(brute_force_forms(d, t, norm))
 
 
 @pytest.mark.parametrize("norm", NORMS)
 def test_weighted_tally_equals_the_full_traversal_in_d3(norm):
     """The eight exact sign verdicts and the windowed (1,2) float verdict
     see only canonical rows; a cap, which is not constant on orbits,
-    counts each orbit's accepted images through count_sector, and counts
-    what classifying each form of the full traversal does."""
+    counts each orbit's accepted images through count_sector.  Each
+    counts what classifying each form of the ball does."""
     grid = [1.0, 4.0, 6.5] if norm == "max" else [1.0, math.sqrt(20), math.sqrt(60)]
     specs = sign_pattern_specs(3) + [
         make_spec((1, 2), ["+", (1, 1)], norm="frobenius", block_window=0.6)]
-    verdicts = [tally_verdict(spec) for spec in specs]
     cap = make_spec((1, 1, 1), ["+", "+", "-"], frame=Cap((0, 0, 1), 0.8), norm=norm)
-    weighted, framed = tally(3, grid, norm, verdicts), count_sector(grid, cap)
-    with _full_traversal():
-        assert tally(3, grid, norm, verdicts) == weighted
-    members, degenerate = _per_form_counts(3, grid, norm, cap)
-    assert ([int(v) for v in framed.values], list(framed.degenerate)) == (members, degenerate)
+    weighted = tally(3, grid, norm, [tally_verdict(spec) for spec in specs])
+    framed = count_sector(grid, cap)
+    ball, per_form = _per_form_tally(3, grid, norm, specs + [cap])
+    assert weighted == (ball, per_form[:-1])
+    assert [[int(v) for v in framed.values], list(framed.degenerate)] == per_form[-1]
     assert framed.values[-1] > 0
 
 
 def test_weighted_tally_equals_the_full_traversal_in_d4(monkeypatch):
     """The sixteen d=4 sign verdicts over 2,648 canonical rows count what
-    they count over the 464,924 forms of the T=2.5 ball.  On the full
-    traversal each chunk's spectrum is solved once and shared by the
-    sixteen verdicts, which would each solve the same one."""
+    they count over the 464,924 forms of the T=2.5 ball.  Form by form,
+    each chunk's spectrum is solved once and shared by the sixteen
+    verdicts, which would each solve the same one."""
     grid = [1.5, 2.0, 2.5]
-    verdicts = [tally_verdict(spec) for spec in sign_pattern_specs(4)]
-    weighted = tally(4, grid, "max", verdicts)
+    specs = sign_pattern_specs(4)
+    weighted = tally(4, grid, "max", [tally_verdict(spec) for spec in specs])
     solve = sector._eigvals_batch
     shared = {}
 
@@ -408,8 +431,7 @@ def test_weighted_tally_equals_the_full_traversal_in_d4(monkeypatch):
         return shared[key].copy()
 
     monkeypatch.setattr(sector, "_eigvals_batch", once)
-    with _full_traversal():
-        assert tally(4, grid, "max", verdicts) == weighted
+    assert _per_form_tally(4, grid, "max", specs) == weighted
     assert weighted[0] == [16700, 16700, 464924]
 
 
@@ -491,6 +513,10 @@ def test_thresholds_are_strict():
 def test_threads_do_not_change_results(monkeypatch):
     for d, t, norm in ((2, 7.5, "max"), (4, 2.0, "max"), (4, 3.0, "frobenius")):
         assert count_ball(d, t, norm, threads=2) == count_ball(d, t, norm)
+    streams = [list(iter_form_batches(3, 6.0, "frobenius", threads=n)) for n in (1, 2)]
+    assert len(streams[0]) == len(streams[1])
+    for one, two in zip(*streams):
+        assert all(np.array_equal(a, b) for a, b in zip(one, two))
     base = count_ball(3, 4.0)
     assert count_ball(3, 4.0, threads=2) == base
     monkeypatch.setenv("QFSECTORS_THREADS", "3")
@@ -538,6 +564,17 @@ def test_quadratic_form_round_trip():
     assert QuadraticForm.from_matrix(f.matrix()) == f
     with pytest.raises(ValueError):
         QuadraticForm.from_matrix([[1, 2], [3, 4]])
+    # entries are integers, never truncated to them
+    with pytest.raises(ValueError, match="integers"):
+        QuadraticForm.from_matrix([[1.5, 0], [0, 1]])
+    assert QuadraticForm.from_matrix(np.eye(2)) == QuadraticForm.from_matrix([[1, 0], [0, 1]])
+    # "fro" names the frobenius norm here as everywhere; the key stays exact
+    g = QuadraticForm.from_matrix(f.matrix(), "fro")
+    assert (g.norm_kind, g.norm) == ("frobenius", math.sqrt(8))
+    big = QuadraticForm.from_matrix([[2**40 + 1, 0], [0, 1]], "fro")
+    assert big.norm == math.sqrt((2**40 + 1) ** 2 + 1)
+    with pytest.raises(ValueError, match="norm must be one of"):
+        QuadraticForm.from_matrix(f.matrix(), "l1")
 
 
 def test_orbit_is_subset_of_matching_det_enumeration():
@@ -642,6 +679,12 @@ def test_orbit_raises_before_an_entry_leaves_int64():
 def test_orbit_guards_and_budget():
     with pytest.raises(ValueError):
         orbit_enumerate(np.diag([2, 1, 1]), 3.0)
+    # det 1 as a full matrix, but its upper triangle (1, 1, 1) is singular
+    with pytest.raises(ValueError, match="symmetric"):
+        orbit_enumerate([[1, 1], [0, 1]], 3.0)
+    for bad in ([[1, 0, 0], [0, 1, 0]], [1, 0, 1], [[1.5, 0], [0, 1]]):
+        with pytest.raises(ValueError):
+            orbit_enumerate(bad, 3.0)
     with pytest.raises(ValueError):
         orbit_enumerate(np.eye(3, dtype=int), 3.0, slack=0.5)
     capped = orbit_enumerate(np.eye(3, dtype=int), 6.0, max_states=50)

@@ -28,6 +28,7 @@ def test_tracer_install_and_uninstall_restore_every_name(monkeypatch):
         ("sector", "jacobi_eigh"), ("sector", "sym3_eigvals_batch"),
         ("sector", "sector_membership"), ("sector", "_classify_batch"),
         ("sector", "count_sector"), ("volume", "_classify_batch"),
+        ("enumeration", "iter_form_batches"),
     } <= names
     for owner, attr, original in patched:
         assert owner.__dict__[attr] is original, f"{owner.__name__}.{attr} not restored"
