@@ -20,9 +20,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import integrate as _sintegrate
 from scipy.linalg import expm
-from scipy.optimize import brentq
 from scipy.special import betainc
 
 from . import enumeration
@@ -45,8 +43,6 @@ from .sector import (
 from .wavefront import _unit_directions
 
 CHAMBER_TOL = 1e-9
-_QUAD_OPTS = {"limit": 120, "epsabs": 1e-11, "epsrel": 1e-9}
-_RTOL = 4.0 * np.finfo(float).eps  # the tightest rtol brentq accepts
 
 
 @dataclass(frozen=True)
@@ -108,12 +104,12 @@ class DensityContext:
         return self._free_roots
 
     def block_logs(self, margins) -> np.ndarray:
-        """Margins (N, n) -> (N, n+1) trace-free log values, one per block."""
+        """Margins (N, n) -> (N, n+1) trace-free block logs; each row's bits ignore the batch."""
         m = np.atleast_2d(np.asarray(margins, dtype=float))
         if m.shape[1] != len(self._cuts):
             raise ValueError("one margin per interior cut required")
         drop = np.concatenate([np.zeros((m.shape[0], 1)), np.cumsum(m, axis=1)], axis=1)
-        shift = (drop @ self._dims) / self.d
+        shift = (drop * self._dims).sum(axis=1) / self.d
         return shift[:, None] - drop
 
     def log_coords(self, margins) -> np.ndarray:
@@ -189,45 +185,87 @@ def haar_fraction(frame, d: int) -> float:
     raise ValueError("unsupported frame constraint")
 
 
-def _upper_margin(ctx, prefix: list, t: float, fill: float) -> float:
-    """Value of the next margin at which the cone point reaches the T-ball's
-    boundary when the remaining margins sit at `fill`.  Radius is monotone
-    increasing in every margin, so the root of radius - T against the
-    minimal completion is a true upper bound."""
-    n = len(ctx.cuts)
-    rest = n - len(prefix) - 1
+def _upper_margin(ctx, prefix, t: float, fill: float):
+    """Next margin at which radius = T with the rest at `fill`, for a prefix
+    list (a float) or prefix rows (N, k).  Radius grows in every margin, so
+    this bounds the margin.  log radius^2, a log-sum-exp of affine terms, is
+    convex: Newton from the doubled bracket's top descends onto the root,
+    to brentq's tolerance 1e-14 + 4u |m|."""
+    rows = np.atleast_2d(np.asarray(prefix, dtype=float))
+    k, n = rows.shape[1], len(ctx.cuts)
+    mv, todo = np.full(len(rows), float(fill)), np.ones(len(rows), dtype=bool)
 
-    def radius(mv: float) -> float:
-        row = np.asarray(prefix + [mv] + [fill] * rest)
-        return float(_ball_radius(ctx, row[None, :])[0])
+    def points(sel):
+        return np.column_stack([rows[sel], mv[sel], np.full((len(mv[sel]), n - k - 1), fill)])
 
-    if radius(fill) >= t:
-        return fill
-    hi = max(1.0, 2.0 * fill)
-    for _ in range(200):
-        if radius(hi) >= t:
+    for _ in range(201):
+        todo[todo] = _ball_radius(ctx, points(todo)) < t
+        if not todo.any():
             break
-        hi *= 2.0
+        mv[todo] = np.maximum(1.0, 2.0 * mv[todo])
     else:
         raise ArithmeticError("ball radius failed to grow along the margin")
-    return brentq(lambda mv: radius(mv) - t, fill, hi, xtol=1e-14, rtol=_RTOL)
+    # d(block log)/d(margin k): the trace's shift minus the drop below cut k
+    slope = ctx._dims[k + 1 :].sum() / ctx.d - (np.arange(n + 1) > k)
+    todo = mv > fill
+    for _ in range(100):
+        if not todo.any():
+            return float(mv[0]) if np.ndim(prefix) == 1 else mv
+        logs = 4.0 * ctx.block_logs(points(todo)) - 2.0 * math.log(t)
+        top = logs.max(axis=1, keepdims=True)
+        mass = np.exp(logs - top) * ctx._dims
+        total = mass.sum(axis=1)
+        step = (top[:, 0] + np.log(total)) * total / (4.0 * (mass * slope).sum(axis=1))
+        mv[todo] -= np.where(step > 0.0, step, 0.0)
+        todo[todo] = step > 1e-14 + 4.0 * np.finfo(float).eps * mv[todo]
+    raise ArithmeticError("ball radius root failed to converge")
 
 
-def _nested_quadrature(ctx: DensityContext, t: float, lower: float) -> float:
-    """Integral of xi over {all margins > lower} inside the T-ball."""
-    n = len(ctx.cuts)
+_X, _W = np.polynomial.legendre.leggauss(10)
+# the 10-point Gauss-Legendre rule on [0, 1]: on its two halves, then whole
+_NODES = np.concatenate([(_X + 1.0) / 4.0, (_X + 3.0) / 4.0, (_X + 1.0) / 2.0])
+_WEIGHTS = np.concatenate([_W / 4.0, _W / 4.0, _W / 2.0])
+_EPSABS, _EPSREL, _MAX_DEPTH = 1e-13, 1e-11, 40
 
-    def rec(prefix: list) -> float:
-        k = len(prefix)
-        if k == n:
-            return float(np.exp(_log_abs_xi(ctx, np.asarray(prefix)[None, :])[0]))
+
+def _nested_quadrature(ctx: DensityContext, t: float, lower: float) -> tuple[float, float]:
+    """Integral of xi over {all margins > lower} inside the T-ball, and its
+    error estimate.  Margin k is integrated for prefix rows (N, k) at once:
+    each round evaluates the nodes of every open panel in one call to level
+    k + 1, and accepts a panel whose 10-point rule and halves differ by at
+    most max(epsabs * its share of the interval, epsrel * |halves|), else
+    bisects it.  The estimate sums the accepted |whole - halves| over every
+    level, weighted by the outer rules: the coarser rule's error, above the
+    halves' own; rounding is not covered."""
+
+    def level(prefix):
+        value, abserr = np.zeros(len(prefix)), np.zeros(len(prefix))
+        if prefix.shape[1] == len(ctx.cuts):
+            return np.exp(_log_abs_xi(ctx, prefix)), abserr
         ub = _upper_margin(ctx, prefix, t, lower)
-        if ub <= lower:
-            return 0.0
-        val, _ = _sintegrate.quad(lambda mv: rec(prefix + [mv]), lower, ub, **_QUAD_OPTS)
-        return val
+        rows = np.flatnonzero(ub > lower)
+        a, h, whole = np.full(len(rows), float(lower)), ub[rows] - lower, None
+        for depth in range(_MAX_DEPTH + 1):
+            if not len(rows):
+                return value, abserr
+            m = 30 if whole is None else 20
+            x = a[:, None] + h[:, None] * _NODES[:m]
+            f, e = level(np.column_stack([np.repeat(prefix[rows], m, axis=0), x.ravel()]))
+            w = h[:, None] * _WEIGHTS[:m]
+            fw, ew = f.reshape(-1, m) * w, e.reshape(-1, m) * w
+            left, right = fw[:, :10].sum(axis=1), fw[:, 10:20].sum(axis=1)
+            whole = fw[:, 20:].sum(axis=1) if whole is None else whole
+            diff = np.abs(whole - (left + right))
+            ok = diff <= np.maximum(_EPSABS * 0.5**depth, _EPSREL * np.abs(left + right))
+            np.add.at(value, rows[ok], left[ok] + right[ok])
+            np.add.at(abserr, rows[ok], diff[ok] + ew[ok, :20].sum(axis=1))
+            bad, half = ~ok, h[~ok] / 2.0
+            a = np.column_stack([a[bad], a[bad] + half]).ravel()
+            rows, h = np.repeat(rows[bad], 2), np.repeat(half, 2)
+            whole = np.column_stack([left[bad], right[bad]]).ravel()
+        raise ArithmeticError("quadrature panel reached the depth cap unconverged")
 
-    return rec([])
+    return tuple(float(v[0]) for v in level(np.zeros((1, 0))))
 
 
 def _margin_boxes(ctx: DensityContext, t: float) -> np.ndarray:
@@ -310,14 +348,12 @@ def _mc_series(
     if norm == "frobenius":
         radii = _ball_radius(ctx, margins)
         factor = haar_fraction(frame, ctx.d)
-    elif norm == "max":
+    else:
         frames, forms = _sampled_forms(ctx, margins, rng)
         radii = np.max(np.abs(forms), axis=(1, 2))
         if not (frame is None or isinstance(frame, FullFrame)):
             # the slot-0 axis is a Haar-uniform line: its share is haar_fraction
             weights = weights * frame.accepts_rows(frames[:, :, 0])
-    else:
-        raise ValueError("unknown norm")
 
     if near_wall_c is not None:
         weights = weights * (np.min(margins, axis=1) <= near_wall_c)
@@ -333,12 +369,13 @@ def _mc_series(
 def _volume(ctx, t_grid, method, frame, norm, samples, seed, near_wall_c=None) -> CountSeries:
     """Volume per threshold of the region, or with near_wall_c of its
     near-wall slice (some margin <= c), by quadrature or MC."""
+    norm = enumeration._check_norm(norm)
     ts = enumeration.t_grid_values(t_grid)
     n = len(ctx.cuts)
     if n == 0:
         raise ValueError("chamber must have at least one interior cut")
     pair = predict_exponent(ctx.d, ctx.blocks.dims)
-    stderr = None
+    stderr = abserr = None
     if method == "quadrature":
         if norm != "frobenius":
             raise ValueError("quadrature supports the frobenius norm only")
@@ -346,13 +383,14 @@ def _volume(ctx, t_grid, method, frame, norm, samples, seed, near_wall_c=None) -
             raise ValueError("quadrature limited to chamber dimension <= 3; use monte-carlo")
         factor = haar_fraction(frame, ctx.d)
 
-        def region(t: float) -> float:
-            inner = _nested_quadrature(ctx, t, 0.0)
+        def region(t: float) -> tuple[float, float]:
+            inner, err = _nested_quadrature(ctx, t, 0.0)
             if near_wall_c is None:
-                return factor * inner
-            return max(0.0, factor * (inner - _nested_quadrature(ctx, t, near_wall_c)))
+                return factor * inner, factor * err
+            outer, err_c = _nested_quadrature(ctx, t, near_wall_c)
+            return max(0.0, factor * (inner - outer)), factor * (err + err_c)
 
-        values = [region(t) for t in ts]
+        values, abserr = zip(*(region(t) for t in ts))
     elif method in ("mc", "monte-carlo"):
         if seed is None:
             raise ValueError("monte-carlo needs a seed")
@@ -374,6 +412,7 @@ def _volume(ctx, t_grid, method, frame, norm, samples, seed, near_wall_c=None) -
         joined=list(ctx.joined),
         samples=int(samples) if method != "quadrature" else None,
         seed=seed if isinstance(seed, int) else None,
+        abserr=list(abserr) if abserr else None,
     )
     if near_wall_c is None:
         manifest.update(predicted_a=str(pair.a), predicted_b=pair.b)
@@ -425,8 +464,8 @@ def singular_volume(
     seed=None,
 ) -> CountSeries:
     """Volume of the near-wall slice: some margin <= c, inside the ball."""
-    if c < 0:
-        raise ValueError("need c >= 0")
+    if not (math.isfinite(c) and c >= 0):
+        raise ValueError("need a finite c >= 0")
     return _volume(ctx, t_grid, method, frame, norm, samples, seed, near_wall_c=c)
 
 

@@ -2,13 +2,17 @@
 
 import dataclasses
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 from scipy.linalg import expm
 
+from conftest import child_env
 from qfsectors import enumeration, sector, volume
 from qfsectors.rootdata import build_root_datum
 from qfsectors.sampling import derive_rng, random_rotation
@@ -18,6 +22,7 @@ from qfsectors.volume import (
     DensityContext,
     _ball_radius,
     _mc_series,
+    _nested_quadrature,
     _upper_margin,
     context_for,
     context_pq,
@@ -234,8 +239,10 @@ def test_singular_volume_behaviour():
     ref = singular_volume(ctx, 0.2, grid)
     for vq, vm, se in zip(ref.values, mc.values, mc.stderr):
         assert abs(vq - vm) < 3.0 * se
-    with pytest.raises(ValueError, match="c >= 0"):
-        singular_volume(ctx, -0.1, grid)
+    for c in (-0.1, math.nan, math.inf):
+        for method in ("quadrature", "monte-carlo"):
+            with pytest.raises(ValueError, match="need a finite c >= 0"):
+                singular_volume(ctx, c, grid, method=method, samples=100, seed=1)
 
 
 def test_monte_carlo_above_chamber_dimension_3():
@@ -348,6 +355,122 @@ def test_upper_margin_solves_radius_equals_t(problem):
         assert radius(ub) == pytest.approx(t, rel=1e-12)
 
 
+def _block_logs(ctx, margins):
+    """Trace-free block log values of one margin vector, in plain floats."""
+    drop = [0.0]
+    for m in margins:
+        drop.append(drop[-1] + m)
+    shift = sum(k * v for k, v in zip(ctx.blocks.dims, drop)) / ctx.d
+    return [shift - v for v in drop]
+
+
+def _reference_radius(ctx, margins):
+    logs = _block_logs(ctx, margins)
+    return math.sqrt(sum(k * math.exp(4.0 * v) for k, v in zip(ctx.blocks.dims, logs)))
+
+
+def _reference_bound(ctx, prefix, t, fill):
+    """_upper_margin by plain bisection on the radius, one row at a time."""
+    rest = [fill] * (len(ctx.cuts) - len(prefix) - 1)
+
+    def radius(mv):
+        return _reference_radius(ctx, prefix + [mv] + rest)
+
+    if radius(fill) >= t:
+        return fill
+    lo, hi = fill, max(1.0, 2.0 * fill)
+    while radius(hi) < t:
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > 1e-14 + 4.0 * np.finfo(float).eps * hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if radius(mid) < t else (lo, mid)
+    return hi
+
+
+def _reference_volume(ctx, t, lower):
+    """Integral of xi over the margins > lower inside the T-ball by nested
+    scalar quad, with xi a product over free_roots of the block logs."""
+    dims = ctx.blocks.dims
+    block = [b for b, k in enumerate(dims) for _ in range(k)]
+    roots = [(block[i - 1], block[j - 1], lp) for i, j, lp, _ in ctx.free_roots()]
+
+    def xi(margins):
+        logs = _block_logs(ctx, margins)
+        return math.prod(
+            abs(math.sinh(logs[a] - logs[b])) if lp else math.cosh(logs[a] - logs[b])
+            for a, b, lp in roots
+        )
+
+    def inner(prefix):
+        if len(prefix) == len(ctx.cuts):
+            return xi(prefix)
+        ub = _reference_bound(ctx, prefix, t, lower)
+        if ub <= lower:
+            return 0.0
+        val, _ = integrate.quad(
+            lambda mv: inner(prefix + [mv]), lower, ub, epsabs=1e-14, epsrel=1e-12, limit=200
+        )
+        return val
+
+    return inner([])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(problem=_margin_problems(), t=st.floats(1.5, 40.0), at_zero=st.booleans())
+@example(problem=(context_for((1, -1, 1, -1)), [0.3, 0.7], 0.0, 0.2), t=12.0, at_zero=False)
+@example(problem=(context_for((1, 1, -1, -1), (2,)), [], 0.0, 0.5), t=24.0, at_zero=True)
+def test_quadrature_matches_nested_scalar_quad(problem, t, at_zero):
+    ctx, prefix, _, c = problem
+    lower = 0.0 if at_zero else c
+    got, abserr = _nested_quadrature(ctx, t, lower)
+    assert math.isfinite(abserr) and abserr >= 0.0
+    want = _reference_volume(ctx, t, lower)
+    assert got == pytest.approx(want, rel=1e-11, abs=1e-13)
+    # the ball misses the open cone: radius is sqrt(d) at its apex
+    for small in (1.0, math.sqrt(ctx.d)):
+        assert _nested_quadrature(ctx, small, lower) == (0.0, 0.0)
+    # a batch of prefixes gives the one-row bounds
+    k = len(prefix)
+    rows = np.random.default_rng(k).random((16, k)) * 2.5
+    rows[:4] = prefix
+    bounds = [_upper_margin(ctx, list(row), t, c) for row in rows]
+    assert _upper_margin(ctx, rows, t, c).tolist() == bounds
+    assert _reference_bound(ctx, prefix, t, c) == pytest.approx(bounds[0], rel=1e-13, abs=1e-14)
+
+
+def test_quadrature_error_estimates_are_recorded():
+    for ctx in (context_for((1, 1, -1)), context_pq(4, 2, 2), context_for((1, -1, 1, -1, 1), (2,))):
+        whole = volume_series(ctx, [2.0, 6.0, 12.0])
+        for series in (whole, singular_volume(ctx, 0.2, [6.0, 12.0])):
+            assert len(series.manifest["abserr"]) == len(series.values)
+            for value, err in zip(series.values, series.manifest["abserr"]):
+                assert math.isfinite(err) and 0.0 <= err <= max(1e-9 * value, 1e-10)
+    mc = volume_series(context_for((1, 1, -1)), [6.0], method="mc", samples=100, seed=1)
+    assert mc.manifest["abserr"] is None
+
+
+def test_quadrature_never_returns_an_unconverged_value(monkeypatch):
+    ctx = context_for((1, 1, -1))
+    monkeypatch.setattr(volume, "_MAX_DEPTH", 1)
+    monkeypatch.setattr(volume, "_EPSREL", 0.0)
+    monkeypatch.setattr(volume, "_EPSABS", 0.0)
+    with pytest.raises(ArithmeticError, match="depth cap"):
+        _nested_quadrature(ctx, 6.0, 0.0)
+
+
+def test_import_skips_scipy_optimize_and_integrate():
+    code = (
+        "import qfsectors, qfsectors.cli, sys; "
+        "print(sorted(m for m in sys.modules "
+        "if m.startswith(('scipy.optimize', 'scipy.integrate'))))"
+    )
+    res = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "[]\n"
+
+
 def _per_sample_rotation(rng, d, size=None):
     """The sampler as it was, one QR per frame: the oracle for the batch."""
 
@@ -387,6 +510,14 @@ def test_volume_guards():
         volume_series(ctx, [4.0], method="laplace")
     with pytest.raises(ValueError, match="frobenius"):
         volume_series(ctx, [4.0], norm="max")
+    # "fro" is the frobenius norm everywhere, digest and manifest included
+    assert volume_series(ctx, [4.0, 6.0], norm="fro") == volume_series(ctx, [4.0, 6.0])
+    mc = [volume_series(ctx, [4.0, 6.0], method="mc", norm=norm, samples=500, seed=4)
+          for norm in ("fro", "frobenius")]
+    assert mc[0] == mc[1] and mc[0].manifest["norm"] == "frobenius"
+    for method in ("quadrature", "mc"):
+        with pytest.raises(ValueError, match="norm must be one of"):
+            volume_series(ctx, [4.0], method=method, norm="l2", seed=4)
     with pytest.raises(ValueError, match="nonempty and increasing"):
         volume_series(ctx, [])
     with pytest.raises(ValueError, match="nonempty and increasing"):
