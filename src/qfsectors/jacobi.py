@@ -93,6 +93,22 @@ def sym2_eigvals_batch(mats: np.ndarray) -> np.ndarray:
     return np.stack([half + rad, half - rad], axis=1)
 
 
+def sym3_char_poly(a00, a01, a02, a11, a12, a22):
+    """Coefficients (c2, c1, c0) of the characteristic polynomial
+    x^3 - c2 x^2 + c1 x - c0 of symmetric 3x3 matrices, from their upper
+    triangles; c0 is the determinant.  The arithmetic keeps the entries'
+    dtype, so int64 entries give exact coefficients while no product
+    overflows."""
+    c2 = a00 + a11 + a22
+    c1 = a00 * a11 - a01 * a01 + a00 * a22 - a02 * a02 + a11 * a22 - a12 * a12
+    c0 = (
+        a00 * (a11 * a22 - a12 * a12)
+        - a01 * (a01 * a22 - a12 * a02)
+        + a02 * (a01 * a12 - a11 * a02)
+    )
+    return c2, c1, c0
+
+
 def _sym3_closed_form(m: np.ndarray) -> np.ndarray:
     """Eigenvalues of a float stack of symmetric 3x3 matrices by the
     trigonometric closed form alone, shape (n, 3), largest first."""
@@ -116,11 +132,7 @@ def _sym3_closed_form(m: np.ndarray) -> np.ndarray:
     b01 = a01 / pn
     b02 = a02 / pn
     b12 = a12 / pn
-    detb = (
-        b00 * (b11 * b22 - b12 * b12)
-        - b01 * (b01 * b22 - b12 * b02)
-        + b02 * (b01 * b12 - b11 * b02)
-    )
+    detb = sym3_char_poly(b00, b01, b02, b11, b12, b22)[2]
     r = np.clip(detb / 2.0, -1.0, 1.0)
     phi = np.arccos(r) / 3.0
 
@@ -146,25 +158,8 @@ def sym3_eigvals_batch(mats: np.ndarray) -> np.ndarray:
     """
     m = np.asarray(mats, dtype=float)
     eig = _sym3_closed_form(m)
-    a00 = m[:, 0, 0]
-    a11 = m[:, 1, 1]
-    a22 = m[:, 2, 2]
-    a01 = m[:, 0, 1]
-    a02 = m[:, 0, 2]
-    a12 = m[:, 1, 2]
-
-    # char poly x^3 - c2 x^2 + c1 x - c0, coefficients from the entries
-    c2 = (a00 + a11 + a22)[:, None]
-    c1 = (
-        a00 * a11 - a01 * a01
-        + a00 * a22 - a02 * a02
-        + a11 * a22 - a12 * a12
-    )[:, None]
-    c0 = (
-        a00 * (a11 * a22 - a12 * a12)
-        - a01 * (a01 * a22 - a12 * a02)
-        + a02 * (a01 * a12 - a11 * a02)
-    )[:, None]
+    i, j = np.triu_indices(3)
+    c2, c1, c0 = (c[:, None] for c in sym3_char_poly(*m[:, i, j].T))
 
     for _ in range(2):
         f = ((eig - c2) * eig + c1) * eig - c0

@@ -8,17 +8,18 @@ grouped consecutively by the block dimensions, has strictly decreasing
 block geometric means, matching per-block signatures, spread inside the
 window, and an admissible frame.  Forms whose required strict
 inequalities are ties are "degenerate": tallied separately, never
-counted as members.
+counted as members.  A frame reads the top eigenvector's line, which
+exists only when the top |eigenvalue| is simple, so a framed sector
+also needs a strict drop from slot 1 to slot 2.
 
-Integer d = 3 batches in a full-frame sign sector (three 1-dim blocks)
-are decided exactly, from the integer characteristic polynomial alone
-(_sign_sector_d3).  Every other batch, and every single form, takes the
-float path: eigenvalues from the closed forms with near-ties rerun
-through Jacobi, and a strict inequality within TIE_TOL counts as a tie.
-TIE_TOL governs only the float paths.  count_sector classifies each
-signed-permutation orbit once with the frame left out (so a framed d = 3
-sign sector is decided exactly up to its frame), and tests a cap on the
-group's images of the orbit's top eigenvector.
+_classify_batch is the one classifier: a single form is a batch of one
+(sector_membership), and count_sector classifies each signed-permutation
+orbit once.  Integer d = 3 batches of three 1-dim blocks get an exact
+spectral verdict from the integer characteristic polynomial alone
+(_sign_sector_d3).  Every other batch takes the float path: eigenvalues
+from the closed forms with near-ties rerun through Jacobi, and a strict
+inequality within TIE_TOL counts as a tie.  TIE_TOL governs only the
+float paths.  A frame is then tested on the member forms' top lines.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from . import enumeration
-from .jacobi import jacobi_eigh, slot_order, sym2_eigvals_batch, sym3_eigvals_batch
+from .jacobi import jacobi_eigh, slot_order, sym2_eigvals_batch, sym3_char_poly, sym3_eigvals_batch
 from .rootdata import BlockDecomposition
 
 # on the float paths, a strict |eigenvalue| or block-mean drop of at most
@@ -79,9 +80,6 @@ class Cap:
         """Verdicts for a stack of top eigenvectors, one per row."""
         c = np.abs(np.asarray(tops, dtype=float) @ np.asarray(self.axis))
         return np.arccos(np.minimum(c, 1.0)) <= self.angle
-
-    def accepts(self, top: np.ndarray) -> bool:
-        return bool(self.accepts_rows(np.asarray(top)[None, :])[0])
 
 
 @dataclass(frozen=True)
@@ -218,19 +216,21 @@ class Membership:
 
 
 def sector_membership(q, spec: SectorSpec) -> Membership:
-    """Classify one form, as a batch of one.  Degeneracy (a tie where
-    strictness is needed) is decided before the sign tests, so it does
-    not depend on the requested signatures."""
+    """Classify one form, as a batch of one of _classify_batch: an
+    integer form takes the exact route that count_sector takes (which
+    raises OverflowError past its int64 bound).  Degeneracy (a tie where strictness is needed) is decided before the
+    sign tests, so it does not depend on the requested signatures."""
     mat = q.matrix() if isinstance(q, enumeration.QuadraticForm) else np.asarray(q)
     d = mat.shape[0]
     if mat.shape != (d, d) or not np.allclose(mat, mat.T):
         raise ValueError("expected a symmetric matrix")
     if d != spec.block.d:
         raise ValueError(f"a {d}x{d} form cannot lie in a sector of d = {spec.block.d}")
-    tri = mat[np.triu_indices(d)][None, :].astype(float)
-    member, degenerate, lam_s, means = _classify(tri, d, spec)
+    tri = mat[np.triu_indices(d)][None, :]
+    member, degenerate = _classify_batch(tri, d, spec)
     if degenerate[0] or not member[0]:
         return Membership(status="degenerate" if degenerate[0] else "nonmember")
+    _, _, lam_s, means = _classify(tri, d, spec)
     starts = (0,) + spec.block.cuts
     return Membership(
         status="member",
@@ -276,9 +276,8 @@ def _top_vectors(mats: np.ndarray, lam_s: np.ndarray) -> np.ndarray:
 
     The eigenvector spans the kernel of A = Q - lam I: for d=3 it is the
     largest cross product of two rows of A, for d=2 a row of A turned by
-    a right angle.  _top_tied rows, where the kernel is ill-conditioned
-    or the slot order is a tie-break, take spectral_data's Jacobi frame,
-    as does d >= 4."""
+    a right angle.  _top_tied rows, where the kernel is ill-conditioned,
+    take spectral_data's Jacobi frame, as does d >= 4."""
     n, d = lam_s.shape
     vec = np.zeros((n, d))
     fallback = np.ones(n, dtype=bool)
@@ -313,9 +312,10 @@ def _slot_spectrum(mats: np.ndarray) -> np.ndarray:
 
 
 def _classify(tri: np.ndarray, d: int, spec: SectorSpec):
-    """Verdicts for a batch of upper triangles: (member, degenerate) masks,
-    the eigenvalues in |eigenvalue|-descending slot order and the block
-    log means."""
+    """Float verdicts for a batch of upper triangles, frame left out:
+    (member, degenerate) masks, the eigenvalues in |eigenvalue|-descending
+    slot order and the block log means.  A framed spec needs a strict
+    drop after slot 1 as after each cut."""
     mats = _matrices(tri, d)
     lam_s = _slot_spectrum(mats)
     alam_s = np.abs(lam_s)
@@ -325,7 +325,8 @@ def _classify(tri: np.ndarray, d: int, spec: SectorSpec):
     means = np.add.reduceat(logs, starts, axis=1) / dims[None, :]
 
     degenerate = np.any(alam_s < 1e-300, axis=1)
-    for c in spec.block.cuts:
+    cuts = spec.block.cuts
+    for c in cuts if isinstance(spec.frame_constraint, FullFrame) else (1,) + cuts:
         degenerate |= logs[:, c - 1] - logs[:, c] <= TIE_TOL
     if len(dims) > 1:
         degenerate |= np.any(means[:, :-1] - means[:, 1:] <= TIE_TOL, axis=1)
@@ -337,69 +338,54 @@ def _classify(tri: np.ndarray, d: int, spec: SectorSpec):
         spread = np.abs(logs - np.repeat(means, dims, axis=1))
         max_spread = np.maximum.reduceat(spread, starts, axis=1)
         member &= ~np.any(max_spread[:, dims >= 2] > spec.block_window, axis=1)
-    if not isinstance(spec.frame_constraint, FullFrame):
-        rows = np.nonzero(member)[0]
-        tops = _top_vectors(mats[rows], lam_s[rows])
-        member[rows] = spec.frame_constraint.accepts_rows(tops)
     return member, degenerate, lam_s, means
 
 
-def _orbit_frame_counts(mats: np.ndarray, weight: np.ndarray, frame: Cap) -> np.ndarray:
-    """How many forms of each row's orbit have a frame that frame accepts.
+def _classify_batch(tri: np.ndarray, d: int, spec: SectorSpec, weight=None):
+    """Verdicts for one batch: (member, degenerate) masks, or with weight
+    the per-row counts of member and degenerate forms, each row standing
+    for its orbit of weight forms P Q P^T under the signed permutations P.
 
-    The image P Q P^T of a form Q under a signed permutation P has the
-    top eigenvector P v when Q has v.  The g = |G| elements of the group
-    reach each of the weight distinct images of Q from g / weight
-    elements, so the orbit holds weight * #{P : frame accepts P v} / g
-    accepted forms: an element that fixes Q fixes the line of v when the
-    top eigenvalue is simple.  A _top_tied row, whose top line may not be
-    a function of the form, takes the frame of each distinct image
-    P Q P^T from spectral_data instead, as classifying the images one by
-    one would.
-    A count that is not a whole number raises."""
-    n, d = mats.shape[:2]
-    group = enumeration.signed_permutations(d).astype(float)
-    lam_s = _slot_spectrum(mats)
-    tops = np.einsum("gij,nj->ngi", group, _top_vectors(mats, lam_s))
-    for r in np.nonzero(_top_tied(lam_s))[0]:
-        images = (group @ mats[r] @ group.transpose(0, 2, 1)).reshape(len(group), -1)
-        distinct, inverse = np.unique(images, axis=0, return_inverse=True)
-        own = [spectral_data(m.reshape(d, d)).frame[:, 0] for m in distinct]
-        tops[r] = np.array(own)[inverse.ravel()]
-    hits = frame.accepts_rows(tops.reshape(-1, d)).reshape(n, len(group)).sum(axis=1)
-    counts, rest = np.divmod(weight * hits, len(group))
-    if np.any(rest):
-        raise RuntimeError("internal orbit check failed: a frame verdict differs "
-                           "between group elements that give the same form")
-    return counts
-
-
-def _classify_batch(tri: np.ndarray, d: int, spec: SectorSpec):
-    """Vectorized verdicts for one batch: (member, degenerate) masks.
-
-    An integer d = 3 batch in a full-frame sign sector is decided exactly
-    by _sign_sector_d3 (a window never binds a 1-dim block).  Any other
+    The spectral verdict reads only the spectrum, which P keeps.  An
+    integer d = 3 batch of 1-dim blocks gets it exactly from
+    _sign_sector_d3 (a window never binds a 1-dim block).  Any other
     batch goes to _classify, which decides each row on its own, so
-    running it on slices of CLASSIFY_ROWS rows gives the same verdicts
-    with bounded temporaries.  An empty batch still makes one (empty)
-    call."""
-    if (
-        np.issubdtype(tri.dtype, np.integer)
-        and d == 3
-        and spec.block.dims == (1, 1, 1)
-        and isinstance(spec.frame_constraint, FullFrame)
-    ):
-        return _sign_sector_d3(tri, spec)
-    parts = [
-        _classify(tri[i : i + CLASSIFY_ROWS], d, spec)[:2]
-        for i in range(0, max(tri.shape[0], 1), CLASSIFY_ROWS)
-    ]
-    return tuple(np.concatenate(masks) for masks in zip(*parts))
+    slices of CLASSIFY_ROWS rows give the same verdicts with bounded
+    temporaries; an empty batch still makes one (empty) call.
+
+    A frame reads the top line v of a member form, a function of the
+    form since its top |eigenvalue| is simple; the image P Q P^T has the
+    top line P v.  The g = |G| elements reach each of an orbit's weight
+    images from g / weight elements, so the orbit holds
+    weight * #{P : frame accepts P v} / g accepted forms.  A form on its
+    own takes the group of the identity alone.  A count that is not a
+    whole number raises."""
+    if np.issubdtype(tri.dtype, np.integer) and d == 3 and spec.block.dims == (1, 1, 1):
+        member, degenerate = _sign_sector_d3(tri, spec)
+    else:
+        parts = [
+            _classify(tri[i : i + CLASSIFY_ROWS], d, spec)[:2]
+            for i in range(0, max(tri.shape[0], 1), CLASSIFY_ROWS)
+        ]
+        member, degenerate = (np.concatenate(masks) for masks in zip(*parts))
+    counts = member if weight is None else member * weight
+    frame = spec.frame_constraint
+    if not isinstance(frame, FullFrame):
+        rows = np.nonzero(member)[0]
+        group = np.eye(d)[None] if weight is None else enumeration.signed_permutations(d)
+        mats = _matrices(tri[rows], d)
+        tops = np.einsum("gij,nj->ngi", group, _top_vectors(mats, _slot_spectrum(mats)))
+        hits = frame.accepts_rows(tops.reshape(-1, d)).reshape(len(rows), len(group)).sum(axis=1)
+        counts[rows], rest = np.divmod(counts[rows] * hits, len(group))
+        if np.any(rest):
+            raise RuntimeError("internal orbit check failed: a frame verdict differs "
+                               "between group elements that give the same form")
+    return counts, degenerate if weight is None else degenerate * weight
 
 
 def _sign_sector_d3(tri: np.ndarray, spec: SectorSpec):
-    """Exact (member, degenerate) masks of integer 3x3 forms in a
-    full-frame sign sector, from p(x) = x^3 - c2 x^2 + c1 x - c0.
+    """Exact (member, degenerate) masks of integer 3x3 forms in a sign
+    sector, frame left out, from p(x) = x^3 - c2 x^2 + c1 x - c0.
 
     The roots of p are real, so Descartes' rule of signs is exact: the
     sign changes of (1, -c2, c1, -c0) count the positive eigenvalues, and
@@ -418,14 +404,7 @@ def _sign_sector_d3(tri: np.ndarray, spec: SectorSpec):
     # product or partial sum anywhere exceeds 4752 b^6
     if 4752 * b**6 >= 2**63:
         raise OverflowError("entries too large for the exact 64-bit sign test")
-    a00, a01, a02, a11, a12, a22 = tri.astype(np.int64).T
-    c2 = a00 + a11 + a22
-    c1 = a00 * a11 - a01 * a01 + a00 * a22 - a02 * a02 + a11 * a22 - a12 * a12
-    c0 = (
-        a00 * (a11 * a22 - a12 * a12)
-        - a01 * (a01 * a22 - a12 * a02)
-        + a02 * (a01 * a12 - a11 * a02)
-    )
+    c2, c1, c0 = sym3_char_poly(*tri.astype(np.int64).T)
     pair_product = c1 * c2 - c0
     disc = c1 * c1 * (c2 * c2 - 4 * c1) + c0 * (18 * c1 * c2 - 4 * c2**3 - 27 * c0)
     degenerate = (c0 == 0) | (pair_product == 0) | (disc == 0)
@@ -475,44 +454,18 @@ def with_fit(series: CountSeries, b_fixed: int = 1) -> CountSeries:
         fit = fit_exponent(series, b_fixed)
     except ValueError:
         return series
-    return CountSeries(
-        t_grid=series.t_grid,
-        values=series.values,
-        spec_digest=series.spec_digest,
-        fit_b_fixed=b_fixed,
-        fit_a=fit.a,
-        fit_c=fit.c,
-        residuals=fit.residuals,
-        manifest=series.manifest,
-        degenerate=series.degenerate,
-        stderr=series.stderr,
+    return dataclasses.replace(
+        series, fit_b_fixed=b_fixed, fit_a=fit.a, fit_c=fit.c, residuals=fit.residuals
     )
 
 
 def tally_verdict(spec: SectorSpec):
     """spec's verdict for enumeration.tally: (triangles, weights) to the
-    per-row counts of member and degenerate forms.
-
-    Each canonical row is classified once, with the frame left out:
-    degeneracy and the spectral conditions read only the spectrum, which
-    conjugation by a signed permutation keeps, so a row counts its
-    weight or nothing.  A cap or anticap reads the top eigenvector,
-    which the group moves, so each member row counts the forms of its
-    orbit that the frame accepts (_orbit_frame_counts).
-    """
-    d, frame = spec.block.d, spec.frame_constraint
-    bare = dataclasses.replace(spec, frame_constraint=FullFrame())
-
-    def verdict(tri: np.ndarray, weight: np.ndarray):
-        # _classify_batch is looked up per call, so a patched one is the one run
-        member, degenerate = _classify_batch(tri, d, bare)
-        members = member * weight
-        if not isinstance(frame, FullFrame):
-            rows = np.nonzero(member)[0]
-            members[rows] = _orbit_frame_counts(_matrices(tri[rows], d), weight[rows], frame)
-        return members, degenerate * weight
-
-    return verdict
+    per-row counts of member and degenerate forms, each canonical row
+    classified once for its signed-permutation orbit."""
+    d = spec.block.d
+    # _classify_batch is looked up per call, so a patched one is the one run
+    return lambda tri, weight: _classify_batch(tri, d, spec, weight)
 
 
 def count_sector(t_grid, spec: SectorSpec, threads: int | None = None) -> CountSeries:

@@ -332,6 +332,12 @@ def _sampled_forms(ctx: DensityContext, margins: np.ndarray, rng):
     return frames, np.einsum("nij,nj,nkj->nik", frames, eig, frames)
 
 
+def _seeded(seed, label: str) -> np.random.Generator:
+    """The stream (seed, label) for an integer seed, numpy's included; a
+    Generator passes through."""
+    return derive_rng(int(seed), label) if isinstance(seed, (int, np.integer)) else seed
+
+
 def _mc_series(
     ctx: DensityContext,
     ts,
@@ -341,7 +347,7 @@ def _mc_series(
     seed,
     near_wall_c: Optional[float] = None,
 ):
-    rng = derive_rng(seed, "volume-mc") if isinstance(seed, int) else seed
+    rng = _seeded(seed, "volume-mc")
     margins, weights = _grid_margins(ctx, max(ts), rng, samples)
 
     factor = 1.0
@@ -411,7 +417,7 @@ def _volume(ctx, t_grid, method, frame, norm, samples, seed, near_wall_c=None) -
         signs=list(ctx.signs),
         joined=list(ctx.joined),
         samples=int(samples) if method != "quadrature" else None,
-        seed=seed if isinstance(seed, int) else None,
+        seed=int(seed) if isinstance(seed, (int, np.integer)) else None,
         abserr=list(abserr) if abserr else None,
     )
     if near_wall_c is None:
@@ -564,7 +570,7 @@ def wellroundedness_ratio(
     if any(dim != 1 for dim in ctx.blocks.dims):
         raise ValueError("thickened-boundary probes need all blocks one-dimensional")
     d = ctx.d
-    rng = derive_rng(seed, "wellrounded") if isinstance(seed, int) else seed
+    rng = _seeded(seed, "wellrounded")
     spec = make_spec(ctx.blocks.dims, _block_signatures(ctx))
     margins, weights = _grid_margins(
         ctx, t, rng, samples, lo=-8.0 * epsilon, pad=0.25 + 2.0 * epsilon

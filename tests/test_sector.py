@@ -250,6 +250,7 @@ FRAME_SPECS = {
         make_spec((1, 2), ["+", (1, 1)]),
         make_spec((2, 1), [(1, 1), "-"]),
         make_spec((2, 1), [(1, 1), "+"]),
+        make_spec((3,), [(2, 1)]),
     ],
 }
 
@@ -278,26 +279,31 @@ def integer_forms(draw, d, kinds=("random", "diagonal", "rotated")):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_batched_frame_test_matches_jacobi_frames(data):
+    """A frame reads the top line, so a framed batch calls the forms
+    whose top two |eigenvalues| tie (by Jacobi) degenerate, on top of
+    the full-frame degenerate forms; each other full-frame member is
+    tested on its Jacobi top eigenvector."""
     d = data.draw(st.sampled_from((2, 3)))
     mats = data.draw(st.lists(integer_forms(d), min_size=1, max_size=25))
     axis = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d)
                      .filter(lambda v: np.linalg.norm(v) > 1e-3))
     angle = data.draw(st.floats(0.05, 3.0))
     tri = np.stack([m[np.triu_indices(d)] for m in mats])
-    tops = np.stack([spectral_data(m).frame[:, 0] for m in mats])
+    spectra = [spectral_data(m) for m in mats]
+    tops = np.stack([sd.frame[:, 0] for sd in spectra])
+    tied = np.array([sd.gaps[0] <= TIE_TOL * abs(sd.eigenvalues[0]) for sd in spectra])
     for base in FRAME_SPECS[d]:
         full, full_deg = _classify_batch(tri, d, base)
         verdicts = []
         for frame in (Cap(axis=axis, angle=angle), AntiCap(axis=axis, angle=angle)):
             spec = dataclasses.replace(base, frame_constraint=frame)
             member, degenerate = _classify_batch(tri, d, spec)
-            jacobi = [f and frame.accepts(top) for f, top in zip(full, tops)]
-            assert member.tolist() == jacobi
-            assert np.array_equal(degenerate, full_deg)
+            assert np.array_equal(member, full & ~tied & frame.accepts_rows(tops))
+            assert np.array_equal(degenerate, full_deg | tied)
             verdicts.append(member)
         cap, anticap = verdicts
         assert not np.any(cap & anticap)
-        assert np.array_equal(cap | anticap, full)
+        assert np.array_equal(cap | anticap, full & ~tied)
 
 
 # ------------------------------------------------- exact d = 3 sign verdict
@@ -442,9 +448,11 @@ def test_cap_counts_monotone_in_angle_and_complementary():
 
 FRAMED_BASES = {
     2: sign_pattern_specs(2),
-    # (3,) and (4,) keep forms whose top |eigenvalue| ties the next
+    # a first block of dimension >= 2 has forms whose top |eigenvalue|
+    # ties the next: members of the full frame, degenerate under a cap
     3: sign_pattern_specs(3) + [make_spec((1, 2), ["+", (1, 1)]),
-                                make_spec((2, 1), [(1, 1), "-"]), make_spec((3,), [(2, 1)])],
+                                make_spec((2, 1), [(1, 1), "-"]), make_spec((3,), [(2, 1)]),
+                                make_spec((3,), [(3, 0)])],
     4: [make_spec((1, 1, 1, 1), "+-+-"), make_spec((2, 2), [(1, 1), (1, 1)]),
         make_spec((4,), [(2, 2)])],
 }
@@ -453,12 +461,16 @@ FRAMED_TOPS = {2: 8.0, 3: 3.5, 4: 2.0}
 
 @functools.lru_cache(maxsize=None)
 def _box_verdicts(d, norm, base):
-    """The box scan's forms classified one by one under base (full
-    frame), with the top eigenvector of each member form: what
-    _classify's frame step reads."""
+    """The box scan's forms classified one by one under base framed by
+    any cap: the full-frame verdict, with a top |eigenvalue| tie made
+    degenerate, and the top eigenvector of each member form, which the
+    frame reads."""
     forms = np.array(brute_force_forms(d, FRAMED_TOPS[d], norm), dtype=np.int64)
     forms = forms.reshape(-1, d * (d + 1) // 2)
     member, degenerate, lam_s, _ = sector._classify(forms, d, base)
+    logs = np.log(np.maximum(np.abs(lam_s[:, :2]), 1e-300))
+    tied = logs[:, 0] - logs[:, 1] <= TIE_TOL
+    member, degenerate = member & ~tied, degenerate | tied
     mats = sector._matrices(forms[member], d)
     return forms, member, degenerate, sector._top_vectors(mats, lam_s[member])
 
@@ -503,6 +515,31 @@ def test_per_orbit_frame_counts_match_the_form_by_form_box_scan(data):
         assert list(series.degenerate) == [int(np.sum(degenerate & m)) for m in inside]
 
 
+@st.composite
+def relabellings(draw):
+    """A framed base, a cap axis and angle, and a signed permutation P."""
+    d = draw(st.sampled_from((2, 3, 4)))
+    base = draw(st.sampled_from(FRAMED_BASES[d]))
+    perm = draw(st.permutations(range(d)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=d, max_size=d))
+    return base, draw(cap_axes(d)), draw(st.floats(0.05, 3.0)), np.diag(signs)[perm]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(case=relabellings())
+@example(case=(make_spec((3,), [(3, 0)]), [1.0, 0.0, 0.0], 0.3, np.eye(3)[[1, 0, 2]]))
+def test_framed_counts_do_not_change_when_the_axes_are_relabelled(case):
+    """Q -> P Q P^T maps the ball onto itself and a top line v to P v, so
+    a cap or anticap about P axis counts what it counts about axis.  The
+    example is I_3, whose top line is not a function of the form."""
+    base, axis, angle, p = case
+    grid = [1.5, FRAMED_TOPS[base.block.d]]
+    for kind in (Cap, AntiCap):
+        one, other = (count_sector(grid, dataclasses.replace(base, frame_constraint=kind(a, angle)))
+                      for a in (axis, p @ np.asarray(axis)))
+        assert (one.values, one.degenerate) == (other.values, other.degenerate)
+
+
 def _conjugates(q):
     """q's conjugates by all 48 signed permutation matrices, built here."""
     group = np.array([np.diag(s)[list(p)] for p in itertools.permutations(range(3))
@@ -515,13 +552,12 @@ TIED_FRAMES = [frame(axis, angle) for frame in (Cap, AntiCap)
 
 
 def test_top_tied_rows_count_their_images_one_by_one():
-    """_top_vectors takes Jacobi's frame for rows whose top two
-    |eigenvalues| lie within 1e-6 (relative).  In the d=3 max-norm ball
-    at T = 20.5 the only such canonical rows are six exact ties, every
-    |eigenvalue| 1: the symmetric signed permutations, degenerate in
-    every sector with a cut.  Their top line is not a function of the
-    form, so _orbit_frame_counts classifies each image P Q P^T itself,
-    and counts what classifying the distinct images one by one does."""
+    """In the d=3 max-norm ball at T = 20.5 the only canonical rows whose
+    top two |eigenvalues| lie within 1e-6 (relative) are six exact ties,
+    every |eigenvalue| 1: the symmetric signed permutations.  They have
+    no top line, so every framed (3,) sector calls each of their images
+    P Q P^T degenerate, classified one by one or as the orbit, while the
+    full-frame (3,) sector, with no cut, counts them all."""
     scan = list(enumeration._scan(3, 20.5, "max", None))
     tri = np.concatenate([full[:, :-1] for full, _ in scan])
     weight = np.concatenate([w for _, w in scan])
@@ -534,10 +570,14 @@ def test_top_tied_rows_count_their_images_one_by_one():
         assert len(distinct) == weight[r]
         images = np.stack([m[np.triu_indices(3)] for m in distinct])
         signature = (int(np.sum(lam_s[r] > 0)), int(np.sum(lam_s[r] < 0)))
+        full = make_spec((3,), [signature])
+        assert np.all(_classify_batch(images, 3, full)[0])
         for frame in TIED_FRAMES:
-            spec = make_spec((3,), [signature], frame=frame)
-            one_by_one = int(np.sum(_classify_batch(images, 3, spec)[0]))
-            assert sector._orbit_frame_counts(mats[r:r + 1], weight[r:r + 1], frame) == [one_by_one]
+            spec = dataclasses.replace(full, frame_constraint=frame)
+            member, degenerate = _classify_batch(images, 3, spec)
+            assert not np.any(member) and np.all(degenerate)
+            orbit = _classify_batch(tri[r:r + 1], 3, spec, weight[r:r + 1])
+            assert [c.tolist() for c in orbit] == [[0], [weight[r]]]
 
 
 def test_near_tied_float_forms_move_their_top_vector_with_the_group():
@@ -545,10 +585,10 @@ def test_near_tied_float_forms_move_their_top_vector_with_the_group():
     with top |eigenvalues| lam and -lam (1 - gap) stand in.  At gap =
     1e-7 the top line is well defined: for each signed permutation P the
     cap verdict of P v, v Jacobi's top vector of Q, is that of the image
-    P Q P^T classified on its own.  At gap = 1e-10, inside TIE_TOL, the
-    slot order of the pair is a tie-break and P v need not be the
-    image's own top vector.  Either way the per-orbit count is the count
-    of the images classified one by one."""
+    P Q P^T classified on its own, and the per-orbit count is the count
+    of the images classified one by one.  At gap = 1e-10, inside
+    TIE_TOL, the top two slots tie, and the form and its orbit are
+    degenerate in every framed sector."""
     rng = np.random.default_rng(16)
     for gap in (1e-7, 1e-10):
         for _ in range(12):
@@ -561,12 +601,19 @@ def test_near_tied_float_forms_move_their_top_vector_with_the_group():
             assert sector._top_tied(lam_s)[0]
             moved = group @ sector._top_vectors(q[None], lam_s)[0]
             own = sector._top_vectors(images, sector._slot_spectrum(images))
+            signature = (int(np.sum(lam_s > 0)), int(np.sum(lam_s < 0)))
+            tri = q[np.triu_indices(3)][None, :]
             for frame in TIED_FRAMES:
-                hits = frame.accepts_rows(own)
+                spec = make_spec((3,), [signature], frame=frame)
+                orbit = [c.tolist() for c in _classify_batch(tri, 3, spec, np.array([24]))]
                 if gap > TIE_TOL:
+                    hits = frame.accepts_rows(own)
                     assert np.array_equal(frame.accepts_rows(moved), hits)
-                # the 48 matrices are the 24 distinct images, each twice (P and -P)
-                assert sector._orbit_frame_counts(q[None], np.array([24]), frame) == [hits.sum() // 2]
+                    # the 48 matrices are the 24 distinct images, each twice (P and -P)
+                    assert orbit == [[hits.sum() // 2], [0]]
+                else:
+                    assert sector_membership(q, spec).status == "degenerate"
+                    assert orbit == [[0], [24]]
 
 
 # the shapes of the sector-frames benchmark round at seed 1: its max-norm

@@ -537,6 +537,17 @@ def test_monte_carlo_needs_two_samples():
     assert all(math.isfinite(v) for v in two.values + two.stderr)
 
 
+def test_numpy_integer_seeds_name_the_same_streams():
+    ctx = context_for((1, 1, -1))
+    for norm in ("frobenius", "max"):
+        series = [volume_series(ctx, [6.0, 8.0], method="mc", norm=norm, samples=300, seed=s)
+                  for s in (5, np.int64(5))]
+        assert series[0] == series[1]
+        assert type(series[1].manifest["seed"]) is int
+    ratios = [wellroundedness_ratio(ctx, 0.1, 8.0, seed=s, samples=300) for s in (5, np.int64(5))]
+    assert ratios[0] == ratios[1]
+
+
 def test_context_pq_requires_d_equal_p_plus_q():
     assert context_pq(4, 2, 2) == context_for((1, 1, -1, -1))
     for d, p, q in ((4, 2, 1), (2, 2, 1), (3, 3, 1)):
