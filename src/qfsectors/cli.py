@@ -21,7 +21,6 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__, cartan, enumeration, rootdata, sector, volume, wavefront
-from .sampling import derive_rng
 
 
 def _fmt(x) -> str:
@@ -443,13 +442,12 @@ def _cmd_report(args) -> int:
         print(f"{r['series']:<10}{_fmt(r['tail_slope']):>14}{_fmt(r['fit_a']):>14}")
     print(f"{'diff':<10}{_fmt(diff['tail_slope']):>14}{_fmt(diff['fit_a']):>14}")
     manifest = RunManifest(args)
-    anchor = args.out or args.counts
     if args.out:
         manifest.record(_write_json(args.out, doc))
     if args.svg:
         manifest.record(_write_svg(args.svg, counts, volumes))
     if args.out or args.svg:
-        manifest.write(anchor)
+        manifest.write(args.out or args.svg)
     return 0
 
 

@@ -19,7 +19,8 @@ spectral verdict from the integer characteristic polynomial alone
 (_sign_sector_d3).  Every other batch takes the float path: eigenvalues
 from the closed forms with near-ties rerun through Jacobi, and a strict
 inequality within TIE_TOL counts as a tie.  TIE_TOL governs only the
-float paths.  A frame is then tested on the member forms' top lines.
+float paths.  A frame is then tested on the member forms' top lines,
+read from one batched eigendecomposition of the member rows.
 """
 
 from __future__ import annotations
@@ -111,8 +112,7 @@ class SectorSpec:
         object.__setattr__(self, "block_signatures", sigs)
         if self.block_window is not None and self.block_window <= 0:
             raise ValueError("block window must be positive when given")
-        if self.norm not in enumeration.NORMS:
-            raise ValueError("unknown norm")
+        object.__setattr__(self, "norm", enumeration._check_norm(self.norm))
         frame = self.frame_constraint
         if isinstance(frame, Cap) and len(frame.axis) != self.block.d:
             raise ValueError(
@@ -265,38 +265,6 @@ def _eigvals_batch(mats: np.ndarray) -> np.ndarray:
     return lam
 
 
-def _top_tied(lam_s: np.ndarray) -> np.ndarray:
-    """Rows whose top |eigenvalue| is within 1e-6 (relative) of the next."""
-    alam = np.abs(lam_s)
-    return alam[:, 0] - alam[:, 1] <= 1e-6 * alam[:, 0]
-
-
-def _top_vectors(mats: np.ndarray, lam_s: np.ndarray) -> np.ndarray:
-    """Unit eigenvectors of lam_s[:, 0], the top |eigenvalue|, one per row.
-
-    The eigenvector spans the kernel of A = Q - lam I: for d=3 it is the
-    largest cross product of two rows of A, for d=2 a row of A turned by
-    a right angle.  _top_tied rows, where the kernel is ill-conditioned,
-    take spectral_data's Jacobi frame, as does d >= 4."""
-    n, d = lam_s.shape
-    vec = np.zeros((n, d))
-    fallback = np.ones(n, dtype=bool)
-    if d in (2, 3):
-        a = mats - lam_s[:, 0, None, None] * np.eye(d)
-        if d == 3:
-            cands = np.cross(a[:, [0, 0, 1]], a[:, [1, 2, 2]])
-        else:
-            cands = a[:, :, ::-1] * np.array([1.0, -1.0])
-        size = np.linalg.norm(cands, axis=2)
-        best = np.argmax(size, axis=1)
-        top = size[np.arange(n), best]
-        vec = cands[np.arange(n), best] / np.where(top > 0, top, 1.0)[:, None]
-        fallback = (top == 0) | _top_tied(lam_s)
-    for r in np.nonzero(fallback)[0]:
-        vec[r] = spectral_data(mats[r]).frame[:, 0]
-    return vec
-
-
 def _matrices(tri: np.ndarray, d: int) -> np.ndarray:
     """Float symmetric matrices of a batch of upper triangles."""
     mats = np.zeros((tri.shape[0], d, d))
@@ -354,12 +322,13 @@ def _classify_batch(tri: np.ndarray, d: int, spec: SectorSpec, weight=None):
     temporaries; an empty batch still makes one (empty) call.
 
     A frame reads the top line v of a member form, a function of the
-    form since its top |eigenvalue| is simple; the image P Q P^T has the
-    top line P v.  The g = |G| elements reach each of an orbit's weight
-    images from g / weight elements, so the orbit holds
-    weight * #{P : frame accepts P v} / g accepted forms.  A form on its
-    own takes the group of the identity alone.  A count that is not a
-    whole number raises."""
+    form since its top |eigenvalue| is simple: the eigenvector of the
+    largest |eigenvalue| in one np.linalg.eigh over the member rows, in
+    every d.  The image P Q P^T has the top line P v.  The g = |G|
+    elements reach each of an orbit's weight images from g / weight
+    elements, so the orbit holds weight * #{P : frame accepts P v} / g
+    accepted forms.  A form on its own takes the group of the identity
+    alone.  A count that is not a whole number raises."""
     if np.issubdtype(tri.dtype, np.integer) and d == 3 and spec.block.dims == (1, 1, 1):
         member, degenerate = _sign_sector_d3(tri, spec)
     else:
@@ -373,8 +342,9 @@ def _classify_batch(tri: np.ndarray, d: int, spec: SectorSpec, weight=None):
     if not isinstance(frame, FullFrame):
         rows = np.nonzero(member)[0]
         group = np.eye(d)[None] if weight is None else enumeration.signed_permutations(d)
-        mats = _matrices(tri[rows], d)
-        tops = np.einsum("gij,nj->ngi", group, _top_vectors(mats, _slot_spectrum(mats)))
+        lam, vec = np.linalg.eigh(_matrices(tri[rows], d))
+        top = np.argmax(np.abs(lam), axis=1)
+        tops = np.einsum("gij,nj->ngi", group, vec[np.arange(len(rows)), :, top])
         hits = frame.accepts_rows(tops.reshape(-1, d)).reshape(len(rows), len(group)).sum(axis=1)
         counts[rows], rest = np.divmod(counts[rows] * hits, len(group))
         if np.any(rest):

@@ -423,6 +423,23 @@ def test_report_table_and_artifacts(tmp_path, capsys):
     assert svg.read_text().startswith("<svg")
 
 
+def test_report_svg_alone_keeps_the_counts_manifest(tmp_path, capsys):
+    """Without --out, report anchors its manifest at the svg, so the
+    count-sector run's manifest next to the counts stays its own."""
+    counts, volumes, svg = tmp_path / "counts.csv", tmp_path / "v.csv", tmp_path / "plot.svg"
+    assert run(capsys, "count-sector", "--blocks", "1,1,1", "--signs", "+,+,-",
+               "--T-grid", "2,3,4,5", "--out", str(counts))[0] == 0
+    with open(volumes, "w", newline="") as fh:
+        csv.writer(fh).writerows([["T", "value"]] + [[t, 3.8 * t**3] for t in (2, 3, 4, 5)])
+    code, _, _ = run(capsys, "report", "--counts", str(counts), "--volumes", str(volumes),
+                     "--svg", str(svg))
+    assert code == 0
+    kept = json.loads((tmp_path / "counts.csv.manifest.json").read_text())
+    assert kept["command"].startswith("qfsectors count-sector ")
+    own = json.loads((tmp_path / "plot.svg.manifest.json").read_text())
+    assert own["command"].startswith("qfsectors report ")
+
+
 def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -206,13 +206,17 @@ def test_spec_validation_and_digest():
         make_spec((1, 2), ["+", "+"])  # shorthand on a 2-dim block
     with pytest.raises(ValueError):
         make_spec((1, 1, 1), ["+", "+", "-"], block_window=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="norm must be one of"):
         make_spec((1, 1, 1), ["+", "+", "-"], norm="spectral")
     a = make_spec((1, 1, 1), ["+", "+", "-"])
     b = make_spec((1, 1, 1), [(1, 0), (1, 0), (0, 1)])
     assert a.digest() == b.digest()
     assert a.digest() != make_spec((1, 1, 1), ["+", "-", "+"]).digest()
-    assert a.digest() != make_spec((1, 1, 1), ["+", "+", "-"], norm="frobenius").digest()
+    fro = make_spec((1, 1, 1), ["+", "+", "-"], norm="frobenius")
+    assert a.digest() != fro.digest()
+    # "fro" is the same norm to a spec as to count_ball and volume_series
+    short = make_spec((1, 1, 1), ["+", "+", "-"], norm="fro")
+    assert short == fro and short.digest() == fro.digest()
     assert a.digest() != make_spec(
         (1, 1, 1), ["+", "+", "-"], frame=Cap(axis=(0, 0, 1), angle=0.3)
     ).digest()
@@ -393,9 +397,12 @@ def test_full_frame_d3_counts_solve_no_eigenvalues(monkeypatch):
     for norm in ("max", "frobenius"):
         spec = make_spec((1, 1, 1), ["+", "+", "-"], norm=norm)
         assert count_sector([3.0, 4.0], spec).values[-1] > 0
+    # a framed sign sector reads its top lines from one np.linalg.eigh
+    for frame in (Cap((0, 0, 1), 0.8), AntiCap((1, 2, 3), 0.8)):
+        count_sector([3.0], make_spec((1, 1, 1), ["+", "+", "-"], frame=frame))
     assert calls == []
-    # a cap frame still takes the float path, and the counters see it
-    count_sector([3.0], make_spec((1, 1, 1), ["+", "+", "-"], frame=Cap((0, 0, 1), 0.8)))
+    # a (1, 2) sector takes the float path, and the counters see it
+    count_sector([3.0], make_spec((1, 2), ["+", (1, 1)]))
     assert "sym3_eigvals_batch" in calls
 
 
@@ -463,16 +470,16 @@ FRAMED_TOPS = {2: 8.0, 3: 3.5, 4: 2.0}
 def _box_verdicts(d, norm, base):
     """The box scan's forms classified one by one under base framed by
     any cap: the full-frame verdict, with a top |eigenvalue| tie made
-    degenerate, and the top eigenvector of each member form, which the
-    frame reads."""
+    degenerate, and the Jacobi top eigenvector of each member form,
+    which the frame reads."""
     forms = np.array(brute_force_forms(d, FRAMED_TOPS[d], norm), dtype=np.int64)
     forms = forms.reshape(-1, d * (d + 1) // 2)
     member, degenerate, lam_s, _ = sector._classify(forms, d, base)
     logs = np.log(np.maximum(np.abs(lam_s[:, :2]), 1e-300))
     tied = logs[:, 0] - logs[:, 1] <= TIE_TOL
     member, degenerate = member & ~tied, degenerate | tied
-    mats = sector._matrices(forms[member], d)
-    return forms, member, degenerate, sector._top_vectors(mats, lam_s[member])
+    tops = [spectral_data(m).frame[:, 0] for m in sector._matrices(forms[member], d)]
+    return forms, member, degenerate, np.reshape(tops, (-1, d))
 
 
 @st.composite
@@ -540,6 +547,30 @@ def test_framed_counts_do_not_change_when_the_axes_are_relabelled(case):
         assert (one.values, one.degenerate) == (other.values, other.degenerate)
 
 
+@pytest.mark.parametrize("base", [make_spec((1, 1), "+-"), make_spec((3,), [(2, 1)]),
+                                  make_spec((2, 2), [(1, 1), (1, 1)])])
+def test_the_frame_step_makes_no_per_row_solve(monkeypatch, base):
+    """A framed count reads its top lines from one batched eigh: it never
+    calls spectral_data, and it calls jacobi_eigh exactly as often as the
+    full-frame count, whose near-tie reruns are the only Jacobi solves."""
+    calls = []
+    for name in ("spectral_data", "jacobi_eigh"):
+        real = getattr(sector, name)
+        monkeypatch.setattr(
+            sector, name, lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a)
+        )
+    d = base.block.d
+    grid = [1.5, FRAMED_TOPS[d]]
+    count_sector(grid, base)
+    unframed = list(calls)
+    axis = tuple(range(1, d + 1))
+    for frame in (Cap(axis, 0.6), AntiCap(axis, 0.6)):
+        calls.clear()
+        series = count_sector(grid, dataclasses.replace(base, frame_constraint=frame))
+        assert series.values[-1] > 0
+        assert calls == unframed and "spectral_data" not in calls
+
+
 def _conjugates(q):
     """q's conjugates by all 48 signed permutation matrices, built here."""
     group = np.array([np.diag(s)[list(p)] for p in itertools.permutations(range(3))
@@ -563,7 +594,8 @@ def test_top_tied_rows_count_their_images_one_by_one():
     weight = np.concatenate([w for _, w in scan])
     mats = sector._matrices(tri, 3)
     lam_s = sector._slot_spectrum(mats)
-    tied = np.nonzero(sector._top_tied(lam_s))[0]
+    alam = np.abs(lam_s)
+    tied = np.nonzero(alam[:, 0] - alam[:, 1] <= 1e-6 * alam[:, 0])[0]
     assert len(tied) == 6 and np.allclose(np.abs(lam_s[tied]), 1.0)
     for r in tied:
         distinct = np.unique(_conjugates(mats[r])[1].reshape(-1, 9), axis=0).reshape(-1, 3, 3)
@@ -598,9 +630,10 @@ def test_near_tied_float_forms_move_their_top_vector_with_the_group():
             q = (q + q.T) / 2
             group, images = _conjugates(q)
             lam_s = sector._slot_spectrum(q[None])
-            assert sector._top_tied(lam_s)[0]
-            moved = group @ sector._top_vectors(q[None], lam_s)[0]
-            own = sector._top_vectors(images, sector._slot_spectrum(images))
+            alam = np.abs(lam_s[0])
+            assert alam[0] - alam[1] <= 1e-6 * alam[0]
+            moved = group @ spectral_data(q).frame[:, 0]
+            own = np.array([spectral_data(m).frame[:, 0] for m in images])
             signature = (int(np.sum(lam_s > 0)), int(np.sum(lam_s < 0)))
             tri = q[np.triu_indices(3)][None, :]
             for frame in TIED_FRAMES:
