@@ -1,9 +1,12 @@
 """Command-line entry point.
 
-Every artifact-producing run writes `<out>.manifest.json` next to its
-outputs: command line, config digest, seeds, versions, wall clock, and
-a sha256 per output file, plus a partial flag when a run died midway.
-CSV numbers are printed with 12 significant digits so reruns diff clean.
+A command computes, writes its files and records them (and its seeds) in
+the run's manifest; `main` writes that manifest, once, as
+`<first output>.manifest.json` whenever at least one output was recorded:
+command line, config digest, seeds, versions, wall clock, a sha256 per
+output file that exists, and a partial flag, false only when the command
+returned.  CSV numbers are printed with 12 significant digits so reruns
+diff clean.
 """
 
 from __future__ import annotations
@@ -67,7 +70,8 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 
 
 class RunManifest:
-    """Collects provenance while a command runs, then lands beside --out."""
+    """Collects provenance while a command runs, then lands beside its
+    first recorded output."""
 
     def __init__(self, args: argparse.Namespace):
         self.t0 = time.monotonic()
@@ -81,7 +85,7 @@ class RunManifest:
         self.outputs.append(path)
         return path
 
-    def write(self, anchor: str, partial: bool = False) -> None:
+    def write(self, partial: bool) -> None:
         blob = json.dumps(self.config, sort_keys=True, default=str).encode()
         doc = {
             "command": self.command,
@@ -101,7 +105,7 @@ class RunManifest:
             "outputs": {p: _sha256(p) for p in self.outputs if os.path.exists(p)},
             "partial": partial,
         }
-        with open(anchor + ".manifest.json", "w") as fh:
+        with open(self.outputs[0] + ".manifest.json", "w") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
@@ -202,19 +206,16 @@ def _read_series_csv(path: str) -> tuple[list[float], list[float]]:
 # ---------------------------------------------------------------- commands
 
 
-def _cmd_predict_exponent(args) -> int:
+def _cmd_predict_exponent(args, manifest) -> None:
     dims = _parse_ints(args.blocks)
     pair = rootdata.predict_exponent(args.d, dims)
     doc = {"a": str(pair.a), "b": pair.b}
     print(json.dumps(doc, separators=(",", ":")))
     if args.out:
-        manifest = RunManifest(args)
         manifest.record(_write_json(args.out, doc))
-        manifest.write(args.out)
-    return 0
 
 
-def _cmd_kah(args) -> int:
+def _cmd_kah(args, manifest) -> None:
     mat = _read_matrix(args.matrix)
     p, q = _parse_signature(args.signature)
     factors = cartan.kah_decompose(mat, (p, q))
@@ -230,10 +231,7 @@ def _cmd_kah(args) -> int:
     }
     print(json.dumps(_round12(doc), separators=(",", ":")))
     if args.out:
-        manifest = RunManifest(args)
         manifest.record(_write_json(args.out, doc))
-        manifest.write(args.out)
-    return 0
 
 
 # the wavefront CSV header, each column read from the SweepCell field of its name
@@ -249,9 +247,8 @@ SWEEP_COLUMNS = (
 )
 
 
-def _cmd_wavefront(args) -> int:
+def _cmd_wavefront(args, manifest) -> None:
     p, q = _parse_signature(args.signature)
-    manifest = RunManifest(args)
     manifest.seeds["sweep"] = args.seed
     cells = wavefront.lipschitz_sweep(
         (p, q),
@@ -264,52 +261,32 @@ def _cmd_wavefront(args) -> int:
     )
     rows = [[getattr(cell, col) for col in SWEEP_COLUMNS] for cell in cells]
     manifest.record(_write_csv(args.out, list(SWEEP_COLUMNS), rows))
-    manifest.write(args.out)
-    return 0
 
 
 def _tri_labels(d: int) -> list[str]:
     return [f"q{i + 1}{j + 1}" for i, j in enumeration.triangle_indices(d)]
 
 
-def _cmd_enumerate(args) -> int:
-    manifest = RunManifest(args)
-    threads = enumeration.resolve_threads(args.threads)
+def _cmd_enumerate(args, manifest) -> None:
     header = _tri_labels(args.d) + ["det", "norm"]
-    partial = False
-    try:
-        with open(args.out, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            for tri, det, norms in enumeration.iter_form_batches(
-                args.d, args.T, args.norm, threads
-            ):
-                for row, dv, nv in zip(tri, det, norms):
-                    w.writerow([str(int(x)) for x in row] + [str(int(dv)), _fmt(nv)])
-    except BaseException:
-        partial = True
-        raise
-    finally:
+    with open(args.out, "w", newline="") as fh:
         manifest.record(args.out)
-        manifest.write(args.out, partial=partial)
-    return 0
+        w = csv.writer(fh)
+        w.writerow(header)
+        for tri, det, norms in enumeration.iter_form_batches(
+            args.d, args.T, args.norm, args.threads
+        ):
+            for row, dv, nv in zip(tri, det, norms):
+                w.writerow([str(int(x)) for x in row] + [str(int(dv)), _fmt(nv)])
 
 
-def _cmd_count_ball(args) -> int:
-    manifest = RunManifest(args)
-    threads = enumeration.resolve_threads(args.threads)
+def _cmd_count_ball(args, manifest) -> None:
     grid = _parse_floats(args.t_grid)
-    counts = enumeration.count_ball_grid(args.d, grid, args.norm, threads)
-    manifest.record(
-        _write_csv(args.out, ["T", "count"], list(zip(grid, counts)))
-    )
-    manifest.write(args.out)
-    return 0
+    counts = enumeration.count_ball_grid(args.d, grid, args.norm, args.threads)
+    manifest.record(_write_csv(args.out, ["T", "count"], list(zip(grid, counts))))
 
 
-def _cmd_count_sector(args) -> int:
-    manifest = RunManifest(args)
-    threads = enumeration.resolve_threads(args.threads)
+def _cmd_count_sector(args, manifest) -> None:
     spec = sector.make_spec(
         _parse_ints(args.blocks),
         _parse_signs(args.signs),
@@ -317,15 +294,13 @@ def _cmd_count_sector(args) -> int:
         norm=args.norm,
         block_window=args.window,
     )
-    series = sector.count_sector(_parse_floats(args.t_grid), spec, threads=threads)
+    series = sector.count_sector(_parse_floats(args.t_grid), spec, threads=args.threads)
     rows = list(zip(series.t_grid, series.values, series.degenerate))
     manifest.record(_write_csv(args.out, ["T", "count", "degenerate"], rows))
     fit_doc = _fit_report(series)
     fit_path = os.path.splitext(args.out)[0] + ".fit.json"
     manifest.record(_write_json(fit_path, fit_doc))
     print(json.dumps(_round12(fit_doc), separators=(",", ":")))
-    manifest.write(args.out)
-    return 0
 
 
 def _fit_report(series: sector.CountSeries) -> dict:
@@ -340,8 +315,7 @@ def _fit_report(series: sector.CountSeries) -> dict:
     }
 
 
-def _cmd_volume(args) -> int:
-    manifest = RunManifest(args)
+def _cmd_volume(args, manifest) -> None:
     p, q = _parse_signature(args.signature)
     signs = None
     if args.signs:
@@ -355,15 +329,12 @@ def _cmd_volume(args) -> int:
         if signs is not None
         else volume.context_pq(p + q, p, q, joined)
     )
-    method = "monte-carlo" if args.method == "mc" else args.method
-    if method != "quadrature" and args.seed is None:
-        raise ValueError("--seed is required for the monte-carlo method")
     if args.seed is not None:
         manifest.seeds["volume"] = args.seed
     series = volume.volume_series(
         ctx,
         _parse_floats(args.t_grid),
-        method=method,
+        method=args.method,
         frame=_parse_frame(args.frame),
         norm=args.norm,
         samples=int(float(args.samples)),
@@ -374,11 +345,9 @@ def _cmd_volume(args) -> int:
     manifest.record(_write_csv(args.out, ["T", "volume", "stderr"], rows))
     fit_path = os.path.splitext(args.out)[0] + ".fit.json"
     manifest.record(_write_json(fit_path, _fit_report(series)))
-    manifest.write(args.out)
-    return 0
 
 
-def _cmd_fit(args) -> int:
+def _cmd_fit(args, manifest) -> None:
     ts, vals = _read_series_csv(getattr(args, "in"))
     res = sector.fit_exponent((ts, vals), b_fixed=args.b)
     doc = {
@@ -392,10 +361,7 @@ def _cmd_fit(args) -> int:
     }
     print(json.dumps(_round12(doc), separators=(",", ":")))
     if args.out:
-        manifest = RunManifest(args)
         manifest.record(_write_json(args.out, doc))
-        manifest.write(args.out)
-    return 0
 
 
 def _tail_slope(ts, vals) -> float | None:
@@ -417,7 +383,7 @@ def _series_summary(name: str, ts, vals) -> dict:
     return out
 
 
-def _cmd_report(args) -> int:
+def _cmd_report(args, manifest) -> None:
     counts = _read_series_csv(args.counts)
     volumes = _read_series_csv(args.volumes)
     rows = [
@@ -441,14 +407,10 @@ def _cmd_report(args) -> int:
     for r in rows:
         print(f"{r['series']:<10}{_fmt(r['tail_slope']):>14}{_fmt(r['fit_a']):>14}")
     print(f"{'diff':<10}{_fmt(diff['tail_slope']):>14}{_fmt(diff['fit_a']):>14}")
-    manifest = RunManifest(args)
     if args.out:
         manifest.record(_write_json(args.out, doc))
     if args.svg:
         manifest.record(_write_svg(args.svg, counts, volumes))
-    if args.out or args.svg:
-        manifest.write(args.out or args.svg)
-    return 0
 
 
 def _write_svg(path: str, counts, volumes) -> str:
@@ -613,8 +575,15 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(_bind_sign_lists(argv))
     args._argv = argv
+    manifest, done = RunManifest(args), False
     try:
-        return args.func(args)
+        try:
+            args.func(args, manifest)
+            done = True
+        finally:
+            if manifest.outputs:
+                manifest.write(partial=not done)
+        return 0
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -188,26 +188,25 @@ def haar_fraction(frame, d: int) -> float:
 def _upper_margin(ctx, prefix, t: float, fill: float):
     """Next margin at which radius = T with the rest at `fill`, for a prefix
     list (a float) or prefix rows (N, k).  Radius grows in every margin, so
-    this bounds the margin.  log radius^2, a log-sum-exp of affine terms, is
-    convex: Newton from the doubled bracket's top descends onto the root,
-    to brentq's tolerance 1e-14 + 4u |m|."""
+    this bounds the margin.  The top block's log is the trace shift
+    sum_j s_j m_j, s_j = (dims after cut j) / d > 0, so radius >=
+    sqrt(dims_0) e^(2 shift): the margin at which that one term reaches T
+    lies above the root.  log radius^2, a log-sum-exp of affine terms, is
+    convex: Newton from that bound descends onto the root, to brentq's
+    tolerance 1e-14 + 4u |m|."""
     rows = np.atleast_2d(np.asarray(prefix, dtype=float))
     k, n = rows.shape[1], len(ctx.cuts)
-    mv, todo = np.full(len(rows), float(fill)), np.ones(len(rows), dtype=bool)
+    s = (ctx.d - np.cumsum(ctx._dims[:-1])) / ctx.d
+    mv = np.full(len(rows), float(fill))
 
     def points(sel):
         return np.column_stack([rows[sel], mv[sel], np.full((len(mv[sel]), n - k - 1), fill)])
 
-    for _ in range(201):
-        todo[todo] = _ball_radius(ctx, points(todo)) < t
-        if not todo.any():
-            break
-        mv[todo] = np.maximum(1.0, 2.0 * mv[todo])
-    else:
-        raise ArithmeticError("ball radius failed to grow along the margin")
+    todo = _ball_radius(ctx, points(slice(None))) < t
+    reach = 0.5 * math.log(t) - 0.25 * math.log(ctx._dims[0]) - fill * s[k + 1 :].sum()
+    mv[todo] = (reach - (rows[todo] * s[:k]).sum(axis=1)) / s[k]
     # d(block log)/d(margin k): the trace's shift minus the drop below cut k
-    slope = ctx._dims[k + 1 :].sum() / ctx.d - (np.arange(n + 1) > k)
-    todo = mv > fill
+    slope = s[k] - (np.arange(n + 1) > k)
     for _ in range(100):
         if not todo.any():
             return float(mv[0]) if np.ndim(prefix) == 1 else mv

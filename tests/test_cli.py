@@ -154,6 +154,45 @@ def test_enumerate_marks_partial_runs(tmp_path, capsys, monkeypatch):
     assert man["partial"] is True
 
 
+@pytest.mark.parametrize("argv", [
+    ["count-sector", "--blocks", "1,1,1", "--signs", "+,+,-", "--T-grid", "2,3"],
+    ["volume", "--signature", "2,1", "--T-grid", "6,10"],
+])
+def test_unwritable_fit_file_leaves_a_partial_manifest(tmp_path, capsys, argv):
+    """A run that dies after writing its CSV still explains that CSV."""
+    out = tmp_path / "series.csv"
+    (tmp_path / "series.fit.json").mkdir()
+    code, _, err = run(capsys, *argv, "--out", str(out))
+    assert code == 1
+    assert err.startswith("error:")
+    man = json.loads((tmp_path / "series.csv.manifest.json").read_text())
+    assert man["partial"] is True
+    assert man["outputs"] == {str(out): hashlib.sha256(out.read_bytes()).hexdigest()}
+
+
+def test_enumerate_into_a_missing_directory_names_the_csv(tmp_path, capsys):
+    out = tmp_path / "missing" / "forms.csv"
+    code, _, err = run(capsys, "enumerate", "--T", "1.5", "--out", str(out))
+    assert code == 1
+    assert err.startswith("error:")
+    assert str(out) in err
+    assert "manifest" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["predict-exponent", "--d", "3", "--blocks", "1,1,1"],
+    ["kah", "--matrix", "2,1,0;1,1,0;0,0,1", "--signature", "2,1"],
+    ["fit", "--in", "series.csv"],
+])
+def test_stdout_only_runs_write_no_manifest(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    with open("series.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows([["T", "value"]] + [[t, 2.0 * t**3] for t in (2, 3, 4, 5)])
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["series.csv"]
+
+
 def test_count_ball_grid(tmp_path, capsys):
     out = tmp_path / "ball.csv"
     code, _, _ = run(capsys, "count-ball", "--T-grid", "1.5,2", "--out", str(out))

@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -365,16 +366,24 @@ def _block_logs(ctx, margins):
 
 
 def _reference_radius(ctx, margins):
-    logs = _block_logs(ctx, margins)
-    return math.sqrt(sum(k * math.exp(4.0 * v) for k, v in zip(ctx.blocks.dims, logs)))
+    """The radius of one margin vector, to 50 digits."""
+    with mpmath.workdps(50):
+        logs = _block_logs(ctx, [mpmath.mpf(m) for m in margins])
+        return mpmath.sqrt(mpmath.fsum(k * mpmath.exp(4 * v) for k, v in zip(ctx.blocks.dims, logs)))
 
 
 def _reference_bound(ctx, prefix, t, fill):
-    """_upper_margin by plain bisection on the radius, one row at a time."""
+    """_upper_margin by plain bisection on the 50-digit radius, one row at a
+    time: near the cone's apex the radius is flat, and a float radius moves
+    the root by ~3e-14.  A float radius more than 1e-13 from T already
+    gives the same verdict."""
     rest = [fill] * (len(ctx.cuts) - len(prefix) - 1)
 
     def radius(mv):
-        return _reference_radius(ctx, prefix + [mv] + rest)
+        margins = prefix + [mv] + rest
+        logs = _block_logs(ctx, margins)
+        r = math.sqrt(sum(k * math.exp(4.0 * v) for k, v in zip(ctx.blocks.dims, logs)))
+        return r if abs(r - t) > 1e-13 * t else _reference_radius(ctx, margins)
 
     if radius(fill) >= t:
         return fill
@@ -419,6 +428,7 @@ def _reference_volume(ctx, t, lower):
 @given(problem=_margin_problems(), t=st.floats(1.5, 40.0), at_zero=st.booleans())
 @example(problem=(context_for((1, -1, 1, -1)), [0.3, 0.7], 0.0, 0.2), t=12.0, at_zero=False)
 @example(problem=(context_for((1, 1, -1, -1), (2,)), [], 0.0, 0.5), t=24.0, at_zero=True)
+@example(problem=(context_for((1, -1, -1, -1)), [], 0.0, 0.0), t=2.00001, at_zero=True)
 def test_quadrature_matches_nested_scalar_quad(problem, t, at_zero):
     ctx, prefix, _, c = problem
     lower = 0.0 if at_zero else c
