@@ -16,9 +16,6 @@ from .enumeration import (
 from .rootdata import (
     BlockDecomposition,
     ExponentPair,
-    RootDatum,
-    build_root_datum,
-    datum_for_signs,
     predict_exponent,
     weight_coefficients,
 )
@@ -63,17 +60,14 @@ __all__ = [
     "FullFrame",
     "ProbeReport",
     "QuadraticForm",
-    "RootDatum",
     "SectorSpec",
     "__version__",
-    "build_root_datum",
     "coarse_probe",
     "context_for",
     "context_pq",
     "count_ball",
     "count_ball_grid",
     "count_sector",
-    "datum_for_signs",
     "enumerate_forms",
     "fine_probe",
     "fit_exponent",

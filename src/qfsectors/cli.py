@@ -317,18 +317,14 @@ def _fit_report(series: sector.CountSeries) -> dict:
 
 def _cmd_volume(args, manifest) -> None:
     p, q = _parse_signature(args.signature)
-    signs = None
+    signs = (1,) * p + (-1,) * q
     if args.signs:
         tokens = _parse_signs(args.signs)
         if len(tokens) != p + q or tokens.count("+") != p or tokens.count("-") != q:
             raise ValueError("--signs must have p pluses and q minuses")
         signs = tuple(1 if s == "+" else -1 for s in tokens)
     joined = _parse_ints(args.I) if args.I else []
-    ctx = (
-        volume.context_for(signs, joined)
-        if signs is not None
-        else volume.context_pq(p + q, p, q, joined)
-    )
+    ctx = volume.context_for(signs, joined)
     if args.seed is not None:
         manifest.seeds["volume"] = args.seed
     series = volume.volume_series(

@@ -1,15 +1,16 @@
-"""Restricted root data for SL_d(R) with an indefinite orthogonal involution.
+"""Block decompositions of SL_d(R)'s Cartan chamber and their exact growth exponents.
 
-Everything here is exact: multiplicities are small integers computed by
-conjugating elementary matrices, and growth exponents are rational numbers
-built with fractions.Fraction.  Floating point never enters.
+Everything here is exact: growth exponents are rational numbers built
+with fractions.Fraction.  Floating point never enters.
 
 Conventions.  A = positive diagonal matrices of determinant 1, with
 log-coordinates x_1 >= ... >= x_d summing to 0.  The positive restricted
 roots are a_ij(x) = x_i - x_j for i < j; the simple ones are
-a_i = a_{i,i+1}.  The involution is built from J = diag(I_p, -I_q), and a
-block decomposition d = dim W_1 + ... + dim W_{n+1} has interior cut points
-i_k = dim W_1 + ... + dim W_k for k = 1..n (so i_n = d - dim W_{n+1}).
+a_i = a_{i,i+1}.  A block decomposition d = dim W_1 + ... + dim W_{n+1}
+has interior cut points i_k = dim W_1 + ... + dim W_k for k = 1..n (so
+i_n = d - dim W_{n+1}).  How the involution J = diag(signs) splits each
+root space, which the density needs, is read off the signs by
+volume.DensityContext.
 """
 
 from __future__ import annotations
@@ -17,33 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
-
-
-@dataclass(frozen=True)
-class RootDatum:
-    """Positive roots of sl_d with multiplicities split by the involution.
-
-    positive_roots lists pairs (i, j) with 1 <= i < j <= d, meaning the
-    functional x_i - x_j.  l_plus[(i, j)] and l_minus[(i, j)] are the
-    dimensions of the (+1)- and (-1)-eigenspaces of sigma.theta on the
-    root space (here each root space is a single elementary matrix, so
-    the two always sum to 1).
-    """
-
-    d: int
-    p: int
-    q: int
-    positive_roots: tuple[tuple[int, int], ...]
-    l_plus: dict[tuple[int, int], int]
-    l_minus: dict[tuple[int, int], int]
-
-    @property
-    def simple_roots(self) -> tuple[tuple[int, int], ...]:
-        """alpha_i = a_{i,i+1} in the s_i/s_{i+1} convention, i = 1..d-1."""
-        return tuple((i, i + 1) for i in range(1, self.d))
-
-    def multiplicity(self, root: tuple[int, int]) -> tuple[int, int]:
-        return self.l_plus[root], self.l_minus[root]
 
 
 @dataclass(frozen=True)
@@ -98,55 +72,6 @@ class ExponentPair:
     def __post_init__(self) -> None:
         if self.a <= 0 or self.b < 1:
             raise ValueError("need a > 0 and b >= 1")
-
-
-def root_multiplicities(signs: Sequence[int]) -> tuple[
-    tuple[tuple[int, int], ...],
-    dict[tuple[int, int], int],
-    dict[tuple[int, int], int],
-]:
-    """Split each root space by the involution X -> J X J, J = diag(signs).
-
-    The root space for (i, j) is spanned by the elementary matrix E_ij,
-    and J E_ij J = signs[i] signs[j] E_ij, so the eigenvalue is read off
-    the sign product.  Kept explicit (rather than hard-coding the sign
-    product) so the same path serves any diagonal J.
-    """
-    d = len(signs)
-    roots = tuple((i, j) for i in range(1, d + 1) for j in range(i + 1, d + 1))
-    l_plus: dict[tuple[int, int], int] = {}
-    l_minus: dict[tuple[int, int], int] = {}
-    for i, j in roots:
-        eig = signs[i - 1] * signs[j - 1]
-        l_plus[(i, j)] = 1 if eig == 1 else 0
-        l_minus[(i, j)] = 1 if eig == -1 else 0
-    return roots, l_plus, l_minus
-
-
-def build_root_datum(d: int, p: int, q: int) -> RootDatum:
-    """Root datum for (SL_d(R), SO(d), SO(p, q)) with p + q = d, q >= 1."""
-    if p < 1 or q < 1 or p + q != d:
-        raise ValueError("need p >= 1, q >= 1, p + q = d")
-    return datum_for_signs((1,) * p + (-1,) * q)
-
-
-def datum_for_signs(signs: Sequence[int]) -> RootDatum:
-    """Root datum for an arbitrary sign arrangement diag(signs).
-
-    build_root_datum is the case with the plus block first; other
-    patterns serve sectors whose signs interleave the two classes.
-    """
-    signs = tuple(int(s) for s in signs)
-    if any(s not in (-1, 1) for s in signs):
-        raise ValueError("signs must be +-1")
-    d = len(signs)
-    if d < 2:
-        raise ValueError("need d >= 2")
-    p = sum(1 for s in signs if s == 1)
-    q = d - p
-    roots, l_plus, l_minus = root_multiplicities(signs)
-    return RootDatum(d=d, p=p, q=q, positive_roots=roots,
-                     l_plus=l_plus, l_minus=l_minus)
 
 
 def weight_coefficients(

@@ -477,9 +477,11 @@ def fit_exponent(series, b_fixed: int = 1) -> FitResult:
     """Least squares for log N = log c + a log T + (b-1) log log T.
 
     Accepts a CountSeries or a (t_grid, values) pair.  Needs at least 4
-    positive data points; also reports the free-b fit as a diagnostic
-    when there are enough points for three parameters.
+    positive data points and b_fixed >= 1; also reports the free-b fit
+    as a diagnostic when there are enough points for three parameters.
     """
+    if b_fixed < 1:
+        raise ValueError("b_fixed must be at least 1: the model's log power is b - 1 >= 0")
     if isinstance(series, CountSeries):
         ts, vals = np.asarray(series.t_grid), np.asarray(series.values)
     else:

@@ -24,12 +24,7 @@ from scipy.linalg import expm
 from scipy.special import betainc
 
 from . import enumeration
-from .rootdata import (
-    BlockDecomposition,
-    RootDatum,
-    datum_for_signs,
-    predict_exponent,
-)
+from .rootdata import BlockDecomposition, predict_exponent
 from .sampling import derive_rng, random_rotation
 from .sector import (
     AntiCap,
@@ -47,49 +42,49 @@ CHAMBER_TOL = 1e-9
 
 @dataclass(frozen=True)
 class DensityContext:
-    """Root datum + joined walls + base diagonal: everything xi needs.
+    """Sign pattern + joined walls: everything xi needs.
 
-    joined lists the simple roots (1-based positions) collapsed to zero
-    on A_I; the remaining positions are the interior cuts, and the cone
-    coordinates are the margins at those cuts.  signs is the diagonal of
-    the base form the cone acts on.
+    signs is the diagonal of the base form the cone acts on, and J =
+    diag(signs) the involution; d = len(signs).  joined lists the simple
+    roots (1-based positions) collapsed to zero on A_I; the remaining
+    positions are the interior cuts, and the cone coordinates are the
+    margins at those cuts.
     """
 
-    datum: RootDatum
-    joined: tuple[int, ...]
     signs: tuple[int, ...]
+    joined: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        d = self.datum.d
+        signs = tuple(int(s) for s in self.signs)
+        if len(signs) < 2 or any(s not in (-1, 1) for s in signs):
+            raise ValueError("signs must be a +-1 vector of length >= 2")
+        d = len(signs)
         joined = tuple(sorted(set(int(i) for i in self.joined)))
         blocks = BlockDecomposition.from_joined(d, joined)
-        signs = tuple(int(s) for s in self.signs)
-        if len(signs) != d or any(s not in (-1, 1) for s in signs):
-            raise ValueError("signs must be a +-1 vector of length d")
-        if sum(1 for s in signs if s == 1) != self.datum.p:
-            raise ValueError("sign pattern disagrees with the datum signature")
-        object.__setattr__(self, "joined", joined)
         object.__setattr__(self, "signs", signs)
+        object.__setattr__(self, "joined", joined)
         # derived structure, stored once; not fields, so == and hash ignore it
         object.__setattr__(self, "_blocks", blocks)
         object.__setattr__(self, "_cuts", blocks.cuts)
         object.__setattr__(self, "_dims", np.asarray(blocks.dims, dtype=float))
         blk = np.repeat(np.arange(len(blocks.dims)), blocks.dims)
-        roots = tuple(
-            (i, j, *self.datum.multiplicity((i, j)))
-            for i, j in self.datum.positive_roots
-            if blk[i - 1] != blk[j - 1]
+        pairs = [
+            (i, j) for i in range(1, d + 1) for j in range(i + 1, d + 1) if blk[i - 1] != blk[j - 1]
+        ]
+        # J E_ij J = signs_i signs_j E_ij: the root x_i - x_j is sinh (l+ = 1)
+        # where the two signs agree and cosh (l- = 1) where they differ
+        sinh = [signs[i - 1] == signs[j - 1] for i, j in pairs]
+        object.__setattr__(
+            self, "_free_roots", tuple((i, j, int(s), int(not s)) for (i, j), s in zip(pairs, sinh))
         )
-        object.__setattr__(self, "_free_roots", roots)
-        # the evaluator's view of the roots: the blocks of their two ends,
-        # and sinh (l+ = 1) or cosh (l- = 1); l+ + l- = 1 for every root
-        ends = np.asarray([(blk[i - 1], blk[j - 1]) for i, j, _, _ in roots], dtype=int)
+        # the evaluator's view of the roots: the blocks of their two ends
+        ends = np.asarray([(blk[i - 1], blk[j - 1]) for i, j in pairs], dtype=int)
         object.__setattr__(self, "_root_ends", ends.reshape(-1, 2).T)
-        object.__setattr__(self, "_sinh_roots", np.asarray([lp == 1 for _, _, lp, _ in roots]))
+        object.__setattr__(self, "_sinh_roots", np.asarray(sinh, dtype=bool))
 
     @property
     def d(self) -> int:
-        return self.datum.d
+        return len(self.signs)
 
     @property
     def blocks(self) -> BlockDecomposition:
@@ -123,7 +118,7 @@ class DensityContext:
 
 
 def context_for(signs, joined=()) -> DensityContext:
-    return DensityContext(datum=datum_for_signs(signs), joined=tuple(joined), signs=tuple(signs))
+    return DensityContext(signs=tuple(signs), joined=tuple(joined))
 
 
 def context_pq(d: int, p: int, q: int, joined=()) -> DensityContext:
@@ -379,6 +374,7 @@ def _volume(ctx, t_grid, method, frame, norm, samples, seed, near_wall_c=None) -
     n = len(ctx.cuts)
     if n == 0:
         raise ValueError("chamber must have at least one interior cut")
+    digest = _context_digest(ctx, frame, norm)  # checks the frame before any work
     pair = predict_exponent(ctx.d, ctx.blocks.dims)
     stderr = abserr = None
     if method == "quadrature":
@@ -424,7 +420,7 @@ def _volume(ctx, t_grid, method, frame, norm, samples, seed, near_wall_c=None) -
     series = CountSeries(
         t_grid=tuple(ts),
         values=tuple(values),
-        spec_digest=_context_digest(ctx, frame, norm),
+        spec_digest=digest,
         manifest=manifest,
         stderr=stderr,
     )

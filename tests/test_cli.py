@@ -80,6 +80,10 @@ def test_fit_recovers_cubic(tmp_path, capsys):
     assert doc["b_fixed"] == 1
     # compact separators: re-encoding reproduces the line byte for byte
     assert out.strip() == json.dumps(doc, separators=(",", ":"))
+    for b in ("0", "-2"):
+        code, out, err = run(capsys, "fit", "--in", str(path), "--b", b)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: b_fixed must be at least 1")
 
 
 # ----------------------------------------------------------------- artifacts

@@ -1,4 +1,4 @@
-"""Exact root-datum arithmetic: multiplicities, weights, exponents."""
+"""Exact block decompositions, weights and exponents."""
 
 import itertools
 from fractions import Fraction
@@ -8,11 +8,8 @@ import pytest
 from qfsectors.rootdata import (
     BlockDecomposition,
     ExponentPair,
-    build_root_datum,
-    datum_for_signs,
     exponents,
     predict_exponent,
-    root_multiplicities,
     weight_coefficients,
 )
 
@@ -84,37 +81,7 @@ def test_exponents_counts_ties():
         exponents([], [])
 
 
-def test_multiplicities_follow_sign_products():
-    signs = (1, 1, -1)
-    roots, l_plus, l_minus = root_multiplicities(signs)
-    assert roots == ((1, 2), (1, 3), (2, 3))
-    for i, j in roots:
-        same = signs[i - 1] * signs[j - 1] == 1
-        assert l_plus[(i, j)] == (1 if same else 0)
-        assert l_minus[(i, j)] == (0 if same else 1)
-        assert l_plus[(i, j)] + l_minus[(i, j)] == 1
-
-
-def test_datum_shapes_and_simple_roots():
-    datum = build_root_datum(4, 2, 2)
-    assert len(datum.positive_roots) == 6
-    assert datum.simple_roots == ((1, 2), (2, 3), (3, 4))
-    assert datum.multiplicity((1, 2)) == (1, 0)
-    assert datum.multiplicity((2, 3)) == (0, 1)
-    # interleaved signs differ from the sorted p,q arrangement
-    inter = datum_for_signs((1, -1, 1, -1))
-    assert inter.p == 2 and inter.q == 2
-    assert inter.multiplicity((1, 2)) == (0, 1)
-    assert inter.multiplicity((1, 3)) == (1, 0)
-
-
-def test_datum_validation():
-    with pytest.raises(ValueError):
-        build_root_datum(3, 3, 0)
-    with pytest.raises(ValueError):
-        build_root_datum(1, 1, 0)
-    with pytest.raises(ValueError):
-        datum_for_signs((1, 0, -1))
+def test_block_decomposition_validation():
     with pytest.raises(ValueError):
         BlockDecomposition(d=3, dims=(2, 2))
     with pytest.raises(ValueError):

@@ -730,6 +730,13 @@ def test_fit_requires_enough_positive_points():
         fit_exponent(([0.5, 2.0, 3.0, 4.0], [1.0, 1.0, 1.0, 1.0]))
 
 
+@pytest.mark.parametrize("b", [0, -2])
+def test_fit_rejects_b_below_one(b):
+    ts = np.array([3.0, 5.0, 9.0, 17.0, 33.0])
+    with pytest.raises(ValueError, match="b_fixed must be at least 1"):
+        fit_exponent((ts, 5.0 * ts**3), b_fixed=b)
+
+
 def test_with_fit_attaches_or_passes_through():
     good = CountSeries(
         t_grid=(2.0, 4.0, 8.0, 16.0),

@@ -1,6 +1,7 @@
 """Density closed forms, region volumes, and boundary-layer estimates."""
 
 import dataclasses
+import itertools
 import math
 import subprocess
 import sys
@@ -15,7 +16,6 @@ from scipy.linalg import expm
 
 from conftest import child_env
 from qfsectors import enumeration, sector, volume
-from qfsectors.rootdata import build_root_datum
 from qfsectors.sampling import derive_rng, random_rotation
 from qfsectors.sector import AntiCap, Cap, FullFrame
 from qfsectors.wavefront import _unit_directions
@@ -107,6 +107,10 @@ def test_free_roots_cross_cuts_only():
     mults = {(i, j): (lp, lm) for i, j, lp, lm in roots}
     assert mults[(1, 2)] == (1, 0)
     assert mults[(1, 3)] == (0, 1)
+    # interleaved signs differ from the sorted p,q arrangement
+    inter = {(i, j): (lp, lm) for i, j, lp, lm in context_for((1, -1, 1, -1)).free_roots()}
+    assert len(inter) == 6
+    assert inter[(1, 2)] == (0, 1) and inter[(1, 3)] == (1, 0)
 
 
 def test_log_coords_batch_and_trace():
@@ -123,15 +127,12 @@ def test_log_coords_batch_and_trace():
 
 def test_context_equality_ignores_stored_structure():
     a, b = context_for((1, 1, -1), joined=(2,)), context_for((1, 1, -1), joined=(2,))
-    assert [f.name for f in dataclasses.fields(DensityContext)] == ["datum", "joined", "signs"]
+    assert [f.name for f in dataclasses.fields(DensityContext)] == ["signs", "joined"]
     object.__setattr__(b, "_free_roots", ())
     object.__setattr__(b, "_dims", np.zeros(2))
     assert a == b and repr(a) == repr(b)
-    # the hash covers the same three fields, and the datum's dicts make
-    # it raise, stored values or not
-    for ctx in (a, b):
-        with pytest.raises(TypeError, match="unhashable"):
-            hash(ctx)
+    # the hash covers the same two tuples, stored values or not
+    assert hash(a) == hash(b) == hash(((1, 1, -1), (2,)))
     assert a != context_for((1, 1, -1))
     assert a.blocks is a.blocks and a.free_roots() is a.free_roots()
     assert a.cuts == a.blocks.cuts == (1,)
@@ -171,13 +172,12 @@ def test_block_logs_and_radius_from_scratch(signs, joined):
 
 
 def test_context_validation():
-    datum = build_root_datum(3, 2, 1)
     with pytest.raises(ValueError, match="joined walls"):
-        DensityContext(datum=datum, joined=(3,), signs=(1, 1, -1))
-    with pytest.raises(ValueError, match="sign pattern disagrees"):
-        DensityContext(datum=datum, joined=(), signs=(1, -1, -1))
-    with pytest.raises(ValueError, match="length d"):
-        DensityContext(datum=datum, joined=(), signs=(1, 1))
+        DensityContext(signs=(1, 1, -1), joined=(3,))
+    for signs in ((1, 0, -1), (1, 2), (1,), ()):
+        with pytest.raises(ValueError, match="length >= 2"):
+            context_for(signs)
+    assert context_for([1, -1], [1, 1]) == DensityContext(signs=(1, -1), joined=(1,))
     # the definite pattern is allowed: every root is hyperbolic there
     definite = context_for((1, 1, 1))
     t = 0.6
@@ -320,6 +320,35 @@ def test_volumes_pinned_to_recorded_values():
         got[norm] = mc.values + mc.stderr
     for key, want in recorded.items():
         assert got[key] == pytest.approx(want, rel=1e-11), key
+
+
+@pytest.mark.parametrize(
+    "signs, joined, want",
+    [
+        ((1, -1, 1, -1), (2,), ["0x1.32abc6ee43babp+1", "0x1.55981da823338p+6"]),
+        ((1, 1, -1, -1, -1), (3,), ["0x1.d0ad97121595bp+0", "0x1.6ea3e0f616638p+9"]),
+        ((-1, 1, 1), (1,), ["0x1.519941657f669p+2", "0x1.ff7b97b1ec8a2p+4"]),
+    ],
+)
+def test_quadrature_volumes_keep_their_bits(signs, joined, want):
+    # cosh roots, interleaved signs and joined walls, to the last bit
+    got = volume_series(context_for(signs, joined), [5.0, 9.0]).values
+    assert [v.hex() for v in got] == want
+
+
+def test_free_roots_match_the_sign_products():
+    for d in range(2, 7):
+        for signs in itertools.product((1, -1), repeat=d):
+            for r in range(d):
+                for joined in itertools.combinations(range(1, d), r):
+                    # slots i < j lie in different blocks when a wall between them is cut
+                    want = [
+                        (i, j, int(signs[i - 1] == signs[j - 1]), int(signs[i - 1] != signs[j - 1]))
+                        for i in range(1, d + 1)
+                        for j in range(i + 1, d + 1)
+                        if not set(range(i, j)) <= set(joined)
+                    ]
+                    assert list(context_for(signs, joined).free_roots()) == want
 
 
 @st.composite
@@ -534,6 +563,20 @@ def test_volume_guards():
         volume_series(ctx, [4.0, 3.0])
     with pytest.raises(ValueError, match="interior cut"):
         volume_series(context_for((1, 1, -1), joined=(1, 2)), [4.0])
+
+
+@pytest.mark.parametrize(
+    "method, norm", [("quadrature", "frobenius"), ("mc", "frobenius"), ("mc", "max")]
+)
+def test_volume_checks_the_frame_before_any_work(monkeypatch, method, norm):
+    def work(*args, **kwargs):
+        raise AssertionError("the series was computed before the frame was checked")
+
+    monkeypatch.setattr(volume, "_nested_quadrature", work)
+    monkeypatch.setattr(volume, "_grid_margins", work)
+    with pytest.raises(ValueError, match="a cap axis of length 2 does not fit d = 3"):
+        volume_series(context_pq(3, 2, 1), [4.0, 5.0], method=method, norm=norm,
+                      frame=Cap((1.0, 0.0), 0.5), samples=1000, seed=1)
 
 
 def test_monte_carlo_needs_two_samples():
