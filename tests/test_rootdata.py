@@ -12,6 +12,7 @@ from qfsectors.rootdata import (
     predict_exponent,
     weight_coefficients,
 )
+from qfsectors.volume import context_for, context_pq
 
 
 def compositions(d):
@@ -86,6 +87,21 @@ def test_block_decomposition_validation():
         BlockDecomposition(d=3, dims=(2, 2))
     with pytest.raises(ValueError):
         BlockDecomposition(d=3, dims=(3, 0))
+
+
+def test_datum_shapes_and_simple_roots():
+    ctx = context_pq(4, 2, 2)
+    mults = {(i, j): (lp, lm) for i, j, lp, lm in ctx.free_roots()}
+    assert len(mults) == 6
+    # with no joined walls every wall is a cut, one per simple root (c, c + 1)
+    assert tuple((c, c + 1) for c in ctx.cuts) == ((1, 2), (2, 3), (3, 4))
+    assert mults[(1, 2)] == (1, 0)
+    assert mults[(2, 3)] == (0, 1)
+    # interleaved signs differ from the sorted p,q arrangement
+    inter = {(i, j): (lp, lm) for i, j, lp, lm in context_for((1, -1, 1, -1)).free_roots()}
+    assert sorted(context_for((1, -1, 1, -1)).signs) == sorted(ctx.signs)
+    assert inter[(1, 2)] == (0, 1)
+    assert inter[(1, 3)] == (1, 0)
 
 
 def test_exponent_pair_validation():

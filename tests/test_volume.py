@@ -107,10 +107,6 @@ def test_free_roots_cross_cuts_only():
     mults = {(i, j): (lp, lm) for i, j, lp, lm in roots}
     assert mults[(1, 2)] == (1, 0)
     assert mults[(1, 3)] == (0, 1)
-    # interleaved signs differ from the sorted p,q arrangement
-    inter = {(i, j): (lp, lm) for i, j, lp, lm in context_for((1, -1, 1, -1)).free_roots()}
-    assert len(inter) == 6
-    assert inter[(1, 2)] == (0, 1) and inter[(1, 3)] == (1, 0)
 
 
 def test_log_coords_batch_and_trace():
