@@ -19,7 +19,6 @@ import math
 import os
 import sys
 import time
-from fractions import Fraction
 
 import numpy as np
 
@@ -45,14 +44,6 @@ def _round12(obj):
         return {k: _round12(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_round12(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _round12(obj.tolist())
-    if isinstance(obj, (np.floating,)):
-        return _round12(float(obj))
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, Fraction):
-        return str(obj)
     return obj
 
 
@@ -136,8 +127,8 @@ def _parse_ints(text: str) -> list[int]:
 
 def _parse_signature(text: str) -> tuple[int, int]:
     vals = _parse_ints(text)
-    if len(vals) != 2:
-        raise ValueError("signature must be two comma-separated integers p,q")
+    if len(vals) != 2 or min(vals) < 0:
+        raise ValueError("signature must be two comma-separated nonnegative integers p,q")
     return vals[0], vals[1]
 
 

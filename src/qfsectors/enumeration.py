@@ -42,6 +42,11 @@ sector.count_sector).  iter_form_batches, enumerate_forms and the CLI's
 enumerate promise every form in lexicographic order: they keep the
 canonical rows in memory and expand them one value of q11 at a time.
 
+An "orbit" here is one of that signed-permutation group, the scan's
+unit.  A "class" is one of GL_d(Z) acting by q -> g' q g, which for
+det +-1 and d <= 4 is its signature and parity; orbit_enumerate (named
+before the distinction) reads one class off the scan.
+
 Supported norms: "max" (largest absolute entry) and "frobenius" (entry
 2-norm of the full symmetric matrix).  Thresholds are strict: norm < T,
 decided exactly on integer norm keys (the largest |entry|, or the
@@ -67,7 +72,6 @@ from fractions import Fraction
 import numpy as np
 
 NORMS = ("max", "frobenius")
-ORBIT_STATE_BUDGET = 500_000
 # rows per verdict call in tally: a scan batch holds a few hundred rows,
 # and a verdict's fixed cost per call is worth paying once per chunk, not
 # per batch; a larger chunk only raises the classifiers' peak memory
@@ -207,6 +211,34 @@ def _int_det(m):
     """Exact determinant of a square integer matrix, or of a batch of them
     given as a nested list of integer arrays."""
     return _top_minors(m, len(m))[tuple(range(len(m)))]
+
+
+def _sign_changes(*coeffs):
+    """Sign changes along a coefficient sequence, zeros skipped, per row."""
+    changes, last = 0, np.sign(coeffs[0])
+    for c in coeffs[1:]:
+        s = np.sign(c)
+        changes = changes + (s * last < 0)
+        last = np.where(s == 0, last, s)
+    return changes
+
+
+def _form_class(columns, d: int):
+    """(positive eigenvalue count, even) per form, exact, of forms given
+    by their upper-triangle columns (ints or integer arrays).
+
+    Descartes' rule counts the positive roots of the real-rooted
+    characteristic polynomial x^d - e1 x^(d-1) + e2 x^(d-2) - ..., e_k
+    the sum of the principal k-minors; det +-1 rules out a zero root.
+    |e_k| <= C(d, k) k! b**k <= d! b**d for entries bounded by b, the
+    scan's accumulator bound.  Even: every diagonal entry is even.
+    """
+    m = _symmetric(d, triangle_indices(d), columns)
+    coeffs = [1] + [(-1) ** k * sum(_int_det([[m[i][j] for j in s] for i in s])
+                                    for s in itertools.combinations(range(d), k))
+                    for k in range(1, d + 1)]
+    even = functools.reduce(operator.and_, [m[i][i] % 2 == 0 for i in range(d)])
+    return _sign_changes(*coeffs), even
 
 
 def _det_split(m):
@@ -471,7 +503,12 @@ def enumerate_forms(d: int, t: float, norm: str = "max", threads: int | None = N
     """Every symmetric integer d x d matrix with det +-1 and norm < T,
     exactly once, in lexicographic order of the free entries."""
     norm = _check_norm(norm)
-    for tri, det, norms in iter_form_batches(d, t, norm, threads):
+    yield from _forms(d, norm, iter_form_batches(d, t, norm, threads))
+
+
+def _forms(d: int, norm: str, batches):
+    """The QuadraticForms of iter_form_batches' batches, row by row."""
+    for tri, det, norms in batches:
         for row, dv, nv in zip(tri.tolist(), det.tolist(), norms.tolist()):
             yield QuadraticForm(d=d, entries=tuple(row), det=dv, norm=nv, norm_kind=norm)
 
@@ -542,108 +579,36 @@ def count_ball(d: int, t: float, norm: str = "max", threads: int | None = None) 
     return count_ball_grid(d, [t], norm, threads)[0]
 
 
-@dataclass(frozen=True)
-class OrbitResult:
-    forms: tuple[QuadraticForm, ...]
-    partial: bool
-    visited: int
+def orbit_enumerate(q0, t: float, norm: str = "max") -> tuple[QuadraticForm, ...]:
+    """The forms with norm < T in the GL_d(Z) class of q0 (q -> g' q g),
+    in lexicographic order of the triangle.
 
-
-def _elementary_generators(d: int) -> np.ndarray:
-    """(g, m, m) int64: the congruences q -> g' q g, g = I + s E_ij
-    (i != j, s = +-1), as linear maps of upper triangles, in the order
-    i, then j, then s = +1 before -1."""
-    idx = triangle_indices(d)
-    maps = []
-    for i, j, s in itertools.product(range(d), range(d), (1, -1)):
-        if i == j:
-            continue
-        cols = []
-        for c in range(len(idx)):
-            nxt = _symmetric(d, idx, [int(k == c) for k in range(len(idx))])
-            # column then row update
-            for r in range(d):
-                nxt[r][j] += s * nxt[r][i]
-            for r in range(d):
-                nxt[j][r] += s * nxt[i][r]
-            cols.append([nxt[a][b] for a, b in idx])
-        maps.append(np.array(cols, dtype=np.int64).T)
-    return np.array(maps)
-
-
-def _rows_as_keys(rows: np.ndarray) -> np.ndarray:
-    """One opaque key per int64 row, equal exactly when the rows are."""
-    rows = np.ascontiguousarray(rows)
-    return rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
-
-
-def orbit_enumerate(
-    q0,
-    t: float,
-    slack: float = 4.0,
-    norm: str = "max",
-    max_states: int = ORBIT_STATE_BUDGET,
-) -> OrbitResult:
-    """Breadth-first closure of q -> g' q g over elementary generators.
-
-    Explores states with norm < slack*T and reports those with norm < T,
-    both decided on integer norm keys (see key_limit).
-    Best effort: points of the orbit inside the T-ball reachable only
-    through states outside the slack corridor are missed, and exceeding
-    the state budget sets the partial flag.  Deduplication is exact.
-
-    The search runs a level at a time: every generator acts on the whole
-    frontier as int64 arrays, and the new states keep their first
-    discovery order (frontier order, then generator order), so states,
-    budget cut and partial flag are those of a one-state-at-a-time FIFO
-    search.  Each generator's inverse is a generator too, so a state
-    found from level k lies at level k - 1, k or k + 1, and only the
-    previous level and the frontier need checking for repeats.  Raises
-    ValueError for a base that is not a square symmetric integer matrix
-    of determinant +-1, and OverflowError when an entry or a norm key
-    could leave int64.
+    For d <= 4 a det +-1 form's class is its signature and parity
+    (Milnor-Husemoller): a definite unimodular lattice of rank < 8 is
+    I_n, an indefinite odd one is I_{p,q}, and an indefinite even one
+    needs p = q (mod 8), so it is H or H + H.  Each has an automorphism
+    of determinant -1, so SL_d(Z), which the elementary moves I + s E_ij
+    generate, has the same orbits.  The scan's forms are kept when their
+    positive-eigenvalue count and parity (_form_class) equal q0's, taken
+    in Python integers, so any integer base works.  d and T are limited
+    as the scan limits them: d in (2, 3, 4), and d = 4 only at entry
+    bound <= 3.  Raises ValueError for a base that is not a square
+    symmetric integer matrix of determinant +-1.
     """
     norm = _check_norm(norm)
-    if slack < 1.0:
-        raise ValueError("slack must be >= 1")
     # from_matrix raises unless the base is square, symmetric and integer
-    base = QuadraticForm.from_matrix(q0.matrix() if isinstance(q0, QuadraticForm) else q0)
-    d, det0 = base.d, base.det
-    if det0 not in (1, -1):
+    if isinstance(q0, QuadraticForm):
+        q0 = _symmetric(q0.d, triangle_indices(q0.d), q0.entries)
+    base = QuadraticForm.from_matrix(q0)
+    if base.det not in (1, -1):
         raise ValueError("base form must have determinant +-1")
-    idx = triangle_indices(d)
-    corridor = key_limit(slack * t, norm)
-    # a state is the start or lies in the corridor; one generator at most
-    # quadruples its largest entry
-    big = 4 * max([corridor if norm == "max" else math.isqrt(corridor)]
-                  + [abs(v) for v in base.entries])
-    if (big if norm == "max" else d * d * big * big) >= 2**63:
-        raise OverflowError("orbit entries too large for 64-bit arithmetic")
-    gens = _elementary_generators(d)
-    frontier = np.array([base.entries], dtype=np.int64)
-    previous = frontier[:0]
-    levels, visited, partial = [frontier], 1, False
-    while frontier.shape[0] and not partial:
-        found = np.einsum("nk,gmk->ngm", frontier, gens).reshape(-1, len(idx))
-        found = found[norm_keys(found, d, norm) <= corridor]
-        _, first = np.unique(_rows_as_keys(found), return_index=True)
-        found = found[np.sort(first)]
-        found = found[~np.isin(_rows_as_keys(found),
-                               _rows_as_keys(np.concatenate([previous, frontier])))]
-        room = max(max_states - visited, 0)
-        if found.shape[0] > room:
-            found, partial = found[:room], True
-        visited += found.shape[0]
-        levels.append(found)
-        previous, frontier = frontier, found
-    states = np.concatenate(levels)
-    keys = norm_keys(states, d, norm)
-    inside = keys <= key_limit(t, norm)
-    states, keys = states[inside], keys[inside]
-    order = np.lexsort(states.T[::-1])
-    forms = tuple(
-        QuadraticForm(d=d, entries=tuple(row), det=det0, norm=_norm_of_key(key, norm),
-                      norm_kind=norm)
-        for row, key in zip(states[order].tolist(), keys[order].tolist())
-    )
-    return OrbitResult(forms=forms, partial=partial, visited=visited)
+    d = base.d
+    positive, even = _form_class(base.entries, d)
+
+    def same_class(batches):
+        for tri, det, norms in batches:
+            p, e = _form_class(tri.T, d)
+            keep = (p == positive) & (e == even)
+            yield tri[keep], det[keep], norms[keep]
+
+    return tuple(_forms(d, norm, same_class(iter_form_batches(d, t, norm))))

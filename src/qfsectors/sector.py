@@ -379,21 +379,11 @@ def _sign_sector_d3(tri: np.ndarray, spec: SectorSpec):
     disc = c1 * c1 * (c2 * c2 - 4 * c1) + c0 * (18 * c1 * c2 - 4 * c2**3 - 27 * c0)
     degenerate = (c0 == 0) | (pair_product == 0) | (disc == 0)
     plus = [p for p, _ in spec.block_signatures]
-    member = ~degenerate & (_sign_changes(1, -c2, c1, -c0) == sum(plus))
-    member &= _sign_changes(-1, 2 * c2, -(c2 * c2 + c1), pair_product) == sum(
+    member = ~degenerate & (enumeration._sign_changes(1, -c2, c1, -c0) == sum(plus))
+    member &= enumeration._sign_changes(-1, 2 * c2, -(c2 * c2 + c1), pair_product) == sum(
         (2 - k) * p for k, p in enumerate(plus)
     )
     return member, degenerate
-
-
-def _sign_changes(*coeffs) -> np.ndarray:
-    """Sign changes along a coefficient sequence, zeros skipped, per row."""
-    changes, last = 0, np.sign(coeffs[0])
-    for c in coeffs[1:]:
-        s = np.sign(c)
-        changes = changes + (s * last < 0)
-        last = np.where(s == 0, last, s)
-    return changes
 
 
 @dataclass(frozen=True)

@@ -122,6 +122,8 @@ def context_for(signs, joined=()) -> DensityContext:
 
 
 def context_pq(d: int, p: int, q: int, joined=()) -> DensityContext:
+    if p < 0 or q < 0:
+        raise ValueError("p and q must be nonnegative")
     if d != p + q:
         raise ValueError("need d = p + q")
     return context_for((1,) * p + (-1,) * q, joined=joined)
@@ -342,7 +344,9 @@ def _mc_series(
     near_wall_c: Optional[float] = None,
 ):
     rng = _seeded(seed, "volume-mc")
-    margins, weights = _grid_margins(ctx, max(ts), rng, samples)
+    # the box is sized by frobenius radius, and |Q|_F <= d |Q|_max
+    reach = max(ts) if norm == "frobenius" else ctx.d * max(ts)
+    margins, weights = _grid_margins(ctx, reach, rng, samples)
 
     factor = 1.0
     if norm == "frobenius":

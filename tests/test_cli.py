@@ -272,6 +272,14 @@ def test_non_finite_t_grid_is_an_error(tmp_path, capsys, cmd, grid):
     assert err == "error: T grid values must be finite\n"
 
 
+def test_negative_signature_is_an_error(tmp_path, capsys):
+    out = tmp_path / "neg.csv"
+    code, _, err = run(capsys, "volume", "--signature=-1,3", "--T-grid", "6,8", "--out", str(out))
+    assert code == 1
+    assert err == "error: signature must be two comma-separated nonnegative integers p,q\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("samples", ("0", "1"))
 def test_monte_carlo_volume_needs_two_samples(tmp_path, capsys, samples):
     out = tmp_path / "mc.csv"

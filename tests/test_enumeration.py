@@ -1,4 +1,4 @@
-"""Enumeration correctness against box-scan oracles, plus orbit closure."""
+"""Enumeration correctness against box-scan oracles, plus GL_d(Z) classes."""
 
 import collections
 import functools
@@ -8,14 +8,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_force_forms
 from qfsectors import enumeration, sector
 from qfsectors.enumeration import (
     NORMS,
-    ORBIT_STATE_BUDGET,
     TALLY_ROWS,
     QuadraticForm,
     _det_split,
@@ -32,6 +31,7 @@ from qfsectors.enumeration import (
     tally,
     triangle_indices,
 )
+from qfsectors.jacobi import jacobi_eigh
 from qfsectors.sector import (
     Cap,
     _classify_batch,
@@ -582,12 +582,11 @@ def test_orbit_is_subset_of_matching_det_enumeration():
     plus = {f.entries for f in enumerate_forms(3, t) if f.det == 1}
     minus = {f.entries for f in enumerate_forms(3, t) if f.det == -1}
     orb1 = orbit_enumerate(np.eye(3, dtype=int), t)
-    assert not orb1.partial
-    assert {f.entries for f in orb1.forms} <= plus
-    assert (1, 0, 0, 1, 0, 1) in {f.entries for f in orb1.forms}
+    assert {f.entries for f in orb1} <= plus
+    assert (1, 0, 0, 1, 0, 1) in {f.entries for f in orb1}
     orb2 = orbit_enumerate(np.diag([1, 1, -1]), t)
-    assert {f.entries for f in orb2.forms} <= minus
-    assert all(f.det == -1 for f in orb2.forms)
+    assert {f.entries for f in orb2} <= minus
+    assert all(f.det == -1 for f in orb2)
 
 
 @pytest.mark.parametrize("k", [27, 35, 55])
@@ -602,14 +601,15 @@ def test_orbit_of_identity_reaches_the_frobenius_boundary(k):
         if f.det == 1 and f.entries[0] > 0 and f.entries[0] * f.entries[3] > f.entries[1] ** 2
     }
     orb = orbit_enumerate(np.eye(3, dtype=int), t, norm="frobenius")
-    assert not orb.partial
-    assert {f.entries for f in orb.forms} == positive
+    assert {f.entries for f in orb} == positive
 
 
 def _fifo_orbit(q0, t, slack, norm, max_states):
-    """The one-state-at-a-time FIFO search over Python lists, as the
-    package ran it before its search went a level at a time: the oracle
-    for the states, the budget cut and the partial flag."""
+    """A FIFO search over Python lists that closes q0 under the moves
+    q -> g' q g, g = I + s E_ij, keeping states with norm < slack * T and
+    at most max_states of them: every form it reports with norm < T is in
+    q0's class, and a search that ends by itself (partial false) can
+    still miss forms reachable only through larger ones."""
     mat0 = [[int(x) for x in row] for row in np.asarray(q0)]
     d = len(mat0)
     idx = triangle_indices(d)
@@ -656,24 +656,103 @@ ORBIT_BASES = ([[1, 0], [0, 1]], [[1, 0], [0, -1]], [[0, 1], [1, 0]], np.eye(3, 
     norm=st.sampled_from(NORMS),
     t=st.sampled_from((1.5, 2.0, 2.5, math.sqrt(7))),
     slack=st.sampled_from((1.0, 1.5, 2.0)),
-    max_states=st.one_of(st.integers(0, 60), st.just(ORBIT_STATE_BUDGET)),
+    max_states=st.integers(0, 2000),
 )
 def test_orbit_search_matches_the_fifo_search(base, norm, t, slack, max_states):
-    got = orbit_enumerate(np.array(base), t, slack, norm, max_states)
-    forms, partial, visited = _fifo_orbit(base, t, slack, norm, max_states)
-    assert [f.entries for f in got.forms] == forms
-    assert (got.partial, got.visited) == (partial, visited)
-    ref = [QuadraticForm.from_matrix(f.matrix(), norm) for f in got.forms]
-    assert list(got.forms) == ref
+    got = orbit_enumerate(np.array(base), t, norm)
+    forms, _, _ = _fifo_orbit(base, t, slack, norm, max_states)
+    assert set(forms) <= {f.entries for f in got}
+    ref = [QuadraticForm.from_matrix(f.matrix(), norm) for f in got]
+    assert list(got) == ref
+    assert [f.entries for f in got] == sorted(f.entries for f in got)
+
+
+@pytest.mark.parametrize(
+    "base, norm, t",
+    [(b, norm, t) for b in ORBIT_BASES[:3] for norm in NORMS for t in (1.5, 2.5, math.sqrt(7))]
+    + [(np.eye(3, dtype=int), "max", 1.5), (np.eye(3, dtype=int), "frobenius", 2.5),
+       (np.diag([1, 1, -1]), "max", 2.0), (np.diag([1, 1, -1]), "frobenius", 2.5)],
+)
+def test_orbit_class_equals_a_completed_fifo_search(base, norm, t):
+    forms, partial, _ = _fifo_orbit(base, t, 2.0, norm, 5000)
+    assert not partial
+    assert [f.entries for f in orbit_enumerate(np.array(base), t, norm)] == forms
+
+
+H = [[0, 1], [1, 0]]
+# one base per GL_d(Z) class of det +-1 forms: I_{p,q} for every p + q = d,
+# then the even H and H + H
+CLASS_BASES = {
+    2: [np.diag([1, 1]), np.diag([-1, -1]), np.diag([1, -1]), np.array(H)],
+    3: [np.diag(s) for s in ([1, 1, 1], [-1, -1, -1], [1, 1, -1], [1, -1, -1])],
+    4: [np.diag(s) for s in ([1, 1, 1, 1], [-1, -1, -1, -1], [1, 1, 1, -1], [1, -1, -1, -1],
+                             [1, 1, -1, -1])]
+    + [np.kron(np.eye(2, dtype=int), H)],
+}
+
+
+@pytest.mark.parametrize(
+    "d, t, norm, sizes",
+    [
+        (2, 9.5, "max", [13, 13, 90, 58]),
+        (3, 9.5, "max", [2821, 2821, 68613, 68613]),
+        (4, 1.5, "max", [1, 1, 2208, 2208, 11982, 300]),
+        (2, 9.5, "frobenius", None),
+        (3, 6.5, "frobenius", None),
+        (4, 2.5, "frobenius", None),
+    ],
+)
+def test_classes_partition_the_ball(d, t, norm, sizes):
+    """Signature and parity split the det +-1 forms of a ball into the
+    classes of CLASS_BASES, which together hold every form once."""
+    classes = [orbit_enumerate(b, t, norm) for b in CLASS_BASES[d]]
+    got = [len(c) for c in classes]
+    if sizes is not None:
+        assert got == sizes
+    assert sum(got) == len({f.entries for c in classes for f in c}) == count_ball(d, t, norm)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    d=st.sampled_from((2, 3, 4)),
+    pick=st.integers(0, 5),
+    moves=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(-4, 4)),
+                   max_size=12),
+)
+def test_form_class_follows_signature_and_parity(d, pick, moves):
+    """g' q0 g, g a product of elementary moves I + s E_ij, keeps q0's
+    class; its entries run far past the scan's, and the class read from
+    the characteristic polynomial matches the jacobi_eigh signs and the
+    diagonal parity, in Python integers and in an int64 batch."""
+    q0 = CLASS_BASES[d][pick % len(CLASS_BASES[d])].astype(object)
+    g = np.eye(d, dtype=int).astype(object)
+    for i, j, s in moves:
+        if i % d != j % d:
+            g[:, j % d] += s * g[:, i % d]
+    q = g.T @ q0 @ g
+    # small enough that the float eigenvalue signs are sure
+    assume(np.abs(q).max() < 10**4)
+    upper = np.triu_indices(d)
+    positive, even = enumeration._form_class(q[upper].tolist(), d)
+    lam, _ = jacobi_eigh(q.astype(float))
+    assert positive == np.count_nonzero(lam > 0)
+    assert even == all(q[i, i] % 2 == 0 for i in range(d))
+    assert (positive, even) == enumeration._form_class(q0[upper].tolist(), d)
+    batch = enumeration._form_class(q[upper].astype(np.int64)[:, None], d)
+    assert (batch[0].tolist(), batch[1].tolist()) == ([positive], [even])
 
 
 def test_orbit_raises_before_an_entry_leaves_int64():
+    # the scan's accumulator bound raises
     with pytest.raises(OverflowError):
         orbit_enumerate(np.eye(3, dtype=int), 2.0**62)
     with pytest.raises(OverflowError):
-        orbit_enumerate([[2**62, 1], [1, 0]], 2.0)
-    with pytest.raises(OverflowError):
         orbit_enumerate(np.eye(3, dtype=int), 2.0**29, norm="frobenius")
+    # the base's class is taken in Python integers: this one is H
+    orb = orbit_enumerate([[2**62, 1], [1, 0]], 2.0)
+    assert [f.entries for f in orb] == [(0, -1, 0), (0, 1, 0)]
+    # so is a QuadraticForm base's, whatever the size of its entries
+    assert orbit_enumerate(QuadraticForm.from_matrix([[2**64, 1], [1, 0]]), 2.0) == orb
 
 
 def test_orbit_guards_and_budget():
@@ -685,8 +764,3 @@ def test_orbit_guards_and_budget():
     for bad in ([[1, 0, 0], [0, 1, 0]], [1, 0, 1], [[1.5, 0], [0, 1]]):
         with pytest.raises(ValueError):
             orbit_enumerate(bad, 3.0)
-    with pytest.raises(ValueError):
-        orbit_enumerate(np.eye(3, dtype=int), 3.0, slack=0.5)
-    capped = orbit_enumerate(np.eye(3, dtype=int), 6.0, max_states=50)
-    assert capped.partial
-    assert capped.visited <= 50

@@ -295,6 +295,17 @@ def test_max_norm_cap_on_a_two_dimensional_top_block(monkeypatch):
     assert abs(share - p) < 4.0 * math.sqrt(p * (1.0 - p) / samples)
 
 
+def test_max_norm_volume_holds_when_a_far_t_joins_the_grid():
+    # the margin box must reach every form of max norm < max(T), so a
+    # value at T cannot depend on which larger T shares its grid
+    ctx = context_for((1, 1, -1))
+    near, far = (volume_series(ctx, grid, method="mc", norm="max", samples=20_000, seed=3)
+                 for grid in ([6.0, 9.0], [6.0, 9.0, 60.0]))
+    for k in range(2):
+        spread = math.hypot(near.stderr[k], far.stderr[k])
+        assert abs(near.values[k] - far.values[k]) < 4.0 * spread
+
+
 def test_volumes_pinned_to_recorded_values():
     # recorded with the former bisection bound and per-root density loops
     ctx = context_for((1, 1, -1))
@@ -304,8 +315,9 @@ def test_volumes_pinned_to_recorded_values():
         "sing": [0.5021468228959893, 1.5883152112510306, 5.833888471074857],
         "frobenius": [2.5506801965976096, 9.157887667989602, 0.04696549800089262,
                       0.08084080376473715],
-        "max": [9.702225329303825, 21.016218045611513, 0.08260606035340887,
-                0.06515804164844796],
+        # the max-norm box reaches frobenius radius d * max(T)
+        "max": [9.47251575853182, 32.52149121890361, 0.38899308753245426,
+                0.8841971493786978],
     }
     got = {
         "quad": volume_series(ctx, grid).values,
@@ -602,6 +614,9 @@ def test_context_pq_requires_d_equal_p_plus_q():
     for d, p, q in ((4, 2, 1), (2, 2, 1), (3, 3, 1)):
         with pytest.raises(ValueError, match="d = p \\+ q"):
             context_pq(d, p, q)
+    # d = p + q holds here, but p is negative
+    with pytest.raises(ValueError, match="nonnegative"):
+        context_pq(2, -1, 3)
 
 
 # --------------------------------------------------------- boundary layer
