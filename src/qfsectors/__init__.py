@@ -29,7 +29,6 @@ from .sector import (
     fit_exponent,
     make_spec,
     sector_membership,
-    spectral_data,
 )
 from .volume import (
     DensityContext,
@@ -82,7 +81,6 @@ __all__ = [
     "regularity",
     "sector_membership",
     "singular_volume",
-    "spectral_data",
     "volume_series",
     "weight_coefficients",
     "wellroundedness_ratio",

@@ -131,7 +131,7 @@ class QuadraticForm:
     norm_kind: str = "max"
 
     def matrix(self) -> np.ndarray:
-        return np.array(_symmetric(self.d, triangle_indices(self.d), self.entries), dtype=np.int64)
+        return _int_array(_symmetric(self.d, triangle_indices(self.d), self.entries))
 
     @classmethod
     def from_matrix(cls, mat, norm_kind: str = "max") -> "QuadraticForm":
@@ -155,6 +155,12 @@ class QuadraticForm:
             norm=_norm_of_key(_key_of_rows(rows, norm_kind), norm_kind),
             norm_kind=norm_kind,
         )
+
+
+def _int_array(rows) -> np.ndarray:
+    """Nested lists of ints as int64, or exact in an object array past int64."""
+    fits = all(-(2**63) <= v < 2**63 for r in rows for v in r)
+    return np.array(rows, dtype=np.int64 if fits else object)
 
 
 def _key_of_rows(rows, norm_kind: str) -> int:

@@ -84,13 +84,17 @@ def jacobi_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def sym2_eigvals_batch(mats: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a stack of symmetric 2x2 matrices, shape (n, 2)."""
+    """Eigenvalues of a stack of symmetric 2x2 matrices, shape (n, 2),
+    largest first.  half - rad would cancel, so the root of larger |value|
+    is half +- rad and the other is the determinant divided by it."""
     a = mats[:, 0, 0]
     b = mats[:, 0, 1]
     c = mats[:, 1, 1]
     half = (a + c) / 2.0
     rad = np.sqrt(((a - c) / 2.0) ** 2 + b * b)
-    return np.stack([half + rad, half - rad], axis=1)
+    big = half + np.copysign(rad, half)
+    small = (a * c - b * b) / np.where(big == 0.0, 1.0, big)
+    return np.stack([np.maximum(big, small), np.minimum(big, small)], axis=1)
 
 
 def sym3_char_poly(a00, a01, a02, a11, a12, a22):

@@ -13,8 +13,9 @@ exists only when the top |eigenvalue| is simple, so a framed sector
 also needs a strict drop from slot 1 to slot 2.
 
 _classify_batch is the one classifier: a single form is a batch of one
-(sector_membership), and count_sector classifies each signed-permutation
-orbit once.  Integer d = 3 batches of three 1-dim blocks get an exact
+(sector_membership, whose verdict is "member", "nonmember" or
+"degenerate"), and count_sector classifies each signed-permutation orbit
+once.  Integer d = 3 batches of three 1-dim blocks get an exact
 spectral verdict from the integer characteristic polynomial alone
 (_sign_sector_d3).  Every other batch takes the float path: eigenvalues
 from the closed forms with near-ties rerun through Jacobi, and a strict
@@ -35,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from . import enumeration
-from .jacobi import jacobi_eigh, slot_order, sym2_eigvals_batch, sym3_char_poly, sym3_eigvals_batch
+from .jacobi import jacobi_eigh, sym2_eigvals_batch, sym3_char_poly, sym3_eigvals_batch
 from .rootdata import BlockDecomposition
 
 # on the float paths, a strict |eigenvalue| or block-mean drop of at most
@@ -110,7 +111,7 @@ class SectorSpec:
             if pp < 0 or qq < 0 or pp + qq != dim:
                 raise ValueError("block signature must sum to the block dimension")
         object.__setattr__(self, "block_signatures", sigs)
-        if self.block_window is not None and self.block_window <= 0:
+        if self.block_window is not None and not self.block_window > 0:
             raise ValueError("block window must be positive when given")
         object.__setattr__(self, "norm", enumeration._check_norm(self.norm))
         frame = self.frame_constraint
@@ -172,77 +173,24 @@ def sign_pattern_specs(d: int, frame=None, norm: str = "max") -> list[SectorSpec
     return specs
 
 
-@dataclass(frozen=True)
-class SpectralData:
-    eigenvalues: tuple[float, ...]  # |lambda| descending
-    frame: np.ndarray  # columns follow the eigenvalue order, det +1
-    gaps: tuple[float, ...]  # |lambda_i| - |lambda_{i+1}|
-
-
-def spectral_data(q) -> SpectralData:
-    mat = q.matrix() if isinstance(q, enumeration.QuadraticForm) else np.asarray(q)
-    lam, vec = jacobi_eigh(np.asarray(mat, dtype=float))
-    # an |eigenvalue| within TIE_TOL (relative) of the next larger one is
-    # taken as the same size, so an exact +-lambda pair puts the positive
-    # one first however Jacobi rounded the two
-    alam = np.abs(lam)
-    size = alam.copy()
-    ranked = np.argsort(-alam, kind="stable")
-    for big, k in zip(ranked, ranked[1:]):
-        if size[big] - alam[k] <= TIE_TOL * size[big]:
-            size[k] = size[big]
-    order = slot_order(np.sign(lam) * size)
-    lam = lam[order]
-    vec = vec[:, order]
-    if np.linalg.det(vec) < 0:
-        vec = vec.copy()
-        vec[:, -1] = -vec[:, -1]
-    gaps = tuple(float(abs(lam[i]) - abs(lam[i + 1])) for i in range(len(lam) - 1))
-    return SpectralData(eigenvalues=tuple(float(x) for x in lam), frame=vec, gaps=gaps)
-
-
-@dataclass(frozen=True)
-class Witness:
-    assignment: tuple[tuple[int, ...], ...]
-    scales: tuple[float, ...]
-    block_dets: tuple[int, ...]
-    margins: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class Membership:
-    status: str  # "member" | "nonmember" | "degenerate"
-    witness: Optional[Witness] = None
-
-
-def sector_membership(q, spec: SectorSpec) -> Membership:
-    """Classify one form, as a batch of one of _classify_batch: an
-    integer form takes the exact route that count_sector takes (which
-    raises OverflowError past its int64 bound).  Degeneracy (a tie where strictness is needed) is decided before the
+def sector_membership(q, spec: SectorSpec) -> str:
+    """One form's verdict, "member", "nonmember" or "degenerate", from
+    _classify_batch on a batch of one: an integer form (a QuadraticForm
+    with its exact entries) takes count_sector's exact route, which raises
+    OverflowError past its int64 bound.  Degeneracy is decided before the
     sign tests, so it does not depend on the requested signatures."""
-    mat = q.matrix() if isinstance(q, enumeration.QuadraticForm) else np.asarray(q)
-    d = mat.shape[0]
-    if mat.shape != (d, d) or not np.allclose(mat, mat.T):
-        raise ValueError("expected a symmetric matrix")
+    if isinstance(q, enumeration.QuadraticForm):
+        d, tri = q.d, enumeration._int_array([q.entries])
+    else:
+        mat = np.asarray(q)
+        d = mat.shape[0]
+        if mat.shape != (d, d) or not np.allclose(mat, mat.T):
+            raise ValueError("expected a symmetric matrix")
+        tri = mat[np.triu_indices(d)][None, :]
     if d != spec.block.d:
         raise ValueError(f"a {d}x{d} form cannot lie in a sector of d = {spec.block.d}")
-    tri = mat[np.triu_indices(d)][None, :]
     member, degenerate = _classify_batch(tri, d, spec)
-    if degenerate[0] or not member[0]:
-        return Membership(status="degenerate" if degenerate[0] else "nonmember")
-    _, _, lam_s, means = _classify(tri, d, spec)
-    starts = (0,) + spec.block.cuts
-    return Membership(
-        status="member",
-        witness=Witness(
-            assignment=tuple(
-                tuple(range(s, s + dim)) for s, dim in zip(starts, spec.block.dims)
-            ),
-            scales=tuple(float(math.exp(m)) for m in means[0]),
-            block_dets=tuple(int(x) for x in np.multiply.reduceat(np.sign(lam_s[0]), starts)),
-            margins=tuple(float(m) for m in means[0, :-1] - means[0, 1:]),
-        ),
-    )
+    return "degenerate" if degenerate[0] else "member" if member[0] else "nonmember"
 
 
 def _eigvals_batch(mats: np.ndarray) -> np.ndarray:
@@ -281,19 +229,17 @@ def _slot_spectrum(mats: np.ndarray) -> np.ndarray:
 
 def _classify(tri: np.ndarray, d: int, spec: SectorSpec):
     """Float verdicts for a batch of upper triangles, frame left out:
-    (member, degenerate) masks, the eigenvalues in |eigenvalue|-descending
-    slot order and the block log means.  A framed spec needs a strict
-    drop after slot 1 as after each cut."""
-    mats = _matrices(tri, d)
-    lam_s = _slot_spectrum(mats)
+    (member, degenerate) masks read from the eigenvalues in
+    |eigenvalue|-descending slot order (_slot_spectrum).  A framed spec
+    needs a strict drop after slot 1 as after each cut."""
+    lam_s = _slot_spectrum(_matrices(tri, d))
     alam_s = np.abs(lam_s)
     logs = np.log(np.maximum(alam_s, 1e-300))
-    dims = np.asarray(spec.block.dims)
-    starts = (0,) + spec.block.cuts
+    cuts, dims = spec.block.cuts, np.asarray(spec.block.dims)
+    starts = (0,) + cuts
     means = np.add.reduceat(logs, starts, axis=1) / dims[None, :]
 
     degenerate = np.any(alam_s < 1e-300, axis=1)
-    cuts = spec.block.cuts
     for c in cuts if isinstance(spec.frame_constraint, FullFrame) else (1,) + cuts:
         degenerate |= logs[:, c - 1] - logs[:, c] <= TIE_TOL
     if len(dims) > 1:
@@ -306,7 +252,7 @@ def _classify(tri: np.ndarray, d: int, spec: SectorSpec):
         spread = np.abs(logs - np.repeat(means, dims, axis=1))
         max_spread = np.maximum.reduceat(spread, starts, axis=1)
         member &= ~np.any(max_spread[:, dims >= 2] > spec.block_window, axis=1)
-    return member, degenerate, lam_s, means
+    return member, degenerate
 
 
 def _classify_batch(tri: np.ndarray, d: int, spec: SectorSpec, weight=None):
@@ -329,11 +275,11 @@ def _classify_batch(tri: np.ndarray, d: int, spec: SectorSpec, weight=None):
     elements, so the orbit holds weight * #{P : frame accepts P v} / g
     accepted forms.  A form on its own takes the group of the identity
     alone.  A count that is not a whole number raises."""
-    if np.issubdtype(tri.dtype, np.integer) and d == 3 and spec.block.dims == (1, 1, 1):
+    if tri.dtype.kind in "iuO" and d == 3 and spec.block.dims == (1, 1, 1):
         member, degenerate = _sign_sector_d3(tri, spec)
     else:
         parts = [
-            _classify(tri[i : i + CLASSIFY_ROWS], d, spec)[:2]
+            _classify(tri[i : i + CLASSIFY_ROWS], d, spec)
             for i in range(0, max(tri.shape[0], 1), CLASSIFY_ROWS)
         ]
         member, degenerate = (np.concatenate(masks) for masks in zip(*parts))

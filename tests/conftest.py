@@ -4,11 +4,13 @@ The brute-force scans below are deliberately independent of the package
 internals: they walk the full integer box with numpy and decide det ±1
 from a rounded float determinant (entries are tiny, so the float det is
 exact to well under 0.5).  Norm thresholds are compared exactly, against
-the rational value of the float T.
+the rational value of the float T.  spectral_data is the frame tests'
+per-form Jacobi oracle, independent of the batched classifier.
 """
 
 import math
 import os
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,6 +18,9 @@ import numpy as np
 import pytest
 
 import qfsectors
+from qfsectors import enumeration
+from qfsectors.jacobi import jacobi_eigh, slot_order
+from qfsectors.sector import TIE_TOL
 
 
 def brute_force_forms(d: int, t: float, norm: str = "max"):
@@ -44,6 +49,35 @@ def brute_force_forms(d: int, t: float, norm: str = "max"):
         m[:, i, j] = m[:, j, i] = box[:, col]
     det = np.rint(np.linalg.det(m))
     return sorted(map(tuple, box[np.abs(det) == 1].tolist()))
+
+
+@dataclass(frozen=True)
+class SpectralData:
+    eigenvalues: tuple[float, ...]  # |lambda| descending
+    frame: np.ndarray  # columns follow the eigenvalue order, det +1
+    gaps: tuple[float, ...]  # |lambda_i| - |lambda_{i+1}|
+
+
+def spectral_data(q) -> SpectralData:
+    mat = q.matrix() if isinstance(q, enumeration.QuadraticForm) else np.asarray(q)
+    lam, vec = jacobi_eigh(np.asarray(mat, dtype=float))
+    # an |eigenvalue| within TIE_TOL (relative) of the next larger one is
+    # taken as the same size, so an exact +-lambda pair puts the positive
+    # one first however Jacobi rounded the two
+    alam = np.abs(lam)
+    size = alam.copy()
+    ranked = np.argsort(-alam, kind="stable")
+    for big, k in zip(ranked, ranked[1:]):
+        if size[big] - alam[k] <= TIE_TOL * size[big]:
+            size[k] = size[big]
+    order = slot_order(np.sign(lam) * size)
+    lam = lam[order]
+    vec = vec[:, order]
+    if np.linalg.det(vec) < 0:
+        vec = vec.copy()
+        vec[:, -1] = -vec[:, -1]
+    gaps = tuple(float(abs(lam[i]) - abs(lam[i + 1])) for i in range(len(lam) - 1))
+    return SpectralData(eigenvalues=tuple(float(x) for x in lam), frame=vec, gaps=gaps)
 
 
 def child_env():

@@ -272,6 +272,17 @@ def test_non_finite_t_grid_is_an_error(tmp_path, capsys, cmd, grid):
     assert err == "error: T grid values must be finite\n"
 
 
+@pytest.mark.parametrize("window", ("nan", "0", "-1"))
+def test_count_sector_rejects_a_window_that_is_not_positive(tmp_path, capsys, window):
+    out = tmp_path / "window.csv"
+    code, _, err = run(capsys, "count-sector", "--blocks", "1,2", "--signs", "+,1:1",
+                       "--norm", "frobenius", "--window", window, "--T-grid", "8",
+                       "--out", str(out))
+    assert code == 1
+    assert err == "error: block window must be positive when given\n"
+    assert not out.exists()
+
+
 def test_negative_signature_is_an_error(tmp_path, capsys):
     out = tmp_path / "neg.csv"
     code, _, err = run(capsys, "volume", "--signature=-1,3", "--T-grid", "6,8", "--out", str(out))

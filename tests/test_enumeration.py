@@ -573,6 +573,11 @@ def test_quadratic_form_round_trip():
     assert (g.norm_kind, g.norm) == ("frobenius", math.sqrt(8))
     big = QuadraticForm.from_matrix([[2**40 + 1, 0], [0, 1]], "fro")
     assert big.norm == math.sqrt((2**40 + 1) ** 2 + 1)
+    # past int64 the matrix holds the exact entries
+    huge = QuadraticForm.from_matrix([[2**64, 1], [1, 0]])
+    assert huge.matrix().tolist() == [[2**64, 1], [1, 0]] and huge.matrix().dtype == object
+    assert QuadraticForm.from_matrix(huge.matrix()) == huge
+    assert big.matrix().dtype == np.int64
     with pytest.raises(ValueError, match="norm must be one of"):
         QuadraticForm.from_matrix(f.matrix(), "l1")
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_forms
+from conftest import brute_force_forms, spectral_data
 from qfsectors import enumeration, sector
 from qfsectors.enumeration import enumerate_forms, iter_form_batches, triangle_indices
 from qfsectors.sector import (
@@ -27,7 +27,6 @@ from qfsectors.sector import (
     make_spec,
     sector_membership,
     sign_pattern_specs,
-    spectral_data,
     with_fit,
 )
 
@@ -86,57 +85,27 @@ def test_spectral_data_random_reconstruction():
 def test_membership_sign_patterns():
     q = np.diag([3.0, -2.0, 1.0])
     spec = make_spec((1, 1, 1), ["+", "-", "+"])
-    res = sector_membership(q, spec)
-    assert res.status == "member"
-    w = res.witness
-    assert w.scales == pytest.approx((3.0, 2.0, 1.0))
-    assert w.assignment == ((0,), (1,), (2,))
-    assert w.block_dets == (1, -1, 1)
-    assert w.margins == pytest.approx((math.log(3 / 2), math.log(2)))
-    assert sector_membership(q, make_spec((1, 1, 1), ["+", "+", "-"])).status == "nonmember"
-
-
-def test_membership_witness_determinant_consistency():
-    """prod(scale_i^dim_i) * prod(det of block signature) == det q."""
-    spec_list = sign_pattern_specs(3) + [
-        make_spec((1, 2), ["+", (1, 1)]),
-        make_spec((1, 2), ["+", (2, 0)]),
-        make_spec((2, 1), [(1, 1), "-"]),
-    ]
-    checked = 0
-    for f in enumerate_forms(3, 3.0):
-        for spec in spec_list:
-            res = sector_membership(f, spec)
-            if res.status != "member":
-                continue
-            w = res.witness
-            dims = spec.block.dims
-            val = 1.0
-            for s, dim, bd in zip(w.scales, dims, w.block_dets):
-                val *= (s**dim) * bd
-            assert val == pytest.approx(float(f.det), abs=1e-8)
-            assert all(m > 0 for m in w.margins)
-            checked += 1
-    assert checked > 1000
+    assert sector_membership(q, spec) == "member"
+    assert sector_membership(q, make_spec((1, 1, 1), ["+", "+", "-"])) == "nonmember"
 
 
 def test_membership_degenerate_on_ties():
     spec = make_spec((1, 1, 1), ["+", "+", "-"])
-    assert sector_membership(np.eye(3), spec).status == "degenerate"
-    assert sector_membership(np.diag([2.0, -2.0, 1.0]), spec).status == "degenerate"
+    assert sector_membership(np.eye(3), spec) == "degenerate"
+    assert sector_membership(np.diag([2.0, -2.0, 1.0]), spec) == "degenerate"
     # degeneracy is decided before the signs: identical verdict across specs
     for sp in sign_pattern_specs(3):
-        assert sector_membership(np.diag([2.0, -2.0, 1.0]), sp).status == "degenerate"
+        assert sector_membership(np.diag([2.0, -2.0, 1.0]), sp) == "degenerate"
 
 
 def test_membership_blocked_specs():
     q = np.diag([3.0, 1.0, -1.0])
     ok = make_spec((1, 2), ["+", (1, 1)])
-    assert sector_membership(q, ok).status == "member"
+    assert sector_membership(q, ok) == "member"
     wrong = make_spec((1, 2), ["+", (2, 0)])
-    assert sector_membership(q, wrong).status == "nonmember"
+    assert sector_membership(q, wrong) == "nonmember"
     # the block boundary must be a strict |eigenvalue| drop
-    assert sector_membership(np.diag([1.0, 1.0, -1.0]), ok).status == "degenerate"
+    assert sector_membership(np.diag([1.0, 1.0, -1.0]), ok) == "degenerate"
 
 
 def test_membership_block_window():
@@ -144,15 +113,25 @@ def test_membership_block_window():
     spread = math.log(2.0) / 2
     wide = make_spec((1, 2), ["+", (2, 0)], block_window=spread + 0.01)
     tight = make_spec((1, 2), ["+", (2, 0)], block_window=spread - 0.01)
-    assert sector_membership(q, wide).status == "member"
-    assert sector_membership(q, tight).status == "nonmember"
+    assert sector_membership(q, wide) == "member"
+    assert sector_membership(q, tight) == "nonmember"
 
 
 def test_membership_tie_tolerance_is_the_constant():
     spec = make_spec((1, 1, 1), ["+", "+", "-"])
     assert TIE_TOL == 1e-9
-    assert sector_membership(np.diag([1.0 + 3e-7, 1.0, -0.5]), spec).status == "member"
-    assert sector_membership(np.diag([1.0 + 5e-10, 1.0, -0.5]), spec).status == "degenerate"
+    assert sector_membership(np.diag([1.0 + 3e-7, 1.0, -0.5]), spec) == "member"
+    assert sector_membership(np.diag([1.0 + 5e-10, 1.0, -0.5]), spec) == "degenerate"
+
+
+def test_membership_keeps_the_small_eigenvalue_of_a_2x2_form():
+    """[[2**40, 1], [1, 0]] has det -1, so its eigenvalues are about 2**40
+    and -2**-40; half - rad rounds the small one to 0, a degenerate form."""
+    spec = make_spec((1, 1), "+-")
+    assert sector_membership([[2**40, 1], [1, 0]], spec) == "member"
+    # an entry past int64: the QuadraticForm's exact entries, on the float path
+    huge = enumeration.QuadraticForm.from_matrix([[2**64, 1], [1, 0]])
+    assert sector_membership(huge, spec) == "member"
 
 
 def test_membership_rejects_a_form_of_another_size():
@@ -169,12 +148,12 @@ def test_membership_frame_constraints():
     cap_hit = make_spec((1, 1, 1), base, frame=Cap(axis=(1, 0, 0), angle=0.2))
     cap_miss = make_spec((1, 1, 1), base, frame=Cap(axis=(0, 0, 1), angle=0.2))
     anti = make_spec((1, 1, 1), base, frame=AntiCap(axis=(0, 0, 1), angle=0.2))
-    assert sector_membership(q, cap_hit).status == "member"
-    assert sector_membership(q, cap_miss).status == "nonmember"
-    assert sector_membership(q, anti).status == "member"
+    assert sector_membership(q, cap_hit) == "member"
+    assert sector_membership(q, cap_miss) == "nonmember"
+    assert sector_membership(q, anti) == "member"
     # the axis is a line: the flipped eigenvector counts as the same frame
     flipped = make_spec((1, 1, 1), base, frame=Cap(axis=(-1, 0, 0), angle=0.2))
-    assert sector_membership(q, flipped).status == "member"
+    assert sector_membership(q, flipped) == "member"
 
 
 def test_cap_validation():
@@ -204,8 +183,9 @@ def test_spec_validation_and_digest():
         make_spec((1, 2), ["+", (2, 1)])  # block signature sum mismatch
     with pytest.raises(ValueError):
         make_spec((1, 2), ["+", "+"])  # shorthand on a 2-dim block
-    with pytest.raises(ValueError):
-        make_spec((1, 1, 1), ["+", "+", "-"], block_window=0.0)
+    for window in (0.0, math.nan):  # nan <= 0 is false, so nan needs its own case
+        with pytest.raises(ValueError, match="block window must be positive"):
+            make_spec((1, 1, 1), ["+", "+", "-"], block_window=window)
     with pytest.raises(ValueError, match="norm must be one of"):
         make_spec((1, 1, 1), ["+", "+", "-"], norm="spectral")
     a = make_spec((1, 1, 1), ["+", "+", "-"])
@@ -233,19 +213,33 @@ def test_sign_pattern_specs_enumerates_all_patterns():
 # ------------------------------------------------------------ batch pipeline
 
 
-def test_classify_batch_agrees_with_per_form_path():
-    specs = sign_pattern_specs(3)[:3] + [
+PER_FORM_CASES = {
+    # d: (T, the rows taken from the ball, specs)
+    2: (9.5, slice(None), sign_pattern_specs(2) + [
+        make_spec((2,), [(1, 1)], frame=Cap(axis=(1, 2), angle=0.7))]),
+    3: (3.0, slice(None), sign_pattern_specs(3)[:3] + [
         make_spec((1, 2), ["+", (1, 1)], block_window=0.6),
         make_spec((2, 1), [(2, 0), "-"]),
         make_spec((1, 1, 1), ["+", "+", "-"], frame=Cap(axis=(0, 0, 1), angle=0.9)),
-    ]
-    for tri, _, _ in iter_form_batches(3, 3.0, "max"):
+    ]),
+    4: (1.5, slice(None, None, 61), [
+        make_spec((1, 1, 1, 1), "+-+-"),
+        make_spec((2, 2), [(1, 1), (1, 1)], block_window=0.6),
+        make_spec((4,), [(2, 2)], frame=AntiCap(axis=(1, 2, 3, 4), angle=0.8)),
+    ]),
+}
+
+
+def test_classify_batch_agrees_with_per_form_path():
+    for d, (t, rows, specs) in PER_FORM_CASES.items():
+        tri = np.concatenate([tri for tri, _, _ in iter_form_batches(d, t, "max")])[rows]
         for spec in specs:
-            member, degenerate = _classify_batch(tri, 3, spec)
-            for r in range(tri.shape[0]):
-                res = sector_membership(tri_to_matrix(tri[r]), spec)
-                assert member[r] == (res.status == "member")
-                assert degenerate[r] == (res.status == "degenerate")
+            member, degenerate = _classify_batch(tri, d, spec)
+            verdicts = [sector_membership(tri_to_matrix(row, d), spec) for row in tri]
+            assert verdicts == [
+                "degenerate" if g else "member" if m else "nonmember"
+                for m, g in zip(member, degenerate)
+            ]
 
 
 FRAME_SPECS = {
@@ -375,6 +369,10 @@ def test_exact_sign_verdict_holds_up_to_its_int64_bound(entries):
         assert np.array_equal(exact[1], approx[1])
     with pytest.raises(OverflowError):
         _classify_batch(np.array([[1, 0, 0, 1, 0, -354]]), 3, sign_pattern_specs(3)[0])
+    # so does a QuadraticForm whose exact entries leave int64
+    huge = enumeration.QuadraticForm.from_matrix([[2**64, 1, 0], [1, 0, 0], [0, 0, 1]])
+    with pytest.raises(OverflowError):
+        sector_membership(huge, sign_pattern_specs(3)[0])
 
 
 @pytest.mark.parametrize("norm, t", [("max", 10.0), ("max", 14.0), ("frobenius", 20.0)])
@@ -410,9 +408,7 @@ def test_count_sector_matches_manual_loop():
     spec = make_spec((1, 1, 1), ["+", "+", "-"])
     series = count_sector([2.0, 3.0], spec)
     for t, val, deg in zip(series.t_grid, series.values, series.degenerate):
-        statuses = [
-            sector_membership(f, spec).status for f in enumerate_forms(3, t)
-        ]
+        statuses = [sector_membership(f, spec) for f in enumerate_forms(3, t)]
         assert val == statuses.count("member")
         assert deg == statuses.count("degenerate")
     assert series.spec_digest == spec.digest()
@@ -474,7 +470,8 @@ def _box_verdicts(d, norm, base):
     which the frame reads."""
     forms = np.array(brute_force_forms(d, FRAMED_TOPS[d], norm), dtype=np.int64)
     forms = forms.reshape(-1, d * (d + 1) // 2)
-    member, degenerate, lam_s, _ = sector._classify(forms, d, base)
+    member, degenerate = sector._classify(forms, d, base)
+    lam_s = sector._slot_spectrum(sector._matrices(forms, d))
     logs = np.log(np.maximum(np.abs(lam_s[:, :2]), 1e-300))
     tied = logs[:, 0] - logs[:, 1] <= TIE_TOL
     member, degenerate = member & ~tied, degenerate | tied
@@ -550,15 +547,12 @@ def test_framed_counts_do_not_change_when_the_axes_are_relabelled(case):
 @pytest.mark.parametrize("base", [make_spec((1, 1), "+-"), make_spec((3,), [(2, 1)]),
                                   make_spec((2, 2), [(1, 1), (1, 1)])])
 def test_the_frame_step_makes_no_per_row_solve(monkeypatch, base):
-    """A framed count reads its top lines from one batched eigh: it never
-    calls spectral_data, and it calls jacobi_eigh exactly as often as the
-    full-frame count, whose near-tie reruns are the only Jacobi solves."""
+    """A framed count reads its top lines from one batched eigh: it calls
+    jacobi_eigh exactly as often as the full-frame count, whose near-tie
+    reruns are the only Jacobi solves."""
     calls = []
-    for name in ("spectral_data", "jacobi_eigh"):
-        real = getattr(sector, name)
-        monkeypatch.setattr(
-            sector, name, lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a)
-        )
+    real = sector.jacobi_eigh
+    monkeypatch.setattr(sector, "jacobi_eigh", lambda *a: calls.append("jacobi_eigh") or real(*a))
     d = base.block.d
     grid = [1.5, FRAMED_TOPS[d]]
     count_sector(grid, base)
@@ -568,7 +562,7 @@ def test_the_frame_step_makes_no_per_row_solve(monkeypatch, base):
         calls.clear()
         series = count_sector(grid, dataclasses.replace(base, frame_constraint=frame))
         assert series.values[-1] > 0
-        assert calls == unframed and "spectral_data" not in calls
+        assert calls == unframed
 
 
 def _conjugates(q):
@@ -645,7 +639,7 @@ def test_near_tied_float_forms_move_their_top_vector_with_the_group():
                     # the 48 matrices are the 24 distinct images, each twice (P and -P)
                     assert orbit == [[hits.sum() // 2], [0]]
                 else:
-                    assert sector_membership(q, spec).status == "degenerate"
+                    assert sector_membership(q, spec) == "degenerate"
                     assert orbit == [[0], [24]]
 
 
