@@ -16,6 +16,7 @@ that of the factored form.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -38,9 +39,10 @@ class CartanFactors:
     w is the sign pattern of the |eigenvalue|-sorted slots of g J g.T
     (+1 entries come from the positive class of J).  margins[i] is
     log(a[i] / a[i+1]), always derived from a and never materially
-    negative.  tie marks an |eigenvalue| tie at the resolution of the
-    sort, in which case the slot assignment used a documented tie-break
-    and w is not stable under perturbations.
+    negative.  tie, also derived from a, marks an |eigenvalue| tie at
+    the resolution of the sort (a log gap 2 margins[i] within
+    AMBIGUITY_TOL), in which case the slot assignment used a documented
+    tie-break and w is not stable under perturbations.
     """
 
     signature: tuple[int, int]
@@ -49,11 +51,12 @@ class CartanFactors:
     w: tuple[int, ...]
     h: np.ndarray
     margins: np.ndarray = field(init=False)
-    tie: bool = False
+    tie: bool = field(init=False)
 
     def __post_init__(self) -> None:
         logs = np.log(np.asarray(self.a, dtype=float))
         self.margins = logs[:-1] - logs[1:]
+        self.tie = bool((2.0 * self.margins <= AMBIGUITY_TOL).any())
 
     @property
     def chamber_depth(self) -> float:
@@ -63,21 +66,22 @@ class CartanFactors:
         """Raise ValueError on any structural invariant violation."""
         p, q = self.signature
         d = p + q
+        det_k, det_h = np.linalg.det(np.array((self.k, self.h)))
         if np.linalg.norm(self.k.T @ self.k - np.eye(d)) > ORTHO_TOL:
             raise ValueError("k is not orthogonal to tolerance")
-        if np.linalg.det(self.k) < 0:
+        if det_k < 0:
             raise ValueError("k has determinant -1")
-        if np.any(np.asarray(self.margins) < -CHAMBER_TOL):
+        if (np.asarray(self.margins) < -CHAMBER_TOL).any():
             raise ValueError("a is not in the closed positive chamber")
-        prod = float(np.prod(np.asarray(self.a, dtype=float)))
+        prod = float(np.asarray(self.a, dtype=float).prod())
         if abs(prod - 1.0) > 1e-9 * max(1.0, abs(prod)):
             raise ValueError("product of the a entries is not 1")
         if sorted(self.w) != sorted((1,) * p + (-1,) * q):
             raise ValueError("sign pattern does not carry p pluses and q minuses")
         j = signature_matrix(p, q)
-        if np.linalg.norm(self.h @ j @ self.h.T - j) > FORM_TOL:
+        if np.linalg.norm((self.h * j.diagonal()) @ self.h.T - j) > FORM_TOL:
             raise ValueError("h does not preserve the indefinite form")
-        if abs(np.linalg.det(self.h) - 1.0) > 1e-6:
+        if abs(det_h - 1.0) > 1e-6:
             raise ValueError("h has determinant away from 1")
 
 
@@ -89,17 +93,33 @@ class RegularityReport:
     margins: tuple[float, ...]
 
 
+# unbounded caches: one entry per signature here, per valid (w, signature) below
+@functools.lru_cache(maxsize=None)
 def signature_matrix(p: int, q: int) -> np.ndarray:
-    return np.diag(np.array([1.0] * p + [-1.0] * q))
+    """J = diag(I_p, -I_q), as a shared read-only array."""
+    mat = np.diag(np.array([1.0] * p + [-1.0] * q))
+    mat.flags.writeable = False
+    return mat
 
 
-def weyl_matrix(w: tuple[int, ...], signature: tuple[int, int]) -> np.ndarray:
-    """Canonical representative of the sign interleaving w.
+def _odd(perm) -> bool:
+    """Parity of a permutation of range(len(perm)), by inversion count."""
+    n = len(perm)
+    return sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n)) % 2 == 1
+
+
+def weyl_matrix(w, signature: tuple[int, int]) -> np.ndarray:
+    """Canonical representative of the sign interleaving w (any sequence).
 
     A signed permutation P with P J P.T = diag(w), order preserving
     within each sign class, det fixed to +1 by negating the last row's
-    entry when needed (this leaves P J P.T unchanged).
+    entry when needed (this leaves P J P.T unchanged).  Shared, read-only.
     """
+    return _weyl_matrix(tuple(w), tuple(signature))
+
+
+@functools.lru_cache(maxsize=None)
+def _weyl_matrix(w: tuple[int, ...], signature: tuple[int, int]) -> np.ndarray:
     p, q = signature
     d = p + q
     if len(w) != d or sum(1 for s in w if s == 1) != p:
@@ -115,12 +135,9 @@ def weyl_matrix(w: tuple[int, ...], signature: tuple[int, int]) -> np.ndarray:
             next_minus += 1
     mat = np.zeros((d, d))
     mat[np.arange(d), perm] = 1.0
-    # parity of perm by inversion count; d stays tiny here
-    inversions = sum(
-        1 for i in range(d) for jj in range(i + 1, d) if perm[i] > perm[jj]
-    )
-    if inversions % 2 == 1:
+    if _odd(perm):
         mat[d - 1, perm[d - 1]] = -1.0
+    mat.flags.writeable = False
     return mat
 
 
@@ -150,67 +167,58 @@ def kah_decompose(g: np.ndarray, signature: tuple[int, int]) -> CartanFactors:
         raise ValueError("matrix condition exceeds COND_BOUND")
 
     # the loop runs on lists of floats: per pair visit, one fused pass
-    # over the two rows costs less than the numpy calls on d-vectors
+    # over the two rows costs less than the numpy calls on d-vectors; row
+    # i is row i of g then row i of k^T, and zip with jsign stops at g's
     jsign = [1.0] * p + [-1.0] * q
-    rows = g.tolist()  # a rotation rebinds two of them
-    kt = np.eye(d).tolist()  # rows of k^T, so a rotation touches two rows
-    eps_floor = 16.0 * np.finfo(float).eps
+    rows = np.concatenate((g, np.eye(d)), axis=1).tolist()  # a rotation rebinds two
+    eps_floor = 16.0 * float(np.finfo(float).eps)
     converged = False
     for _ in range(MAX_SWEEPS):
         rotated = False
         for i in range(d - 1):
             for jj in range(i + 1, d):
                 ri, rj = rows[i], rows[jj]
-                app = apq = aqq = nii = njj = 0.0
+                app = apq = aqq = 0.0
                 for s, x, y in zip(jsign, ri, rj):
                     sx = s * x
                     app += sx * x
                     apq += sx * y
                     aqq += s * y * y
-                    nii += x * x
-                    njj += y * y
                 off = abs(apq)
                 if off <= TOL * math.sqrt(abs(app * aqq)):
                     continue
+                nii = njj = 0.0
+                for _s, x, y in zip(jsign, ri, rj):
+                    nii += x * x
+                    njj += y * y
                 if off <= eps_floor * (math.sqrt(nii) * math.sqrt(njj)):
                     continue
                 rotated = True
                 c, sn = rotation_for(app, aqq, apq)
                 rows[i] = [c * x - sn * y for x, y in zip(ri, rj)]
                 rows[jj] = [sn * x + c * y for x, y in zip(ri, rj)]
-                ki, kj = kt[i], kt[jj]
-                kt[i] = [c * x - sn * y for x, y in zip(ki, kj)]
-                kt[jj] = [sn * x + c * y for x, y in zip(ki, kj)]
         if not rotated:
             converged = True
             break
     if not converged:
         raise ArithmeticError("jacobi iteration did not converge")
     lam = [math.fsum(s * x * x for s, x in zip(jsign, r)) for r in rows]
-    rows = np.array(rows)
-    k = np.array(kt).T
 
+    # k is a product of rotations, det +1, until its columns are put in
+    # slot order; an odd order flips the last column (and its row of g)
     order = slot_order(lam)
-    rows = rows[order]
-    k = k[:, order]
-    lam = np.array(lam)[order]
+    rows = np.array(rows)[order]
+    if _odd(order):
+        rows[-1] = -rows[-1]
+    k = rows[:, d:].copy().T
+    lam = [lam[i] for i in order]
     svals = np.sqrt(np.abs(lam))
     w = tuple(1 if v > 0 else -1 for v in lam)
 
-    logs = np.log(svals)
-    gaps = 2.0 * (logs[:-1] - logs[1:])  # log |eigenvalue| gaps
-    tie = bool(np.any(gaps <= AMBIGUITY_TOL))
-
-    if np.linalg.det(k) < 0:
-        k[:, -1] = -k[:, -1]
-        rows[-1] = -rows[-1]
-
     wmat = weyl_matrix(w, signature)
-    h = wmat.T @ (rows / svals[:, None])
+    h = wmat.T @ (rows[:, :d] / svals[:, None])
 
-    factors = CartanFactors(
-        signature=signature, k=k, a=svals, w=w, h=h, tie=tie
-    )
+    factors = CartanFactors(signature=signature, k=k, a=svals, w=w, h=h)
     factors.validate()
     return factors
 

@@ -178,7 +178,11 @@ def sector_membership(q, spec: SectorSpec) -> str:
     _classify_batch on a batch of one: an integer form (a QuadraticForm
     with its exact entries) takes count_sector's exact route, which raises
     OverflowError past its int64 bound.  Degeneracy is decided before the
-    sign tests, so it does not depend on the requested signatures."""
+    sign tests, so it does not depend on the requested signatures.  A
+    nested list or object array of Python ints past int64 is read as
+    the QuadraticForm of its exact entries."""
+    if not isinstance(q, enumeration.QuadraticForm) and np.asarray(q).dtype == object:
+        q = enumeration.QuadraticForm.from_matrix(q)
     if isinstance(q, enumeration.QuadraticForm):
         d, tri = q.d, enumeration._int_array([q.entries])
     else:

@@ -192,7 +192,7 @@ def _largest_angle(a: np.ndarray, b: np.ndarray) -> float:
     each where it is well conditioned.
     """
     c = a.T @ b
-    sin = float(np.linalg.norm(b - a @ c, 2))
+    sin = float(np.linalg.svd(b - a @ c, compute_uv=False)[0])
     if sin * sin < 0.5:
         return math.asin(sin)
     return math.acos(min(float(np.linalg.svd(c, compute_uv=False)[-1]), 1.0))
@@ -231,10 +231,11 @@ def fine_probe(
     d = sum(signature)
     cuts = None if joined is None else BlockDecomposition.from_joined(d, joined).cuts
     base = kah_decompose(g, signature)
+    base_log_a = np.log(base.a)
     slots = None  # coarse blocks of slots, when their clustering is unambiguous
     if cuts is not None and not any(base.margins[c - 1] < 10.0 * epsilon for c in cuts):
         slots = np.split(np.arange(d), cuts)
-        base_means = np.array([np.log(base.a)[b].mean() for b in slots])
+        base_means = np.array([base_log_a[b].mean() for b in slots])
         ratio_ai, ratio_frame = 0.0, 0.0
     jmat = signature_matrix(*signature)
     h_inv = jmat @ base.h.T @ jmat  # exact inverse in H
@@ -245,8 +246,9 @@ def fine_probe(
         gp = scipy.linalg.expm(epsilon * x) @ g
         probe = kah_decompose(gp, signature)
         d_in = epsilon * b_norm(x)
+        log_a = np.log(probe.a)
         if slots is not None:
-            means = np.array([np.log(probe.a)[b].mean() for b in slots])
+            means = np.array([log_a[b].mean() for b in slots])
             ratio_ai = max(ratio_ai, float(np.linalg.norm(means - base_means)) / epsilon)
             ang = max(_largest_angle(base.k[:, b], probe.k[:, b]) for b in slots)
             ratio_frame = max(ratio_frame, ang / epsilon)
@@ -257,7 +259,7 @@ def fine_probe(
         # k_al base.k^T = I + E_k and h_al h^-1 = I + E_h, formed from the
         # factor differences so that a small displacement keeps its digits
         disp.append(((k_al - base.k) @ base.k.T, (h_al - base.h) @ h_inv))
-        d_a = float(np.linalg.norm(np.log(probe.a) - np.log(base.a)))
+        d_a = float(np.linalg.norm(log_a - base_log_a))
         detail.append(ProbeSample(d_input=d_in, crossed=False, d_a=d_a))
     # a tied base frame can be arbitrarily far from the probe's even with
     # w unchanged; that is the blow-up at the singular set, and a row

@@ -48,10 +48,20 @@ def test_predict_exponent_stdout_is_stable(capsys):
 
 
 def test_kah_stdout_reconstructs(capsys):
+    """The README's kah run reconstructs g, and its stdout is pinned byte
+    for byte."""
     code, out, _ = run(
         capsys, "kah", "--matrix", "2,1,0;1,1,0;0,0,1", "--signature", "2,1"
     )
     assert code == 0
+    assert out == (
+        '{"signature":[2,1],"k":[[0.850650808352,0.0,0.525731112119],'
+        '[0.525731112119,0.0,-0.850650808352],[0.0,1.0,-0.0]],'
+        '"a":[2.61803398875,1.0,0.38196601125],"w":[1,-1,1],'
+        '"h":[[0.850650808352,0.525731112119,0.0],[-0.525731112119,0.850650808352,0.0],'
+        '[0.0,0.0,1.0]],"margins":[0.962423650119,0.962423650119],'
+        '"chamber_depth":1.36107257875,"tie":false}\n'
+    )
     doc = json.loads(out)
     assert doc["signature"] == [2, 1]
     k = np.asarray(doc["k"])

@@ -375,6 +375,19 @@ def test_exact_sign_verdict_holds_up_to_its_int64_bound(entries):
         sector_membership(huge, sign_pattern_specs(3)[0])
 
 
+def test_membership_reads_python_ints_past_int64_as_a_quadratic_form():
+    """A nested list or object array with an entry past int64 gets the
+    verdict of its QuadraticForm, and the same OverflowError past the
+    exact route's bound, not numpy's TypeError from an object array."""
+    spec = make_spec((1, 1), ["+", "-"])
+    big = [[2**64, 1], [1, 0]]
+    assert sector_membership(enumeration.QuadraticForm.from_matrix(big), spec) == "member"
+    assert sector_membership(big, spec) == "member"
+    assert sector_membership(np.array(big, dtype=object), spec) == "member"
+    with pytest.raises(OverflowError):
+        sector_membership([[2**64, 1, 0], [1, 0, 0], [0, 0, 1]], sign_pattern_specs(3)[0])
+
+
 @pytest.mark.parametrize("norm, t", [("max", 10.0), ("max", 14.0), ("frobenius", 20.0)])
 def test_exact_sign_verdict_matches_the_float_classifier_on_whole_balls(norm, t):
     tri = np.concatenate([tri for tri, _, _ in iter_form_batches(3, t, norm)])
