@@ -124,6 +124,8 @@ def _weyl_matrix(w: tuple[int, ...], signature: tuple[int, int]) -> np.ndarray:
     d = p + q
     if len(w) != d or sum(1 for s in w if s == 1) != p:
         raise ValueError("sign pattern does not match the signature")
+    if any(s not in (1, -1) for s in w):
+        raise ValueError("sign pattern entries must be +1 or -1")
     perm = np.empty(d, dtype=int)
     next_plus, next_minus = 0, p
     for i, s in enumerate(w):

@@ -10,16 +10,33 @@ det(Q) at q_dd = 0; both come from one Laplace expansion.  So minor != 0
 pins q_dd to (e - const) / minor per target e = +-1, and minor == 0
 demands const = e with q_dd sweeping its whole legal range.
 
-The free entries are the upper triangle without q_dd, in triangle
-order.  The last three of them form the broadcast integer grid, and the
-entries before them index the cell: (q11, q12) for d=3, (q11 .. q23)
-for d=4, and a single cell for d=2.  The scan solves a run of
-consecutive values of the cell's last entry at once, as one more
-broadcast axis, sized so that one solve stays within SCAN_POINTS grid
-points.  Cells are independent, which is where the optional thread pool
-parallelizes (by the first entry).  Every emitted row's determinant is
-recomputed in full, and the accumulator width is chosen from a proven
-bound (d! b**d for entries bounded by b) that raises instead of wrapping.
+Which entries reach that division is decided by a congruence.  Write A
+for the leading (d-1) block, m = det A (the minor above), v for the
+last column above q_dd, x = q_(d-1)d for its last entry and s for the
+one before it (none for d = 2).  Then det(Q) = m q_dd - v' adj(A) v, and
+the Desnanot-Jacobi identity det(Q) M' = m N - P**2, with M' the
+leading (d-2) minor of A (1 for d = 2), N the minor without row and
+column d-1 and P the one without row d-1 and column d, forces
+P**2 = -e M' (mod |m|).  P = (adj(A) v)_x = M' x + beta s + gamma is
+linear in x and s, so for each square root r of -e M' modulo |m| (read
+off a table of square roots per range of moduli) the (s, x) with
+P = r (mod |m|) are a coset of a plane lattice: _plane_lattice builds
+its basis from g = gcd(M', |m|) and the inverse of M' / g, and reduces
+it.  The scan walks the lines of the coset through the box of s and x,
+and cuts each line to the window where m q_dd can lie in range: along a
+line v' adj(A) v is a quadratic in the line's parameter.  A block with
+m = 0 takes modulus 1, whose lattice is every (s, x).  The congruence
+and the window are only necessary conditions: every candidate still
+passes the exact division, the bounds of R and the ball, and every
+emitted row's determinant is recomputed in full.  The accumulator
+bound (d! b**d for entries bounded by b, and a bound on the window's
+products, _scan) raises instead of wrapping.
+
+The scan sorts the blocks A by modulus; a range of moduli, with its
+table of roots, is one task, and the tasks are independent, which is
+where the optional thread pool parallelizes.  Batches are sized by
+their count of lattice lines, SCAN_BUDGET times the thread count,
+which also bounds a range's table.
 
 Conjugation by a signed permutation matrix keeps the determinant, both
 norms and the spectrum, so every count and every sector verdict that
@@ -28,12 +45,11 @@ hyperoctahedral group; -I acts trivially, leaving 4, 24 and 192
 elements for d = 2, 3 and 4).  Every orbit meets the region R where
 q11 >= q22 >= ... >= q_dd and q1j >= 0 for j >= 2: sort the diagonal,
 then take s_j = sign(q1j).  The scan visits only R, about an eighth
-of the box for d = 3.  The cells and the grid take q1j >= 0 and each
-diagonal entry at most the one before it, which is already fixed; the
-solved q_dd is filtered to q_dd <= q_(d-1)(d-1).  A
-row found in R is canonical when no image is lexicographically above
-it, with the key ordered diagonal first, then the off-diagonal entries
-in triangle order; every orbit has exactly one canonical row, and it
+of the box for d = 3: the blocks and the box of s and x take q1j >= 0
+and each diagonal entry at most the one before it, and the solved q_dd
+is filtered to q_dd <= q_(d-1)(d-1).  A row found in R is canonical
+when no image is lexicographically above it, with the key ordered
+diagonal first, then the off-diagonal entries in triangle order; every orbit has exactly one canonical row, and it
 lies in R.  The counts take each canonical row once, weighted by its
 orbit size.  A verdict that is not constant on orbits (a cap frame
 reads the top eigenvector, which the group moves) gets the weights
@@ -72,15 +88,16 @@ from fractions import Fraction
 import numpy as np
 
 NORMS = ("max", "frobenius")
-# rows per verdict call in tally: a scan batch holds a few hundred rows,
-# and a verdict's fixed cost per call is worth paying once per chunk, not
-# per batch; a larger chunk only raises the classifiers' peak memory
+# rows per verdict call in tally: a verdict's fixed cost per call is worth
+# paying once per chunk, not per scan batch; a larger chunk only raises the
+# classifiers' peak memory, so batches are cut to it as well as joined
 TALLY_ROWS = 4096
-# broadcast points per solve of the reduced scan, both target determinants
-# counted: enough that a solve's fixed Python cost stops dominating (325
-# solves of count_ball(3, 12.5) become 59), while each int32 temporary
-# stays at 256 KiB
-SCAN_POINTS = 2**16
+# lattice lines per batch of the scan, square-root table entries per range
+# of moduli and orbit images per pass of _orbits: count_ball(3, 40) pays a
+# batch's fixed Python cost about 1,400 times, and a batch's temporaries
+# stay near 2 MiB (twice this budget raised a ball-scan round's peak RSS
+# by about 1 MiB)
+SCAN_BUDGET = 2**12
 
 
 def resolve_threads(threads: int | None = None) -> int:
@@ -257,6 +274,158 @@ def _det_split(m):
     return top[tuple(range(d - 1))], const
 
 
+def _isqrt(n: np.ndarray) -> np.ndarray:
+    """Floor square roots of an int64 array of values in [0, 2**62)."""
+    r = np.sqrt(n).astype(np.int64)
+    r -= r * r > n
+    return r + ((r + 1) * (r + 1) <= n)
+
+
+def _ranges(lo: np.ndarray, hi: np.ndarray):
+    """(counts, values): for each parent p in turn the integers lo[p] ..
+    hi[p], counts[p] of them (none where hi[p] < lo[p]), so
+    np.repeat(a, counts) spreads a per-parent array over the values."""
+    counts = np.maximum(hi - lo + 1, 0)
+    offset = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    return counts, np.repeat(lo, counts) + offset
+
+
+def _pieces(counts: np.ndarray, budget: int):
+    """Slices of consecutive items whose counts add up to at most budget;
+    an item over budget is a slice of its own."""
+    ends = np.cumsum(counts)
+    start = 0
+    while start < ends.size:
+        base = ends[start - 1] if start else 0
+        stop = max(int(np.searchsorted(ends, base + budget, side="right")), start + 1)
+        yield slice(start, stop)
+        start = stop
+
+
+def _root_table(lo: int, hi: int):
+    """(roots, first, at): the square roots modulo each M in lo..hi.
+
+    The table of M starts at at[M - lo] and lists each r in [0, M) once,
+    under its square r*r mod M, so the roots of a modulo M are
+    roots[first[s] : first[s + 1]] for s = at[M - lo] + a, ascending.
+    """
+    moduli = np.arange(lo, hi + 1, dtype=np.int64)
+    at = np.cumsum(moduli) - moduli
+    start = np.repeat(at, moduli)
+    r = np.arange(start.size) - start
+    slot = start + r * r % np.repeat(moduli, moduli)
+    first = np.concatenate([[0], np.cumsum(np.bincount(slot, minlength=start.size))])
+    return r[np.argsort(slot, kind="stable")], first, at
+
+
+def _gcd_inverse(a: np.ndarray, n: np.ndarray):
+    """(g, inv) per element: g = gcd(a, n) and inv with (a / g) * inv = 1
+    modulo n / g, 0 <= inv < n / g, for n >= 1 and any integer a (a = 0
+    gives g = n and inv = 0).  The extended Euclidean algorithm, keeping
+    the cofactor s of a with s * a = r (mod n) for each remainder r."""
+    r0, r1 = n, a % n
+    s0, s1 = np.zeros_like(n), np.ones_like(n)
+    while r1.any():
+        live = r1 != 0
+        q = r0 // np.where(live, r1, 1)
+        r0, r1 = np.where(live, r1, r0), np.where(live, r0 - q * r1, r1)
+        s0, s1 = np.where(live, s1, s0), np.where(live, s0 - q * s1, s1)
+    return r0, s0 % (n // r0)
+
+
+def _line_range(lo, hi, slope):
+    """(first, last): per element, the integers i with lo <= slope i <= hi
+    (none where last < first); every integer, [-2**62, 2**62], or none
+    where slope is 0."""
+    flat = slope == 0
+    s = np.where(flat, 1, np.abs(slope))
+    u, v = np.where(slope < 0, -hi, lo), np.where(slope < 0, -lo, hi)
+    every = (lo <= 0) & (0 <= hi)
+    return (np.where(flat, np.where(every, -(2**62), 1), -(-u // s)),
+            np.where(flat, np.where(every, 2**62, 0), v // s))
+
+
+def _quadratic_cover(a, b, c, low, high):
+    """((x1, y1), (x2, y2)): per element, two disjoint integer intervals
+    [x1, y1] and [x2, y2] (empty where y < x) whose union is every
+    integer x with low <= a x**2 + 2 b x + c <= high.
+
+    For a != 0, a f(x) = (a x + b)**2 + a c - b**2, so |a| x + sb, with
+    sb the sign of a times b, lies in +-[bot, top] between two integer
+    square roots.  For a = 0 the condition is linear in x.
+    """
+    line = a == 0
+    pos = a > 0
+    sa, sb = np.where(line, 1, np.abs(a)), np.where(pos, b, -b)
+    shift = sa * np.where(pos, c, -c) - b * b
+    lo2 = sa * np.where(pos, low, -high) - shift
+    hi2 = sa * np.where(pos, high, -low) - shift
+    top = np.where(hi2 < 0, -1, _isqrt(np.maximum(hi2, 0)))
+    bot = _isqrt(np.maximum(lo2, 0))
+    bot += bot * bot < lo2
+    x1, y1 = (-top - sb + sa - 1) // sa, (-bot - sb) // sa
+    x2, y2 = (np.maximum(bot, 1) - sb + sa - 1) // sa, (top - sb) // sa
+    if line.any():
+        # 2 b x + c in [low, high]
+        i = np.flatnonzero(line)
+        x1[i], y1[i] = _line_range(low[i] - c[i], high[i] - c[i], 2 * b[i])
+        x2[i], y2[i] = 1, 0
+    return (x1, y1), (x2, y2)
+
+
+def _reduced(u, w):
+    """(u, w): per element, a Lagrange-Gauss reduced basis of the plane
+    lattice spanned by u and w (pairs of integer arrays), so u is a
+    shortest vector, with cross(u, w) = us wx - ux ws > 0."""
+    (us, ux), (ws, wx) = u, w
+    while True:
+        nu, nw = us * us + ux * ux, ws * ws + wx * wx
+        swap = nw < nu
+        us, ws = np.where(swap, ws, us), np.where(swap, us, ws)
+        ux, wx = np.where(swap, wx, ux), np.where(swap, ux, wx)
+        nu = np.minimum(nu, nw)
+        mu = (2 * (us * ws + ux * wx) + nu) // (2 * nu)
+        if not mu.any():
+            break
+        ws, wx = ws - mu * us, wx - mu * ux
+    flip = us * wx - ux * ws < 0
+    return (us, ux), (np.where(flip, -ws, ws), np.where(flip, -wx, wx))
+
+
+def _plane_lattice(outer, beta, n):
+    """(g, inv, h, inv_s, u, w) per element: the lattice L of the (s, x)
+    with beta s + outer x = 0 (mod n), for n >= 1.
+
+    g = gcd(outer, n), and inv inverts outer / g modulo step = n / g;
+    h = gcd(beta, g), and inv_s inverts beta / h modulo g / h.  An s
+    extends to a point of L exactly when g / h divides it, so
+    (g / h, -(beta / h) inv mod step) and (0, step) span L, of index
+    n / h; (u, w) is that basis reduced.  outer = 0 gives g = n and
+    step 1; n = 1 gives all of Z**2.
+    """
+    g, inv = _gcd_inverse(outer, n)
+    step = n // g
+    h, inv_s = _gcd_inverse(beta, g)
+    u, w = _reduced((g // h, -(beta // h) % step * inv % step), (np.zeros_like(n), step))
+    return g, inv, h, inv_s, u, w
+
+
+def _coset_point(r, beta, n, g, inv, h, inv_s):
+    """(ok, s, x) per element: a point of beta s + outer x = r (mod n),
+    g, inv, h and inv_s as _plane_lattice gives them; where ok is False
+    (h does not divide r) there is none and (s, x) means nothing."""
+    step = n // g
+    s = (r // h) * inv_s % (g // h)
+    return r % h == 0, s, (r - beta * s) // g % step * inv % step
+
+
+def _cofactor(a, i: int, j: int):
+    """(-1)**(i + j) times the minor of the square nested list a without
+    row i and column j: entry (j, i) of its adjugate."""
+    rest = [row[:j] + row[j + 1 :] for r, row in enumerate(a) if r != i]
+    return (-1) ** (i + j) * (_int_det(rest) if rest else np.ones_like(a[0][0]))
+
+
 @functools.lru_cache(maxsize=None)
 def signed_permutations(d: int) -> np.ndarray:
     """(g, d, d) int64: the signed permutation matrices P with
@@ -301,19 +470,48 @@ def _orbit_tables(d: int):
     return tables
 
 
+@functools.lru_cache(maxsize=None)
+def _diagonal_keepers(d: int) -> tuple:
+    """Per tie pattern p of a descending diagonal (bit k set when entries
+    k and k+1 are equal), the indices of the group elements that keep
+    every such diagonal: their permutations map each run of equal
+    entries to itself."""
+    perm = np.argmax(np.abs(signed_permutations(d)), axis=2)
+    keepers = []
+    for p in range(2 ** (d - 1)):
+        run = np.cumsum([0] + [not p >> k & 1 for k in range(d - 1)])
+        keepers.append(np.flatnonzero(np.all(run[perm] == run, axis=1)))
+    return tuple(keepers)
+
+
 def _orbits(full: np.ndarray, d: int):
     """The canonical rows of full (triangle, then det) and their weights.
 
     A row is canonical when no image under the group is above it in the
     canonical order.  Its weight is its orbit size, the number of its
     distinct images: the group order over the order of its stabilizer,
-    the elements g with g.x = x.
+    the elements g with g.x = x.  The rows lie in R, so their diagonals
+    descend, and an element that moves a row's diagonal gives an image
+    with a lower one, neither above the row nor equal to it: each row is
+    tested only against the elements that keep its diagonal, found by
+    its tie pattern.
     """
     cols, signs, weights = _orbit_tables(d)
     tri = full[:, :-1]
-    order = np.sign(tri[:, cols] * signs - tri[:, None, :]) @ weights
-    canon = np.all(order <= 0, axis=1)
-    return full[canon], len(cols) // np.count_nonzero(order[canon] == 0, axis=1)
+    diag = tri[:, [c for c, (i, j) in enumerate(triangle_indices(d)) if i == j]]
+    pattern = (diag[:, 1:] == diag[:, :-1]) @ (1 << np.arange(d - 1))
+    canon = np.zeros(len(full), dtype=bool)
+    stabilizer = np.zeros(len(full), dtype=np.int64)
+    for p in np.unique(pattern):
+        g = _diagonal_keepers(d)[p]
+        every = np.flatnonzero(pattern == p)
+        # about SCAN_BUDGET images per pass
+        for rows in np.array_split(every, -(-every.size * g.size // SCAN_BUDGET)):
+            x = tri[rows]
+            order = np.sign(x[:, cols[g]] * signs[g] - x[:, None, :]) @ weights
+            canon[rows] = np.all(order <= 0, axis=1)
+            stabilizer[rows] = np.count_nonzero(order == 0, axis=1)
+    return full[canon], len(cols) // stabilizer[canon]
 
 
 def _scan(d: int, t: float, norm: str, threads: int | None):
@@ -326,15 +524,16 @@ def _scan(d: int, t: float, norm: str, threads: int | None):
     particular order.  Every emitted row's determinant is recomputed in
     full before it leaves.
 
-    One solve covers a run of consecutive values of the last cell entry
-    (q12 for d = 3, q23 for d = 4; q11 for d = 2, whose only cell is the
-    whole box): the run grows while its grid, with both target
-    determinants, holds at most SCAN_POINTS points.  The run's
-    grid spans are those of its smallest |value|, the widest of the run,
-    and the norm budget drops the points beyond a row's own spans.
-    d = 3 maps its runs to `threads` workers by their first entry; d = 4,
-    which stops at entry bound 3, scans serially whatever `threads` is.
-    The checks of d, T and the norm live here, so every scan makes them.
+    The leading blocks A are laid out at once and sorted by modulus
+    (|det A|, or 1 where det A = 0).  A range of consecutive moduli whose
+    square-root tables hold at most `budget` entries in all is one task,
+    and a batch holds the candidates of at most about `budget` lattice
+    lines, with budget = SCAN_BUDGET * threads: with `threads` > 1 the
+    tasks go to that many workers, and larger batches keep each numpy
+    call long enough that the workers do not queue on the interpreter
+    lock (two workers on batches of SCAN_BUDGET lines ran count_ball(3,
+    40) 15% slower than one).  The checks of d, T and the norm live
+    here, so every scan makes them.
     """
     norm = _check_norm(norm)
     if t < 1.0:
@@ -346,129 +545,196 @@ def _scan(d: int, t: float, norm: str, threads: int | None):
     b = lim if norm == "max" else math.isqrt(lim)
     if d == 4 and b > 3:
         raise ValueError("d=4 enumeration is for smoke scales (entry bound <= 3)")
-    # every Leibniz term is at most b**d, so no partial sum leaves d! b**d
-    bound = math.factorial(d) * b**d + 1
+    # every Leibniz term is at most b**d, so no partial sum leaves d! b**d.
+    # The window along a line (_quadratic_cover) multiplies values of the
+    # form of adj(A), whose entries are at most (d-2)! b**(d-2), on vectors
+    # with entries below z: a reduced lattice vector (its square at most
+    # 2/sqrt(3) times a modulus, and a modulus at most m_max) or a line's
+    # base point, moved to within |u| / 2 of the box centre's projection
+    m_max = math.factorial(d - 1) * b ** (d - 1)
+    z = 3 * b + math.isqrt(2 * m_max) + 1
+    k = math.factorial(d - 2) * b ** (d - 2) * (d - 1) ** 2 * z * z
+    bound = max(math.factorial(d) * b**d, k * (m_max * b + 2 * k + 2)) + 1
     if bound >= 2**62:
         raise OverflowError("entry bound too large for the 64-bit accumulator")
-    dtype = np.int32 if bound < 2**31 else np.int64
     tri = triangle_indices(d)
-    free = tri[:-1]
-    weights = [1 if i == j else 2 for i, j in free]
-    # entries fixed per solve; the broadcast axes are the run axis free[lead]
-    # (the last cell entry for d >= 3) and the grid entries after it
-    lead = max(len(free) - 4, 0)
-    naxes = len(free) - lead
-    targets = np.array([1, -1], dtype=dtype).reshape([2] + [1] * naxes)
-    # in R a diagonal entry is at most the one before it, which is fixed
-    # before the run axis
-    before = {k: free.index((i - 1, i - 1)) for k, (i, j) in enumerate(free) if i == j > 0}
-    penultimate = tri.index((d - 2, d - 2))
+    weight = {(i, j): 1 if i == j else 2 for i, j in tri}
+    # A in triangle order (its diagonal entries in turn), then
+    # v = (q_1d, ..., q_(d-1)d): the early entries, s and x
+    lead = [(i, j) for i, j in tri if j < d - 1]
+    column = [(i, d - 1) for i in range(d - 1)]
+    early, x = column[:-2], column[-1]
+    si, xi = d - 3, d - 2
 
-    def span(k: int, rem: int, fixed: tuple) -> range:
-        # the values of free entry k that leave the norm key within budget
-        # and keep the row in R
-        r = b if norm == "max" else math.isqrt(rem // weights[k])
-        lo = 0 if free[k][0] == 0 < free[k][1] else -r
-        return range(lo, min(r, fixed[before[k]]) + 1 if k in before else r + 1)
+    def radius(rem, w: int):
+        # the largest |value| of an entry of norm weight w within budget
+        return np.full(len(rem), b) if norm == "max" else _isqrt(rem // w)
 
-    def grid_spans(cell: tuple, rem: int, v: int) -> list[range]:
-        # the spans of the grid axes after the run axis takes value v
-        left = rem - weights[lead] * v * v
-        return [span(k, left, cell) for k in range(lead + 1, len(free))]
+    def widen(rows: dict, rem, entries):
+        # each row with every value of each entry in turn that keeps the
+        # norm key within budget and the row in R; rows may carry other
+        # per-row arrays, which follow
+        for i, j in entries:
+            r = radius(rem, weight[i, j])
+            lo = np.zeros_like(r) if i == 0 < j else -r
+            hi = np.minimum(r, rows[i - 1, i - 1]) if i == j > 0 else r
+            counts, v = _ranges(lo, hi)
+            rows = {k: np.repeat(a, counts) for k, a in rows.items()} | {(i, j): v}
+            rem = np.repeat(rem, counts) - weight[i, j] * v * v
+        return rows, rem
 
-    def runs(cell: tuple, rem: int):
-        # for d >= 3 the run axis is the cell's last entry
-        run, widest = [], 0
-        for v in span(lead, rem, cell):
-            size = math.prod(map(len, grid_spans(cell, rem, v)))
-            if run and 2 * (len(run) + 1) * max(widest, size) > SCAN_POINTS:
-                yield run
-                run, widest = [], 0
-            run.append(v)
-            widest = max(widest, size)
-        if run:
-            yield run
+    def box(rem):
+        # (s_lo, s_hi, x_lo, x_hi): the plane's box in R and the ball; s
+        # is 0 for d = 2, and s or x is >= 0 where it is q_1d
+        rx = radius(rem, 2)
+        nil = np.zeros_like(rx)
+        if d == 2:
+            return nil, nil, nil, rx
+        return (nil if d == 3 else -rx), rx, -rx, rx
 
-    def solve(cell: tuple, run: list, rem: int) -> np.ndarray:
-        values = [np.array(run, dtype=dtype)]
-        values += [np.array(s, dtype=dtype) for s in grid_spans(cell, rem, min(map(abs, run)))]
-        axes = [v.reshape([-1 if k == a else 1 for k in range(naxes)]) for a, v in enumerate(values)]
-        minor, const = _det_split(_symmetric(d, free, list(cell) + axes))
-        mz = minor == 0
-        anyz = bool(mz.any())
-        safe = np.where(mz, 1, minor) if anyz else minor
-        if norm == "frobenius":
-            # what the norm key leaves for q_dd**2 at each grid point
-            budget = rem
-            for w, ax in zip(weights[lead:], axes):
-                budget = budget - w * ax.astype(np.int64) ** 2
+    def spread(u, sides, p):
+        # the range of cross(u, q) - p over the points q of the box: the
+        # lines p0 + j w + i u that meet it have j in it over cross(u, w),
+        # with p = cross(u, p0)
+        (us, ux), (sl, sh, xl, xh) = u, sides
+        top = np.maximum(us * xl, us * xh) - np.minimum(ux * sl, ux * sh)
+        bottom = np.minimum(us * xl, us * xh) - np.maximum(ux * sl, ux * sh)
+        return bottom - p, top - p
 
-        # the leading axis holds the target determinant e = +1, -1
-        quot, res = np.divmod(targets - const, safe)
-        ok = (res == 0) & (np.abs(quot) <= b)
-        if anyz:
-            ok &= ~mz
-        idx = np.nonzero(ok)
-        qdd = quot[idx]
-        if norm == "frobenius":
-            keep = qdd.astype(np.int64) ** 2 <= budget[idx[1:]]
-            idx, qdd = tuple(i[keep] for i in idx), qdd[keep]
-        found = [(idx, qdd)]
-        if anyz:
-            # minor == 0: det is const itself and q_dd sweeps its whole range
-            idx = np.nonzero(np.broadcast_to((const == targets) & mz, quot.shape))
+    def solve(rows: dict, rem):
+        # q_dd by exact division where the minor is not 0, and the sweep
+        # of its range where it is
+        q = _symmetric(d, tri[:-1], [rows[k] for k in tri[:-1]])
+        minor, const = _det_split(q)
+        e, nz = rows["e"], minor != 0
+        quot, res = np.divmod(e - const, np.where(nz, minor, 1))
+        r = radius(rem, 1)
+        # the last bound of R: q_dd <= q_(d-1)(d-1)
+        hi = np.minimum(r, rows[d - 2, d - 2])
+        hit = np.nonzero(nz & (res == 0) & (-r <= quot) & (quot <= hi))[0]
+        # minor == 0: det is const itself and q_dd sweeps its whole range
+        flat = np.nonzero(~nz & (const == e))[0]
+        counts, sweep = _ranges(-r[flat], hi[flat])
+        at = np.concatenate([hit, np.repeat(flat, counts)])
+        return np.column_stack([rows[k][at] for k in tri[:-1]]
+                               + [np.concatenate([quot[hit], sweep]), e[at]])
+
+    def task(lo: int, hi: int, sel: slice):
+        blk, rest = {k: v[sel] for k, v in blocks.items()}, rem[sel]
+        a = _symmetric(d - 1, lead, [blk[k] for k in lead])
+        m = _int_det(a)
+        n = np.maximum(np.abs(m), 1)
+        # det Q = m q_dd - F(v) with F(v) = v' adj(A) v, and
+        # P = (adj(A) v)_x = M' x + beta s + gamma; the s of d = 2 is 0
+        adj = {(i, j): _cofactor(a, i, j) for i in range(d - 1) for j in range(i, d - 1)}
+        nil = np.zeros_like(m)
+
+        def form(i: int, j: int):
+            return nil if min(i, j) < 0 else adj[min(i, j), max(i, j)]
+
+        outer, beta = form(xi, xi), form(si, xi)
+        lattice = _plane_lattice(outer, beta, n)
+        (us, ux), (ws, wx) = lattice[-2:]
+        cross = us * wx - ux * ws
+        # m q_dd lies in [low, high] for every q_dd in R and the ball
+        r = radius(rest, 1)
+        low, high = m * -r, m * np.minimum(r, blk[d - 2, d - 2])
+        low, high = np.minimum(low, high), np.maximum(low, high)
+
+        def candidates(rows: dict):
+            # the points (s, x) of the coset P = r (mod |m|) of each row
+            # (block, e, r) and early entries whose q_dd can lie in
+            # [low, high]: the lines p + j w + i u through the box, each
+            # cut to the window of F along it
+            rows, left = widen(rows, rest[rows["k"]], early)
+            k = rows["k"]
+            gamma = sum(form(i, xi)[k] * rows[c] for i, c in enumerate(early))
+            ok, ps, px = _coset_point(rows.pop("r") - gamma, beta[k], n[k],
+                                      *(v[k] for v in lattice[:4]))
+            sides = box(left)
+            j0, j1 = spread((us[k], ux[k]), sides, us[k] * px - ux[k] * ps)
+            j0 = -(-j0 // cross[k])
+            counts, j = _ranges(j0, np.where(ok, j1 // cross[k], j0 - 1))
+            rows = {c: np.repeat(v, counts) for c, v in rows.items()}
+            k, left = rows["k"], np.repeat(left, counts)
+            qs = np.repeat(ps, counts) + j * ws[k]
+            qx = np.repeat(px, counts) + j * wx[k]
+            # move each base point along its line next to the box's centre,
+            # which bounds the window's products
+            sl, sh, xl, xh = (np.repeat(v, counts) for v in sides)
+            nu = us[k] ** 2 + ux[k] ** 2
+            t = ((sl + sh - 2 * qs) * us[k] + (xl + xh - 2 * qx) * ux[k] + nu) // (2 * nu)
+            qs, qx = qs + t * us[k], qx + t * ux[k]
+            # i within the box
+            i0, i1 = _line_range(sl - qs, sh - qs, us[k])
+            k0, k1 = _line_range(xl - qx, xh - qx, ux[k])
+            i0, i1 = np.maximum(i0, k0), np.minimum(i1, k1)
+            # and within the window: F(q + i u) = A i**2 + 2 B i + C for
+            # q = (early, qs, qx) and u = (0, us, ux)
+            q, idx = [rows[c] for c in early] + [qs, qx], [*range(d - 3), si, xi]
+            bu = [form(c, si)[k] * us[k] + form(c, xi)[k] * ux[k] for c in idx]
+            fq = sum(form(c, l)[k] * q[p] * q[o] * (1 + (p != o))
+                     for p, c in enumerate(idx) for o, l in enumerate(idx) if o >= p)
+            window = _quadratic_cover(bu[-2] * us[k] + bu[-1] * ux[k],
+                                      sum(map(operator.mul, q, bu)), rows["e"] + fq,
+                                      low[k], high[k])
+            parts = [_ranges(np.maximum(i0, y0), np.minimum(i1, y1)) for y0, y1 in window]
+            i = np.concatenate([v for _, v in parts])
+            at = np.concatenate([np.repeat(np.arange(k.size), cnt) for cnt, _ in parts])
+            k = k[at]
+            cand = {c: rows[c][at] for c in [*early, "e"]} | {c: v[k] for c, v in blk.items()}
+            cand[x] = qx[at] + i * ux[k]
+            left = left[at] - 2 * cand[x] ** 2
+            if d > 2:
+                cand[column[-2]] = qs[at] + i * us[k]
+                left -= 2 * cand[column[-2]] ** 2
             if norm == "max":
-                sweep = np.full(idx[0].size, b, dtype=np.int64)
-            else:
-                left = budget[idx[1:]]
-                idx = tuple(i[left >= 0] for i in idx)
-                sweep = np.array([math.isqrt(int(x)) for x in left[left >= 0]], dtype=np.int64)
-            counts = 2 * sweep + 1
-            pick = np.repeat(np.arange(sweep.size), counts)
-            offset = np.arange(pick.size) - np.repeat(np.cumsum(counts) - counts, counts)
-            found.append((tuple(i[pick] for i in idx), offset - sweep[pick]))
-        full = np.empty((sum(q.size for _, q in found), len(tri) + 1), dtype=np.int64)
-        full[:, :lead] = cell
-        pos = 0
-        for idx, qdd in found:
-            rows = slice(pos, pos + qdd.size)
-            for a in range(naxes):
-                full[rows, lead + a] = values[a][idx[a + 1]]
-            full[rows, -2] = qdd
-            full[rows, -1] = 1 - 2 * idx[0]
-            pos += qdd.size
-        return full
+                return cand, left
+            # the box holds the disk of the budget
+            keep = left >= 0
+            return {c: v[keep] for c, v in cand.items()}, left[keep]
 
-    def cells(prefix: tuple, rem: int):
-        k = len(prefix)
-        if k == lead:
-            yield prefix, rem
-            return
-        for v in span(k, rem, prefix):
-            yield from cells(prefix + (v,), rem - weights[k] * v * v)
+        # per block and target e, the square roots r of -e M' mod |m|
+        roots, first, at = _root_table(lo, hi)
+        k = np.repeat(np.arange(m.size), 2)
+        e = np.tile([1, -1], m.size)
+        slot = at[n[k] - lo] + (-e * outer[k]) % n[k]
+        counts, where = _ranges(first[slot], first[slot + 1] - 1)
+        k, e, r = np.repeat(k, counts), np.repeat(e, counts), roots[where]
+        # lines per root and early entries: an upper bound, which sizes
+        # the batches
+        j0, j1 = spread((us, ux), box(rest), nil)
+        lines = math.prod((radius(rest, 2) * (1 + (i > 0)) + 1 for i, _ in early),
+                          start=(j1 - j0) // cross + 2)
+        for part in _pieces(lines[k], budget):
+            full, sizes = _orbits(solve(*candidates({"k": k[part], "e": e[part],
+                                                     "r": r[part]})), d)
+            if not full.shape[0]:
+                continue
+            # the audit recomputes each row's determinant in full
+            if not np.array_equal(_int_det(_symmetric(d, tri, full.T)), full[:, -1]):
+                raise RuntimeError("internal determinant check failed")
+            yield full, sizes
 
-    def batches(prefix: tuple, rem: int):
-        for cell, crem in cells(prefix, rem):
-            for run in runs(cell, crem):
-                full = solve(cell, run, crem)
-                # the last bound of R: q_dd <= q_(d-1)(d-1)
-                full, weight = _orbits(full[full[:, -2] <= full[:, penultimate]], d)
-                if not full.shape[0]:
-                    continue
-                # the audit recomputes each row's determinant in full
-                if not np.array_equal(_int_det(_symmetric(d, tri, full.T)), full[:, -1]):
-                    raise RuntimeError("internal determinant check failed")
-                yield full, weight
-
-    if d != 3 or threads <= 1:
-        yield from batches((), lim)
+    blocks, rem = widen({}, np.array([lim], dtype=np.int64), lead)
+    m = _int_det(_symmetric(d - 1, lead, [blocks[k] for k in lead]))
+    order = np.argsort(np.abs(m), kind="stable")
+    modulus = np.maximum(np.abs(m[order]), 1)
+    rem, blocks = rem[order], {k: v[order] for k, v in blocks.items()}
+    del m, order
+    # moduli 1 .. top in ranges whose tables hold at most budget entries
+    budget, ranges = SCAN_BUDGET * threads, []
+    for part in _pieces(np.arange(1, int(modulus[-1]) + 1), budget):
+        lo, hi = part.start + 1, part.stop
+        sel = slice(*np.searchsorted(modulus, [lo, hi + 1]).tolist())
+        if sel.stop > sel.start:
+            ranges.append((lo, hi, sel))
+    if threads <= 1 or len(ranges) <= 1:
+        for args in ranges:
+            yield from task(*args)
         return
-
-    def task(v: int) -> list[tuple]:
-        return list(batches((v,), lim - weights[0] * v * v))
-
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        for batch_list in pool.map(task, span(0, lim, ())):
+        for batch_list in pool.map(lambda args: list(task(*args)), ranges):
             yield from batch_list
 
 
@@ -539,9 +805,9 @@ def tally(d: int, t_grid, norm: str, verdicts=(), threads: int | None = None):
     per-row counts: how many of the forms a row stands for it counts.  A
     verdict that reads only the spectrum, which the group keeps, counts
     mask * weight; sector.count_sector's verdicts do the rest.  The rows
-    are joined into chunks of at least TALLY_ROWS rows (the last may be
-    shorter), and each chunk gets one norm-key pass and one call per
-    verdict; an empty ball is one empty chunk.  Returns the ball count
+    are cut into chunks of TALLY_ROWS rows (the last may be shorter),
+    and each chunk gets one norm-key pass and one call per verdict; an
+    empty ball is one empty chunk.  Returns the ball count
     per T and, per verdict, the sum of each of its counts per T.
     """
     norm = _check_norm(norm)
@@ -558,17 +824,21 @@ def tally(d: int, t_grid, norm: str, verdicts=(), threads: int | None = None):
 
 
 def _chunks(batches, width: int):
-    """The triangles and weights of the scan's batches, joined into
-    chunks of at least TALLY_ROWS rows; the last chunk may be short, and
-    a scan with no rows gives one empty chunk."""
+    """The triangles and weights of the scan's batches in chunks of
+    TALLY_ROWS rows, however large a batch is; the last chunk may be
+    short, and a scan with no rows gives one empty chunk."""
     empty = np.zeros((0, width), dtype=np.int64), np.zeros(0, dtype=np.int64)
     pending, rows = [empty], 0
     for full, weight in batches:
         pending.append((full[:, :-1], weight))
         rows += full.shape[0]
         if rows >= TALLY_ROWS:
-            yield tuple(np.concatenate(part) for part in zip(*pending))
-            pending, rows = [], 0
+            tri, weight = (np.concatenate(part) for part in zip(*pending))
+            cut = rows - rows % TALLY_ROWS
+            for at in range(0, cut, TALLY_ROWS):
+                yield tri[at : at + TALLY_ROWS], weight[at : at + TALLY_ROWS]
+            rows -= cut
+            pending = [(tri[cut:], weight[cut:])] if rows else []
     if pending:
         yield tuple(np.concatenate(part) for part in zip(*pending))
 

@@ -231,6 +231,14 @@ def test_weyl_matrix_properties():
         weyl_matrix((1, 1, 1), (2, 1))
 
 
+@pytest.mark.parametrize("w", [(1, 0, 1), (1, 1, -2), (1, 1, 0.5), (2, 1, 1)])
+def test_weyl_matrix_rejects_entries_other_than_plus_or_minus_one(w):
+    """An entry that is not +-1 raises, even where the count of +1
+    entries matches the signature; it is not read as a minus sign."""
+    with pytest.raises(ValueError):
+        weyl_matrix(w, (2, 1))
+
+
 def test_validate_catches_corruption():
     """Each of validate's seven checks fires on a corruption that breaks
     only its own invariant, and says so in its own message."""

@@ -317,7 +317,8 @@ def test_tally_over_the_reduced_scan_equals_the_full_traversal(norm, k):
 
 
 def _counting_solves(monkeypatch):
-    """Patch _det_split to record the grid points of every solve."""
+    """Patch _det_split to record the candidates of every batch: the
+    points whose q_dd the exact division solves."""
     solved = []
 
     def counted(m):
@@ -329,28 +330,151 @@ def _counting_solves(monkeypatch):
     return solved
 
 
-def test_tally_solves_at_most_a_sixth_of_the_box(monkeypatch):
-    """At entry bound 12 the box of free entries holds 25**5 grid points;
-    the scan over R solves about an eighth of them."""
+@pytest.mark.parametrize("norm, t, forms, candidates, rows", [
+    pytest.param("max", 12.5, 313_604, 37_196, 13_168, id="max-12.5"),
+    pytest.param("frobenius", 14.0, 86_324, 11_070, 3_670, id="frobenius-14.0"),
+    pytest.param("frobenius", 48.0, 4_059_332, 803_462, 169_456, id="frobenius-48.0"),
+])
+def test_scan_solves_a_pinned_number_of_candidates(monkeypatch, norm, t, forms, candidates,
+                                                   rows):
+    """The congruence and the window leave the exact division a few
+    candidates per canonical row, where a grid over the box of free
+    entries would divide at 25**5 / 8 points for entry bound 12.  The
+    forms are the box scan's counts."""
     solved = _counting_solves(monkeypatch)
-    # the ball's form count, as a traversal of the whole box found it
-    assert tally(3, [12.5], "max")[0] == [313_604]
-    assert sum(solved) == 1_373_125 <= 25**5 / 6
-
-
-@pytest.mark.parametrize("t", (14.0, 48.0))
-def test_runs_solve_at_most_twice_the_frobenius_points_of_single_cells(monkeypatch, t):
-    """A run takes its grid spans from its smallest |q12|, so under the
-    frobenius norm it solves a looser box than one cell at a time would,
-    in fewer solves; the count is the same either way."""
-    solved = _counting_solves(monkeypatch)
-    grouped = count_ball(3, t, "frobenius")
-    runs, points = len(solved), sum(solved)
+    assert tally(3, [t], norm)[0] == [forms]
+    assert sum(solved) == candidates
     solved.clear()
-    # a budget of one point leaves every run a single value
-    monkeypatch.setattr(enumeration, "SCAN_POINTS", 1)
-    assert count_ball(3, t, "frobenius") == grouped
-    assert runs < len(solved) and sum(solved) <= points <= 2 * sum(solved)
+    assert sum(len(full) for full, _ in _scan(3, t, norm, None)) == rows
+    assert candidates <= 5 * rows
+
+
+@pytest.mark.parametrize("norm, t", [("max", 12.5), ("frobenius", 14.0)])
+def test_batch_budget_changes_no_candidate(monkeypatch, norm, t):
+    """A smaller budget makes more batches and root tables of fewer
+    moduli, but the same candidates and the same canonical rows."""
+    solved = _counting_solves(monkeypatch)
+    rows = np.concatenate([full for full, _ in _scan(3, t, norm, None)])
+    batches, candidates = len(solved), sum(solved)
+    solved.clear()
+    monkeypatch.setattr(enumeration, "SCAN_BUDGET", 256)
+    small = np.concatenate([full for full, _ in _scan(3, t, norm, None)])
+    assert len(solved) > batches and sum(solved) == candidates
+    assert np.array_equal(np.unique(small, axis=0), np.unique(rows, axis=0))
+
+
+def _minor(mat, rows, cols):
+    return _gauss_det([[mat[i][j] for j in cols] for i in rows]) if rows else 1
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    d=st.integers(2, 4),
+    entries=st.lists(st.integers(-9, 9), min_size=10, max_size=10),
+    x=st.integers(-9, 9),
+)
+def test_desnanot_jacobi_fixes_p_modulo_m(d, entries, x):
+    """det(Q) M' = m N - P**2, with m = det A for the leading (d-1)
+    block A, M' its leading (d-2) minor, N the minor without row and
+    column d-1 and P the one without row d-1 and column d.  P is
+    M' x + P(0) in x = q_(d-1)d, and it is (adj(A) v)_x, v the last
+    column above q_dd, while det(Q) = m q_dd - v' adj(A) v, with the
+    adjugate from enumeration._cofactor."""
+    mat = [[0] * d for _ in range(d)]
+    for (i, j), v in zip(triangle_indices(d), entries):
+        mat[i][j] = mat[j][i] = v
+    mat[d - 2][d - 1] = mat[d - 1][d - 2] = x
+    low, rest = list(range(d - 2)), list(range(d - 1))
+    outer, m = _minor(mat, low, low), _minor(mat, rest, rest)
+    n = _minor(mat, low + [d - 1], low + [d - 1])
+    p = _minor(mat, low + [d - 1], rest)
+    assert _gauss_det(mat) * outer == m * n - p * p
+    at0 = [row[:] for row in mat]
+    at0[d - 2][d - 1] = at0[d - 1][d - 2] = 0
+    assert p - _minor(at0, low + [d - 1], rest) == outer * x
+    a = [row[: d - 1] for row in mat[: d - 1]]
+    adj = [[int(enumeration._cofactor(a, i, j)) for j in rest] for i in rest]
+    v = [mat[i][d - 1] for i in rest]
+    assert adj[d - 2][d - 2] == outer
+    assert sum(adj[i][d - 2] * v[i] for i in rest) == p
+    form = sum(adj[i][j] * v[i] * v[j] for i in rest for j in rest)
+    assert _gauss_det(mat) == m * mat[d - 1][d - 1] - form
+
+
+def test_root_table_lists_each_square_root_once():
+    """For every modulus M <= 300 and every residue a, the table lists
+    each r in [0, M) with r*r = a (mod M) once, ascending; a table that
+    starts past 1 agrees."""
+    for lo, hi in ((1, 300), (151, 300)):
+        roots, first, at = enumeration._root_table(lo, hi)
+        assert len(roots) == len(first) - 1 == sum(range(lo, hi + 1))
+        for big in range(lo, hi + 1):
+            expected = [[] for _ in range(big)]
+            for r in range(big):
+                expected[r * r % big].append(r)
+            slot = at[big - lo]
+            got = roots[first[slot] : first[slot + big]].tolist()
+            assert got == [r for rs in expected for r in rs]
+            assert [first[slot + a + 1] - first[slot + a] for a in range(big)] == \
+                [len(rs) for rs in expected]
+
+
+def test_gcd_inverse_and_the_plane_lattice():
+    """_gcd_inverse against math.gcd and pow, M' = 0 and |m| = 1
+    included; and the lattice coset of _plane_lattice and _coset_point
+    holds exactly the (s, x) with beta s + M' x = r (mod n), with a
+    reduced basis: u shortest, cross(u, w) = n / h > 0."""
+    a, n = (v.ravel() for v in np.meshgrid(np.arange(-12, 13), np.arange(1, 31)))
+    g, inv = enumeration._gcd_inverse(a, n)
+    assert g.tolist() == [math.gcd(int(p), int(q)) for p, q in zip(a, n)]
+    for p, q, gg, iv in zip(a.tolist(), n.tolist(), g.tolist(), inv.tolist()):
+        assert iv == (pow(p // gg, -1, q // gg) if q > gg else 0)
+    grid = np.arange(-14, 15)
+    s, x = (v.ravel() for v in np.meshgrid(grid, grid))
+    k = np.arange(-40, 41)
+    i, j = (v.ravel() for v in np.meshgrid(k, k))
+    for outer, beta, modulus in itertools.product(range(-3, 4), range(-3, 4), range(1, 11)):
+        o, b_, nn = (np.array([v]) for v in (outer, beta, modulus))
+        g, inv, h, inv_s, (us, ux), (ws, wx) = enumeration._plane_lattice(o, b_, nn)
+        cross = int(us[0] * wx[0] - ux[0] * ws[0])
+        assert cross * int(h[0]) == modulus
+        assert us[0] ** 2 + ux[0] ** 2 <= ws[0] ** 2 + wx[0] ** 2
+        assert 2 * abs(int(us[0] * ws[0] + ux[0] * wx[0])) <= us[0] ** 2 + ux[0] ** 2
+        for r in range(modulus):
+            ok, ps, px = enumeration._coset_point(np.array([r]), b_, nn, g, inv, h, inv_s)
+            want = {(p, q) for p, q in zip(s.tolist(), x.tolist())
+                    if (beta * p + outer * q - r) % modulus == 0}
+            assert bool(ok[0]) == bool(want)
+            if ok[0]:
+                ls, lx = ps[0] + i * us[0] + j * ws[0], px[0] + i * ux[0] + j * wx[0]
+                inside = (np.abs(ls) <= 14) & (np.abs(lx) <= 14)
+                assert set(zip(ls[inside].tolist(), lx[inside].tolist())) == want
+
+
+def test_quadratic_cover_is_exact():
+    """The two intervals of _quadratic_cover are disjoint and hold every
+    x in [-40, 40] with low <= a x**2 + 2 b x + c <= high and no other,
+    the linear and constant cases a = 0 included."""
+    vals = np.arange(-4, 5)
+    a, b, c, low, span = (v.ravel() for v in np.meshgrid(vals, vals, vals, np.arange(-9, 10),
+                                                          np.arange(-1, 6)))
+    high = low + span
+    x = np.arange(-40, 41)
+    f = a[:, None] * x * x + 2 * b[:, None] * x + c[:, None]
+    want = (low[:, None] <= f) & (f <= high[:, None])
+    (x1, y1), (x2, y2) = enumeration._quadratic_cover(a, b, c, low, high)
+    first = (x1[:, None] <= x) & (x <= y1[:, None])
+    second = (x2[:, None] <= x) & (x <= y2[:, None])
+    assert not np.any(first & second)
+    assert np.array_equal(first | second, want)
+
+
+def test_isqrt_is_exact_up_to_2_to_the_62():
+    k = np.array([0, 1, 2, 3, 1000, 2**26 + 1, 2**31 - 1, 3037000499 // 2, 2**31 + 5],
+                 dtype=np.int64)
+    n = np.concatenate([k * k, k * k - 1, k * k + 1])
+    n = n[(n >= 0) & (n < 2**62)]
+    assert enumeration._isqrt(n).tolist() == [math.isqrt(int(v)) for v in n]
 
 
 def test_each_batch_is_whole_orbits_with_a_canonical_row_in_r():
@@ -470,9 +594,10 @@ def test_tally_calls_each_verdict_once_per_chunk_of_at_least_tally_rows():
         sizes.append(tri.shape[0])
         return (weight,)
 
-    # T = 14: at T = 6 there are fewer than two chunks of canonical rows
+    # T = 14: at T = 6 there are fewer than two chunks of canonical rows;
+    # a scan batch can hold thousands of rows, and is cut to the chunks
     ball, [[every]] = tally(3, [3.0, 14.0], "max", [verdict])
-    assert len(sizes) > 2 and min(sizes[:-1]) >= TALLY_ROWS
+    assert len(sizes) > 2 and set(sizes[:-1]) == {TALLY_ROWS} and sizes[-1] <= TALLY_ROWS
     rows = sum(len(full) for full, _ in _scan(3, 14.0, "max", None))
     assert sum(sizes) == rows < ball[-1] and every == ball
 
