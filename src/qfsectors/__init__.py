@@ -17,7 +17,6 @@ from .rootdata import (
     BlockDecomposition,
     ExponentPair,
     predict_exponent,
-    weight_coefficients,
 )
 from .sector import (
     AntiCap,
@@ -82,7 +81,6 @@ __all__ = [
     "sector_membership",
     "singular_volume",
     "volume_series",
-    "weight_coefficients",
     "wellroundedness_ratio",
     "xi_density",
 ]

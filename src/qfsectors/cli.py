@@ -164,7 +164,8 @@ def _parse_frame(text: str | None):
 
 def _read_matrix(spec: str) -> np.ndarray:
     if os.path.exists(spec):
-        text = open(spec).read()
+        with open(spec) as fh:
+            text = fh.read()
         if spec.endswith(".json"):
             return np.asarray(json.loads(text), dtype=float)
         rows = [
@@ -364,7 +365,7 @@ def _tail_slope(ts, vals) -> float | None:
 def _series_summary(name: str, ts, vals) -> dict:
     out = {"series": name, "tail_slope": _tail_slope(ts, vals)}
     try:
-        out["fit_a"] = sector.fit_exponent((ts, vals), b_fixed=1).a
+        out["fit_a"] = sector.fit_exponent((ts, vals)).a
     except ValueError:
         out["fit_a"] = None
     return out

@@ -76,6 +76,7 @@ counting the forms it stands for.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -536,6 +537,7 @@ def _scan(d: int, t: float, norm: str, threads: int | None):
     here, so every scan makes them.
     """
     norm = _check_norm(norm)
+    [t] = t_grid_values([t])
     if t < 1.0:
         raise ValueError("T must be at least 1")
     if d not in (2, 3, 4):
@@ -733,9 +735,21 @@ def _scan(d: int, t: float, norm: str, threads: int | None):
         for args in ranges:
             yield from task(*args)
         return
+
+    def run(args):
+        return list(task(*args))
+
+    # at most `threads` tasks run ahead of the consumer, in order, so a
+    # task's batches wait in memory only until their turn and closing
+    # the scan early waits for those tasks alone
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        for batch_list in pool.map(lambda args: list(task(*args)), ranges):
-            yield from batch_list
+        ahead = collections.deque(pool.submit(run, args) for args in ranges[:threads])
+        for args in ranges[threads:]:
+            batches = ahead.popleft().result()
+            ahead.append(pool.submit(run, args))
+            yield from batches
+        while ahead:
+            yield from ahead.popleft().result()
 
 
 def iter_form_batches(d: int, t: float, norm: str = "max", threads: int | None = None):

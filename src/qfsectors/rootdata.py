@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 
 @dataclass(frozen=True)
@@ -60,61 +60,35 @@ class BlockDecomposition:
 class ExponentPair:
     """Growth exponent pair: N(T) ~ c T^a (log T)^(b-1).
 
-    a is an exact rational, b a positive integer.  ball is set when the
-    pair came from a one-block decomposition and a is the full-space
-    exponent d(d-1)/2.
+    a is an exact rational; b is 1 for every block pattern (see
+    predict_exponent).  ball is set when the pair came from a one-block
+    decomposition and a is the full-space exponent d(d-1)/2.
     """
 
     a: Fraction
-    b: int
     ball: bool = False
+    b: ClassVar[int] = 1
 
     def __post_init__(self) -> None:
-        if self.a <= 0 or self.b < 1:
-            raise ValueError("need a > 0 and b >= 1")
-
-
-def weight_coefficients(
-    blocks: BlockDecomposition,
-) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """Exact coefficients (u_k, m_k) at each interior cut point.
-
-    u_k is the coefficient of the simple root a_{i_k} in the restriction
-    of the sum of positive roots to the block-constant subspace; m_k is
-    the coefficient in the restriction of the highest weight 2 x_1 of the
-    action on quadratic forms.  Closed forms: u_k = i_k (d - i_k) and
-    m_k = 2 (d - i_k) / d.
-    """
-    cuts = blocks.cuts
-    if not cuts:
-        raise ValueError("one-block decomposition has no interior cuts")
-    d = blocks.d
-    u = tuple(Fraction(ik * (d - ik)) for ik in cuts)
-    m = tuple(Fraction(2 * (d - ik), d) for ik in cuts)
-    return u, m
-
-
-def exponents(u: Sequence[Fraction], m: Sequence[Fraction]) -> ExponentPair:
-    """a = max_k u_k / m_k, b = number of k attaining the max.  Exact."""
-    if len(u) != len(m) or not u:
-        raise ValueError("u and m must be equal-length and nonempty")
-    if any(mk <= 0 for mk in m):
-        raise ValueError("m coefficients must be positive")
-    ratios = [Fraction(uk) / Fraction(mk) for uk, mk in zip(u, m)]
-    a = max(ratios)
-    b = sum(1 for r in ratios if r == a)
-    return ExponentPair(a=a, b=b)
+        if self.a <= 0:
+            raise ValueError("need a > 0")
 
 
 def predict_exponent(d: int, dims: Sequence[int]) -> ExponentPair:
     """Predicted sector growth exponents for a block decomposition of d.
 
     For a single block this is the ball count and the pair is
-    (d(d-1)/2, 1) with the ball flag set; otherwise it is the max/argmax
-    of the u/m ratio table, which works out to (d * i_n / 2, 1).
+    (d(d-1)/2, 1) with the ball flag set.  Otherwise a and b are the max
+    and the number of maximizers of u_k / m_k over the cuts i_k, where
+    u_k = i_k (d - i_k) is the coefficient of the simple root a_{i_k} in
+    the restriction of the sum of positive roots to the block-constant
+    subspace and m_k = 2 (d - i_k) / d its coefficient in the restriction
+    of the highest weight 2 x_1 of the action on quadratic forms.  The
+    ratio is d i_k / 2, which rises strictly with the cut, so the last
+    cut i_n = d - dims[-1] attains the max alone: the pair is
+    (d i_n / 2, 1).
     """
     blocks = BlockDecomposition(d=d, dims=tuple(int(x) for x in dims))
     if len(blocks.dims) == 1:
-        return ExponentPair(a=Fraction(d * (d - 1), 2), b=1, ball=True)
-    u, m = weight_coefficients(blocks)
-    return exponents(u, m)
+        return ExponentPair(a=Fraction(d * (d - 1), 2), ball=True)
+    return ExponentPair(a=Fraction(d * blocks.cuts[-1], 2))

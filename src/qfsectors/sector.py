@@ -31,7 +31,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -343,7 +343,7 @@ class CountSeries:
     t_grid: tuple[float, ...]
     values: tuple[float, ...]
     spec_digest: str
-    fit_b_fixed: int = 1
+    fit_b_fixed: ClassVar[int] = 1  # predict_exponent's b for every block pattern
     fit_a: Optional[float] = None
     fit_c: Optional[float] = None
     residuals: Optional[tuple[float, ...]] = None
@@ -358,15 +358,13 @@ class CountSeries:
             raise ValueError("values must be nonnegative")
 
 
-def with_fit(series: CountSeries, b_fixed: int = 1) -> CountSeries:
-    """Attach the fixed-b fit when there are enough positive points."""
+def with_fit(series: CountSeries) -> CountSeries:
+    """Attach the b = 1 fit when there are enough positive points."""
     try:
-        fit = fit_exponent(series, b_fixed)
+        fit = fit_exponent((series.t_grid, series.values))
     except ValueError:
         return series
-    return dataclasses.replace(
-        series, fit_b_fixed=b_fixed, fit_a=fit.a, fit_c=fit.c, residuals=fit.residuals
-    )
+    return dataclasses.replace(series, fit_a=fit.a, fit_c=fit.c, residuals=fit.residuals)
 
 
 def tally_verdict(spec: SectorSpec):
@@ -398,7 +396,7 @@ def count_sector(t_grid, spec: SectorSpec, threads: int | None = None) -> CountS
         },
         degenerate=tuple(degs),
     )
-    return with_fit(series, b_fixed=1)
+    return with_fit(series)
 
 
 @dataclass(frozen=True)
@@ -416,16 +414,13 @@ class FitResult:
 def fit_exponent(series, b_fixed: int = 1) -> FitResult:
     """Least squares for log N = log c + a log T + (b-1) log log T.
 
-    Accepts a CountSeries or a (t_grid, values) pair.  Needs at least 4
-    positive data points and b_fixed >= 1; also reports the free-b fit
-    as a diagnostic when there are enough points for three parameters.
+    series is a (t_grid, values) pair.  Needs at least 4 positive data
+    points and b_fixed >= 1; also reports the free-b fit as a diagnostic
+    when there are enough points for three parameters.
     """
     if b_fixed < 1:
         raise ValueError("b_fixed must be at least 1: the model's log power is b - 1 >= 0")
-    if isinstance(series, CountSeries):
-        ts, vals = np.asarray(series.t_grid), np.asarray(series.values)
-    else:
-        ts, vals = (np.asarray(x, dtype=float) for x in series)
+    ts, vals = (np.asarray(x, dtype=float) for x in series)
     keep = vals > 0
     if int(keep.sum()) < 4:
         raise ValueError("insufficient data: need at least 4 positive points")

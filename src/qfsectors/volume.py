@@ -379,7 +379,6 @@ def _volume(ctx, t_grid, method, frame, norm, samples, seed, near_wall_c=None) -
     if n == 0:
         raise ValueError("chamber must have at least one interior cut")
     digest = _context_digest(ctx, frame, norm)  # checks the frame before any work
-    pair = predict_exponent(ctx.d, ctx.blocks.dims)
     stderr = abserr = None
     if method == "quadrature":
         if norm != "frobenius":
@@ -420,6 +419,7 @@ def _volume(ctx, t_grid, method, frame, norm, samples, seed, near_wall_c=None) -
         abserr=list(abserr) if abserr else None,
     )
     if near_wall_c is None:
+        pair = predict_exponent(ctx.d, ctx.blocks.dims)
         manifest.update(predicted_a=str(pair.a), predicted_b=pair.b)
     series = CountSeries(
         t_grid=tuple(ts),
@@ -428,7 +428,7 @@ def _volume(ctx, t_grid, method, frame, norm, samples, seed, near_wall_c=None) -
         manifest=manifest,
         stderr=stderr,
     )
-    return with_fit(series, b_fixed=pair.b)
+    return with_fit(series)
 
 
 def volume_series(

@@ -1,6 +1,7 @@
 """End-to-end command line coverage: stdout contracts, artifacts, manifests."""
 
 import csv
+import gc
 import hashlib
 import importlib
 import itertools
@@ -73,6 +74,18 @@ def test_kah_stdout_reconstructs(capsys):
     assert doc["tie"] is False
     assert doc["chamber_depth"] > 0
     assert len(doc["margins"]) == 2
+
+
+def test_kah_closes_its_matrix_file(tmp_path, capsys):
+    path = tmp_path / "g.txt"
+    path.write_text("2 1 0\n1 1 0\n0 0 1\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        code, out, _ = run(capsys, "kah", "--matrix", str(path), "--signature", "2,1")
+        gc.collect()
+    assert code == 0
+    assert out == run(capsys, "kah", "--matrix", "2,1,0;1,1,0;0,0,1", "--signature", "2,1")[1]
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 def test_fit_recovers_cubic(tmp_path, capsys):
@@ -278,6 +291,14 @@ def test_empty_t_grid_is_an_error(tmp_path, capsys, cmd):
 def test_non_finite_t_grid_is_an_error(tmp_path, capsys, cmd, grid):
     out = tmp_path / "bad.csv"
     code, _, err = run(capsys, *cmd, f"--T-grid={grid}", "--out", str(out))
+    assert code == 1
+    assert err == "error: T grid values must be finite\n"
+
+
+@pytest.mark.parametrize("t", ("nan", "inf"))
+def test_enumerate_rejects_a_t_that_is_not_finite(tmp_path, capsys, t):
+    out = tmp_path / "bad.csv"
+    code, _, err = run(capsys, "enumerate", "--T", t, "--out", str(out))
     assert code == 1
     assert err == "error: T grid values must be finite\n"
 

@@ -652,6 +652,51 @@ def test_threads_do_not_change_results(monkeypatch):
     assert resolve_threads(5) == 5
 
 
+def test_thread_pool_keeps_at_most_threads_tasks_ahead(monkeypatch):
+    """With threads > 1 the scan submits a task only when one of the
+    `threads` tasks ahead of the consumer is handed over, so closing the
+    scan after its first batch leaves no queue of tasks to wait for."""
+    state = {"submitted": 0, "ahead": 0, "peak": 0}
+
+    class Counting(enumeration.ThreadPoolExecutor):
+        def submit(self, fn, *args):
+            future = super().submit(fn, *args)
+            state["submitted"] += 1
+            state["ahead"] += 1
+            state["peak"] = max(state["peak"], state["ahead"])
+            read = future.result
+
+            def result(timeout=None):
+                state["ahead"] -= 1
+                return read(timeout)
+
+            future.result = result
+            return future
+
+    monkeypatch.setattr(enumeration, "ThreadPoolExecutor", Counting)
+    # entry bound 12 gives six ranges of moduli at threads=2
+    assert count_ball(3, 12.5, threads=2) == count_ball(3, 12.5) == 313604
+    assert state["submitted"] == 6
+    assert (state["ahead"], state["peak"]) == (0, 2)
+    state.update(submitted=0, ahead=0)
+    scan = _scan(3, 12.5, "max", 2)
+    next(scan)
+    scan.close()
+    assert state["submitted"] == 3
+
+
+@pytest.mark.parametrize("t", (math.nan, math.inf))
+@pytest.mark.parametrize("entry", (
+    lambda t: next(iter_form_batches(3, t)),
+    lambda t: next(enumerate_forms(3, t)),
+    lambda t: orbit_enumerate(np.eye(3, dtype=np.int64), t),
+    lambda t: count_ball(3, t),
+), ids=("iter_form_batches", "enumerate_forms", "orbit_enumerate", "count_ball"))
+def test_every_scan_rejects_a_t_that_is_not_finite(entry, t):
+    with pytest.raises(ValueError, match="^T grid values must be finite$"):
+        entry(t)
+
+
 def test_batches_carry_consistent_norms():
     for tri, det, norms in iter_form_batches(3, 3.0, "frobenius"):
         weights = np.array([1.0, 2.0, 2.0, 1.0, 2.0, 1.0])
