@@ -48,12 +48,19 @@ def random_rotation(rng: np.random.Generator, d: int, size: int | None = None) -
     With size=n, an (n, d, d) stack from one draw and one stacked QR; it
     equals n single calls bit for bit and leaves rng in the same state.
     """
-    z = rng.standard_normal((1 if size is None else size, d, d))
-    q, r = np.linalg.qr(z)
+    q = haar_frames(rng.standard_normal((1 if size is None else size, d, d)))
+    return q[0] if size is None else q
+
+
+def haar_frames(normals: np.ndarray) -> np.ndarray:
+    """Sign-fixed QR frames in SO(d) of an (n, d, d) stack of standard
+    normals: one stacked QR and det, each row's bits independent of the
+    rest of the stack."""
+    q, r = np.linalg.qr(normals)
     q = q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
     flip = np.linalg.det(q) < 0
     q[flip, :, -1] = -q[flip, :, -1]
-    return q[0] if size is None else q
+    return q
 
 
 def random_indefinite_orthogonal(

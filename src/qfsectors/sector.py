@@ -233,10 +233,14 @@ def _slot_spectrum(mats: np.ndarray) -> np.ndarray:
 
 def _classify(tri: np.ndarray, d: int, spec: SectorSpec):
     """Float verdicts for a batch of upper triangles, frame left out:
-    (member, degenerate) masks read from the eigenvalues in
-    |eigenvalue|-descending slot order (_slot_spectrum).  A framed spec
+    _spectral_verdict of their slot-ordered spectra (_slot_spectrum)."""
+    return _spectral_verdict(_slot_spectrum(_matrices(tri, d)), spec)
+
+
+def _spectral_verdict(lam_s: np.ndarray, spec: SectorSpec):
+    """(member, degenerate) masks, frame left out, of spectra given in
+    |eigenvalue|-descending slot order, one row per form.  A framed spec
     needs a strict drop after slot 1 as after each cut."""
-    lam_s = _slot_spectrum(_matrices(tri, d))
     alam_s = np.abs(lam_s)
     logs = np.log(np.maximum(alam_s, 1e-300))
     cuts, dims = spec.block.cuts, np.asarray(spec.block.dims)

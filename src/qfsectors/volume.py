@@ -25,13 +25,14 @@ from scipy.special import betainc
 
 from . import enumeration
 from .rootdata import BlockDecomposition, predict_exponent
-from .sampling import derive_rng, random_rotation
+from .sampling import derive_rng, haar_frames, random_rotation
 from .sector import (
     AntiCap,
     Cap,
     CountSeries,
     FullFrame,
     _classify_batch,
+    _spectral_verdict,
     make_spec,
     with_fit,
 )
@@ -330,8 +331,23 @@ def _sampled_forms(ctx: DensityContext, margins: np.ndarray, rng):
 
 def _seeded(seed, label: str) -> np.random.Generator:
     """The stream (seed, label) for an integer seed, numpy's included; a
-    Generator passes through."""
-    return derive_rng(int(seed), label) if isinstance(seed, (int, np.integer)) else seed
+    Generator passes through, and any other seed raises."""
+    if isinstance(seed, np.random.Generator):
+        return seed
+    if seed is None:
+        raise ValueError("monte-carlo needs a seed")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise ValueError(f"seed must be an integer or a numpy Generator, not {seed!r}")
+    return derive_rng(int(seed), label)
+
+
+def _sample_count(samples) -> int:
+    """samples as an int, if it is an integer of at least 2."""
+    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)):
+        raise ValueError(f"samples must be an integer, not {samples!r}")
+    if samples < 2:
+        raise ValueError("monte-carlo needs at least 2 samples")
+    return int(samples)
 
 
 def _mc_series(
@@ -396,11 +412,8 @@ def _volume(ctx, t_grid, method, frame, norm, samples, seed, near_wall_c=None) -
 
         values, abserr = zip(*(region(t) for t in ts))
     elif method in ("mc", "monte-carlo"):
-        if seed is None:
-            raise ValueError("monte-carlo needs a seed")
-        if int(samples) < 2:
-            raise ValueError("monte-carlo needs at least 2 samples")
-        values, errs = _mc_series(ctx, ts, norm, frame, int(samples), seed, near_wall_c)
+        samples = _sample_count(samples)
+        values, errs = _mc_series(ctx, ts, norm, frame, samples, seed, near_wall_c)
         stderr = tuple(errs)
     else:
         raise ValueError("method must be quadrature or monte-carlo")
@@ -532,9 +545,12 @@ def wellroundedness_ratio(
     layer is seen; weights are |xi| there, the magnitude of the
     adjacent-chart density.
 
-    Most points are settled without their images.  By Ostrowski's
-    theorem, for S symmetric and e invertible the k-th eigenvalue of
-    e S e^T (by value) is theta_k times that of S, with
+    Most points are settled without a frame, a form or an image.  A
+    centre S = k diag(lambda) k^T has the spectrum lambda = signs e^(2y)
+    and the radius sqrt(sum lambda^2) whatever its Haar frame k, so its
+    inside verdict is _spectral_verdict of its margin spectrum.  By
+    Ostrowski's theorem, for S symmetric and e invertible the k-th
+    eigenvalue of e S e^T (by value) is theta_k times that of S, with
     sigma_min(e)^2 <= theta_k <= sigma_max(e)^2; and ||e S e^T||_F lies in
     [sigma_min^2, sigma_max^2] ||S||_F.  With hi and lo the extreme
     singular values over all steps, every image keeps the signs of S and
@@ -545,8 +561,12 @@ def wellroundedness_ratio(
     r lo^2 > t (1 + WR_SLACK).  Every image then has the centre's slot
     sign pattern, a log gap above WR_SLACK between adjacent slots and the
     centre's side of t, hence the centre's inside verdict: the point is
-    not mixed.  Only the other points' images are built and classified;
-    `probed` counts those points.
+    not mixed, and with e = I (sigma = 1) the same argument gives the float
+    classifier's verdict on the centre itself.  Only the other points get
+    a frame, a form and float verdicts for the centre and its images;
+    `probed` counts those points.  Every point still draws its frame's
+    normals, frames first and then the probe directions, so the stream
+    and each result are those of building every frame.
 
     The slack covers the float error.  The screen reasons on exact
     spectra, while the verdicts come from the float classifier on float
@@ -568,23 +588,33 @@ def wellroundedness_ratio(
         raise ValueError("need a finite t > 0")
     if any(dim != 1 for dim in ctx.blocks.dims):
         raise ValueError("thickened-boundary probes need all blocks one-dimensional")
+    samples = _sample_count(samples)
     d = ctx.d
     rng = _seeded(seed, "wellrounded")
     spec = make_spec(ctx.blocks.dims, _block_signatures(ctx))
     margins, weights = _grid_margins(
         ctx, t, rng, samples, lo=-8.0 * epsilon, pad=0.25 + 2.0 * epsilon
     )
-    _, base = _sampled_forms(ctx, margins, rng)
+    # every point draws its frame's normals, so the stream reaches the
+    # probe directions as if every frame were built
+    normals = rng.standard_normal((samples, d, d))
     steps = [expm(epsilon * x) for x in _unit_directions(d, WR_PROBES, rng)]
-    member, radii = _member_radius(base, spec)
-    center = member & (radii < t)
-    rows = np.flatnonzero(_unsettled(2.0 * ctx.log_coords(margins), member, radii, steps, t))
-    probe_member, probe_radii = _member_radius(
-        np.concatenate([e @ base[rows] @ e.T for e in steps]), spec
+    logs = 2.0 * ctx.log_coords(margins)
+    eig = np.asarray(ctx.signs, dtype=float) * np.exp(logs)
+    order = np.argsort(-np.abs(eig), axis=1, kind="stable")
+    member, _ = _spectral_verdict(np.take_along_axis(eig, order, axis=1), spec)
+    radii = np.sqrt(np.sum(eig**2, axis=1))
+    rows = np.flatnonzero(_unsettled(logs, member, radii, steps, t))
+    frames = haar_frames(normals[rows])
+    base = np.einsum("nij,nj,nkj->nik", frames, eig[rows], frames)
+    inside_member, inside_radii = _member_radius(
+        np.concatenate([base] + [e @ base @ e.T for e in steps]), spec
     )
-    probe_inside = (probe_member & (probe_radii < t)).reshape(WR_PROBES, len(rows))
+    inside = (inside_member & (inside_radii < t)).reshape(1 + WR_PROBES, len(rows))
+    center = member & (radii < t)
+    center[rows] = inside[0]
     mixed = np.zeros(samples, dtype=bool)
-    mixed[rows] = np.where(center[rows], ~probe_inside.all(axis=0), probe_inside.any(axis=0))
+    mixed[rows] = inside.any(axis=0) & ~inside.all(axis=0)
 
     num = float(np.sum(weights * mixed))
     den = float(np.sum(weights * center))

@@ -518,18 +518,20 @@ def test_import_skips_scipy_optimize_and_integrate():
     assert res.stdout == "[]\n"
 
 
+def _qr_frame(z):
+    """One sign-fixed QR frame of a d x d matrix: the oracle for the stacks."""
+    q, r = np.linalg.qr(z)
+    q = q * np.sign(np.diag(r))
+    if np.linalg.det(q) < 0:
+        q[:, -1] = -q[:, -1]
+    return q
+
+
 def _per_sample_rotation(rng, d, size=None):
-    """The sampler as it was, one QR per frame: the oracle for the batch."""
-
-    def one():
-        z = rng.standard_normal((d, d))
-        q, r = np.linalg.qr(z)
-        q = q * np.sign(np.diag(r))
-        if np.linalg.det(q) < 0:
-            q[:, -1] = -q[:, -1]
-        return q
-
-    return one() if size is None else np.stack([one() for _ in range(size)])
+    """The sampler as it was, one draw and one QR per frame."""
+    if size is None:
+        return _qr_frame(rng.standard_normal((d, d)))
+    return np.stack([_qr_frame(rng.standard_normal((d, d))) for _ in range(size)])
 
 
 @pytest.mark.parametrize("frame", [None, Cap(axis=(0.0, 0.0, 1.0), angle=0.8)])
@@ -541,10 +543,19 @@ def test_max_norm_mc_matches_per_sample_frames(monkeypatch, frame):
 
 
 def test_wellroundedness_matches_per_sample_frames(monkeypatch):
+    """The ratio frames its probed rows only, with haar_frames; one QR per
+    row gives the same result."""
+
+    def per_row(normals):
+        rows.append(len(normals))
+        return np.array([_qr_frame(z) for z in normals]).reshape(normals.shape)
+
     ctx = context_for((1, 1, -1))
     batched = wellroundedness_ratio(ctx, 0.1, 8.0, seed=31, samples=1500)
-    monkeypatch.setattr(volume, "random_rotation", _per_sample_rotation)
+    rows = []
+    monkeypatch.setattr(volume, "haar_frames", per_row)
     assert wellroundedness_ratio(ctx, 0.1, 8.0, seed=31, samples=1500) == batched
+    assert rows == [batched.probed] and batched.probed > 0
 
 
 def test_volume_guards():
@@ -589,13 +600,43 @@ def test_volume_checks_the_frame_before_any_work(monkeypatch, method, norm):
 
 def test_monte_carlo_needs_two_samples():
     ctx = context_for((1, 1, -1))
-    for n in (0, 1):
-        with pytest.raises(ValueError, match="at least 2 samples"):
+    # a count must be an integer: 2.5 is not rounded down to 2
+    for n in (0, 1, -3, 2.5, np.float64(300.0), "300", True):
+        match = "at least 2 samples" if type(n) is int else "samples must be an integer"
+        with pytest.raises(ValueError, match=match):
             volume_series(ctx, [6.0, 8.0], method="monte-carlo", seed=3, samples=n)
-        with pytest.raises(ValueError, match="at least 2 samples"):
+        with pytest.raises(ValueError, match=match):
             singular_volume(ctx, 0.5, [6.0, 8.0], method="monte-carlo", seed=3, samples=n)
+        with pytest.raises(ValueError, match=match):
+            wellroundedness_ratio(ctx, 0.1, 8.0, seed=3, samples=n)
     two = volume_series(ctx, [6.0, 8.0], method="monte-carlo", seed=3, samples=2)
     assert all(math.isfinite(v) for v in two.values + two.stderr)
+
+
+@pytest.mark.parametrize("seed", [1.5, "3", np.float64(2), True, None])
+def test_monte_carlo_rejects_a_seed_that_is_not_an_integer(seed):
+    ctx = context_for((1, 1, -1))
+    match = "needs a seed" if seed is None else "seed must be an integer or a numpy Generator"
+    with pytest.raises(ValueError, match=match):
+        volume_series(ctx, [6.0, 8.0], method="mc", seed=seed, samples=300)
+    with pytest.raises(ValueError, match=match):
+        wellroundedness_ratio(ctx, 0.1, 8.0, seed=seed, samples=300)
+
+
+def test_a_generator_seed_is_its_stream():
+    ctx = context_for((1, 1, -1))
+    want = wellroundedness_ratio(ctx, 0.1, 8.0, seed=5, samples=300)
+    assert wellroundedness_ratio(ctx, 0.1, 8.0, seed=derive_rng(5, "wellrounded"),
+                                 samples=300) == want
+
+
+def test_numpy_integer_sample_counts_are_counts():
+    ctx = context_for((1, 1, -1))
+    series = [volume_series(ctx, [6.0, 8.0], method="mc", samples=n, seed=4)
+              for n in (300, np.int64(300))]
+    assert series[0] == series[1] and type(series[1].manifest["samples"]) is int
+    ratios = [wellroundedness_ratio(ctx, 0.1, 8.0, seed=4, samples=n) for n in (300, np.int64(300))]
+    assert ratios[0] == ratios[1]
 
 
 def test_numpy_integer_seeds_name_the_same_streams():
@@ -638,13 +679,13 @@ def test_wellroundedness_guards():
 def test_wellroundedness_takes_the_float_classifier(monkeypatch):
     """Its probe triangles are float, so the exact integer sign test,
     which would need integer entries, never sees them.  The classifier
-    sees every centre once and the images of the probed points only."""
+    sees the probed points only: each centre once and its images."""
     rows = []
     real = sector.sym3_eigvals_batch
     monkeypatch.setattr(sector, "sym3_eigvals_batch", lambda m: rows.append(len(m)) or real(m))
     monkeypatch.setattr(sector, "_sign_sector_d3", None)
     res = wellroundedness_ratio(context_for((1, 1, -1)), 0.1, 8.0, seed=31, samples=200)
-    assert sum(rows) == 200 + volume.WR_PROBES * res.probed
+    assert sum(rows) == (1 + volume.WR_PROBES) * res.probed
 
 
 def _probe_everything(ctx, epsilon, t, seed, samples):
@@ -719,6 +760,29 @@ def test_screened_ratio_equals_probing_every_point(problem):
     want = _probe_everything(ctx, eps, t, seed, samples)
     # repr keeps a nan or an inf comparable field by field
     assert repr(dataclasses.replace(got, probed=samples)) == repr(want)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(problem=_wellroundedness_problems())
+def test_settled_centres_keep_their_float_verdicts(problem):
+    """A centre the screen settles takes its inside verdict from its margin
+    spectrum, signs e^(2y), and radius sqrt(sum lambda^2); the float
+    classifier and Frobenius norm of its Haar-framed form agree."""
+    ctx, eps, t, seed, samples = problem
+    rng = derive_rng(seed, "wellrounded")
+    spec = sector.make_spec(ctx.blocks.dims, volume._block_signatures(ctx))
+    margins, _ = volume._grid_margins(ctx, t, rng, samples, lo=-8.0 * eps, pad=0.25 + 2.0 * eps)
+    _, forms = volume._sampled_forms(ctx, margins, rng)
+    steps = [expm(eps * x) for x in _unit_directions(ctx.d, volume.WR_PROBES, rng)]
+    logs = 2.0 * ctx.log_coords(margins)
+    lam = np.asarray(ctx.signs) * np.exp(logs)
+    slots = np.take_along_axis(lam, np.argsort(-np.abs(lam), axis=1, kind="stable"), axis=1)
+    member, _ = sector._spectral_verdict(slots, spec)
+    radii = np.sqrt(np.sum(lam**2, axis=1))
+    settled = ~volume._unsettled(logs, member, radii, steps, t)
+    float_member, float_radii = volume._member_radius(forms, spec)
+    inside = member & (radii < t)
+    assert np.array_equal(inside[settled], (float_member & (float_radii < t))[settled])
 
 
 @st.composite
