@@ -325,7 +325,7 @@ def _cmd_volume(args, manifest) -> None:
         method=args.method,
         frame=_parse_frame(args.frame),
         norm=args.norm,
-        samples=int(float(args.samples)),
+        samples=args.samples,
         seed=args.seed,
     )
     err = series.stderr if series.stderr is not None else [None] * len(series.t_grid)
@@ -523,7 +523,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--I", default="", help="joined wall indices, comma list or empty")
     sp.add_argument("--T-grid", dest="t_grid", required=True)
     sp.add_argument("--method", default="quadrature", choices=("quadrature", "mc", "monte-carlo"))
-    sp.add_argument("--samples", default="200000")
+    sp.add_argument("--samples", type=int, default=200_000)
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--frame", default=None)
     sp.add_argument("--norm", default="frobenius", choices=enumeration.NORMS)

@@ -1,20 +1,10 @@
 """Exact enumeration of integral symmetric matrices with determinant +-1.
 
-One kernel serves d = 2, 3 and 4.  The determinant is linear in the
-last diagonal entry q_dd,
-
-    det(Q) = minor * q_dd + const,
-
-where minor is the determinant of the leading (d-1) block and const is
-det(Q) at q_dd = 0; both come from one Laplace expansion.  So minor != 0
-pins q_dd to (e - const) / minor per target e = +-1, and minor == 0
-demands const = e with q_dd sweeping its whole legal range.
-
-Which entries reach that division is decided by a congruence.  Write A
-for the leading (d-1) block, m = det A (the minor above), v for the
-last column above q_dd, x = q_(d-1)d for its last entry and s for the
-one before it (none for d = 2).  Then det(Q) = m q_dd - v' adj(A) v, and
-the Desnanot-Jacobi identity det(Q) M' = m N - P**2, with M' the
+One kernel serves d = 2, 3 and 4.  With A the leading (d-1) block of Q,
+m = det A, v the last column above q_dd, x = q_(d-1)d its last entry
+and s the one before it (none for d = 2), det(Q) = m q_dd - v' adj(A) v
+is linear in q_dd, so det(Q) = e = +-1 reads m q_dd = e + v' adj(A) v.
+The Desnanot-Jacobi identity det(Q) M' = m N - P**2, with M' the
 leading (d-2) minor of A (1 for d = 2), N the minor without row and
 column d-1 and P the one without row d-1 and column d, forces
 P**2 = -e M' (mod |m|).  P = (adj(A) v)_x = M' x + beta s + gamma is
@@ -22,15 +12,16 @@ linear in x and s, so for each square root r of -e M' modulo |m| (read
 off a table of square roots per range of moduli) the (s, x) with
 P = r (mod |m|) are a coset of a plane lattice: _plane_lattice builds
 its basis from g = gcd(M', |m|) and the inverse of M' / g, and reduces
-it.  The scan walks the lines of the coset through the box of s and x,
-and cuts each line to the window where m q_dd can lie in range: along a
-line v' adj(A) v is a quadratic in the line's parameter.  A block with
-m = 0 takes modulus 1, whose lattice is every (s, x).  The congruence
-and the window are only necessary conditions: every candidate still
-passes the exact division, the bounds of R and the ball, and every
-emitted row's determinant is recomputed in full.  The accumulator
-bound (d! b**d for entries bounded by b, and a bound on the window's
-products, _scan) raises instead of wrapping.
+it.  A block with m = 0 takes modulus 1, whose lattice is every (s, x).
+The scan walks the lines of the coset through the box of s and x.
+Along a line, e + v' adj(A) v is a quadratic in the line's parameter,
+the scan's one statement of the rule: it cuts each line to the window
+where m q_dd can lie in range, and its value at each candidate is the
+m q_dd that m divides exactly, or that must be 0 where m = 0 (q_dd then
+sweeps its range).  Every candidate still passes the bounds of R and
+the ball, and every emitted row's determinant is recomputed in full.
+The accumulator bound (d! b**d for entries bounded by b, and a bound on
+the window's products, _scan) raises instead of wrapping.
 
 The scan sorts the blocks A by modulus; a range of moduli, with its
 table of roots, is one task, and the tasks are independent, which is
@@ -265,14 +256,12 @@ def _form_class(columns, d: int):
     return _sign_changes(*coeffs), even
 
 
-def _det_split(m):
-    """(minor, const) with det(m) = minor * m[d-1][d-1] + const, from the
-    Laplace expansion along the last row; m[d-1][d-1] is never read."""
-    d = len(m)
-    top = _top_minors(m, d - 1)
-    rest = [top[tuple(c for c in range(d) if c != j)] for j in range(d - 1)]
-    const = _alternating_sum([m[d - 1][j] * r for j, r in enumerate(rest)], d - 1)
-    return top[tuple(range(d - 1))], const
+def _divide(num, m):
+    """(quot, exact) per candidate: num // m, and whether m != 0 divides
+    num exactly, for the numerator num = m q_dd of the scan's window."""
+    nz = m != 0
+    quot, res = np.divmod(num, np.where(nz, m, 1))
+    return quot, nz & (res == 0)
 
 
 def _isqrt(n: np.ndarray) -> np.ndarray:
@@ -552,7 +541,9 @@ def _scan(d: int, t: float, norm: str, threads: int | None):
     # form of adj(A), whose entries are at most (d-2)! b**(d-2), on vectors
     # with entries below z: a reduced lattice vector (its square at most
     # 2/sqrt(3) times a modulus, and a modulus at most m_max) or a line's
-    # base point, moved to within |u| / 2 of the box centre's projection
+    # base point, moved to within |u| / 2 of the box centre's projection,
+    # or i u, as q + i u is in the box: qa, qb, qc - e, qa i**2 and qb i are
+    # at most k, and a numerator qc + i (2 qb + qa i) within 4 k + 1
     m_max = math.factorial(d - 1) * b ** (d - 1)
     z = 3 * b + math.isqrt(2 * m_max) + 1
     k = math.factorial(d - 2) * b ** (d - 2) * (d - 1) ** 2 * z * z
@@ -604,27 +595,22 @@ def _scan(d: int, t: float, norm: str, threads: int | None):
         return bottom - p, top - p
 
     def solve(rows: dict, rem):
-        # q_dd by exact division where the minor is not 0, and the sweep
-        # of its range where it is
-        q = _symmetric(d, tri[:-1], [rows[k] for k in tri[:-1]])
-        minor, const = _det_split(q)
-        e, nz = rows["e"], minor != 0
-        quot, res = np.divmod(e - const, np.where(nz, minor, 1))
+        # q_dd = num / m by exact division where m != 0; where m = 0,
+        # det Q = e needs num = 0, and q_dd sweeps its whole range
+        quot, exact = _divide(rows["num"], rows["m"])
         r = radius(rem, 1)
         # the last bound of R: q_dd <= q_(d-1)(d-1)
         hi = np.minimum(r, rows[d - 2, d - 2])
-        hit = np.nonzero(nz & (res == 0) & (-r <= quot) & (quot <= hi))[0]
-        # minor == 0: det is const itself and q_dd sweeps its whole range
-        flat = np.nonzero(~nz & (const == e))[0]
+        hit = np.nonzero(exact & (-r <= quot) & (quot <= hi))[0]
+        flat = np.nonzero((rows["m"] == 0) & (rows["num"] == 0))[0]
         counts, sweep = _ranges(-r[flat], hi[flat])
         at = np.concatenate([hit, np.repeat(flat, counts)])
         return np.column_stack([rows[k][at] for k in tri[:-1]]
-                               + [np.concatenate([quot[hit], sweep]), e[at]])
+                               + [np.concatenate([quot[hit], sweep]), rows["e"][at]])
 
     def task(lo: int, hi: int, sel: slice):
         blk, rest = {k: v[sel] for k, v in blocks.items()}, rem[sel]
-        a = _symmetric(d - 1, lead, [blk[k] for k in lead])
-        m = _int_det(a)
+        a, m = _symmetric(d - 1, lead, [blk[k] for k in lead]), blk["m"]
         n = np.maximum(np.abs(m), 1)
         # det Q = m q_dd - F(v) with F(v) = v' adj(A) v, and
         # P = (adj(A) v)_x = M' x + beta s + gamma; the s of d = 2 is 0
@@ -671,21 +657,23 @@ def _scan(d: int, t: float, norm: str, threads: int | None):
             i0, i1 = _line_range(sl - qs, sh - qs, us[k])
             k0, k1 = _line_range(xl - qx, xh - qx, ux[k])
             i0, i1 = np.maximum(i0, k0), np.minimum(i1, k1)
-            # and within the window: F(q + i u) = A i**2 + 2 B i + C for
-            # q = (early, qs, qx) and u = (0, us, ux)
+            # and within the window: m q_dd = e + F(q + i u) = qa i**2 +
+            # 2 qb i + qc for q = (early, qs, qx) and u = (0, us, ux)
             q, idx = [rows[c] for c in early] + [qs, qx], [*range(d - 3), si, xi]
             bu = [form(c, si)[k] * us[k] + form(c, xi)[k] * ux[k] for c in idx]
             fq = sum(form(c, l)[k] * q[p] * q[o] * (1 + (p != o))
                      for p, c in enumerate(idx) for o, l in enumerate(idx) if o >= p)
-            window = _quadratic_cover(bu[-2] * us[k] + bu[-1] * ux[k],
-                                      sum(map(operator.mul, q, bu)), rows["e"] + fq,
-                                      low[k], high[k])
+            qa, qb = bu[-2] * us[k] + bu[-1] * ux[k], sum(map(operator.mul, q, bu))
+            qc = rows["e"] + fq
+            window = _quadratic_cover(qa, qb, qc, low[k], high[k])
             parts = [_ranges(np.maximum(i0, y0), np.minimum(i1, y1)) for y0, y1 in window]
             i = np.concatenate([v for _, v in parts])
             at = np.concatenate([np.repeat(np.arange(k.size), cnt) for cnt, _ in parts])
             k = k[at]
             cand = {c: rows[c][at] for c in [*early, "e"]} | {c: v[k] for c, v in blk.items()}
             cand[x] = qx[at] + i * ux[k]
+            # m q_dd, read off the window's quadratic
+            cand["num"] = qc[at] + i * (2 * qb[at] + qa[at] * i)
             left = left[at] - 2 * cand[x] ** 2
             if d > 2:
                 cand[column[-2]] = qs[at] + i * us[k]
@@ -718,12 +706,13 @@ def _scan(d: int, t: float, norm: str, threads: int | None):
                 raise RuntimeError("internal determinant check failed")
             yield full, sizes
 
+    # the blocks A, each with m = det A, which the tasks read
     blocks, rem = widen({}, np.array([lim], dtype=np.int64), lead)
-    m = _int_det(_symmetric(d - 1, lead, [blocks[k] for k in lead]))
-    order = np.argsort(np.abs(m), kind="stable")
-    modulus = np.maximum(np.abs(m[order]), 1)
+    blocks["m"] = _int_det(_symmetric(d - 1, lead, [blocks[k] for k in lead]))
+    order = np.argsort(np.abs(blocks["m"]), kind="stable")
     rem, blocks = rem[order], {k: v[order] for k, v in blocks.items()}
-    del m, order
+    modulus = np.maximum(np.abs(blocks["m"]), 1)
+    del order
     # moduli 1 .. top in ranges whose tables hold at most budget entries
     budget, ranges = SCAN_BUDGET * threads, []
     for part in _pieces(np.arange(1, int(modulus[-1]) + 1), budget):

@@ -42,6 +42,19 @@ def derive_rng(seed: int, *labels) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def seeded_rng(seed, *labels) -> np.random.Generator:
+    """The stream (seed, labels) of derive_rng for an integer seed,
+    numpy's included; a Generator is its own stream, and any other seed,
+    None and bools included, raises."""
+    if isinstance(seed, np.random.Generator):
+        return seed
+    if seed is None:
+        raise ValueError("sampling needs a seed, an integer or a numpy Generator")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise ValueError(f"seed must be an integer or a numpy Generator, not {seed!r}")
+    return derive_rng(int(seed), *labels)
+
+
 def random_rotation(rng: np.random.Generator, d: int, size: int | None = None) -> np.ndarray:
     """Haar-uniform element of SO(d) via sign-fixed QR.
 

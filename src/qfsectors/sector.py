@@ -188,6 +188,8 @@ def sector_membership(q, spec: SectorSpec) -> str:
     else:
         mat = np.asarray(q)
         d = mat.shape[0]
+        if mat.shape == (d, d) and not np.isfinite(mat).all():
+            raise ValueError("form entries must be finite")
         if mat.shape != (d, d) or not np.allclose(mat, mat.T):
             raise ValueError("expected a symmetric matrix")
         tri = mat[np.triu_indices(d)][None, :]
@@ -425,6 +427,10 @@ def fit_exponent(series, b_fixed: int = 1) -> FitResult:
     if b_fixed < 1:
         raise ValueError("b_fixed must be at least 1: the model's log power is b - 1 >= 0")
     ts, vals = (np.asarray(x, dtype=float) for x in series)
+    bad = ~(np.isfinite(ts) & np.isfinite(vals))
+    if bad.any():
+        points = list(zip(ts[bad].tolist(), vals[bad].tolist()))
+        raise ValueError(f"non-finite (T, value) points: {points}")
     keep = vals > 0
     if int(keep.sum()) < 4:
         raise ValueError("insufficient data: need at least 4 positive points")

@@ -25,7 +25,8 @@ from scipy.special import betainc
 
 from . import enumeration
 from .rootdata import BlockDecomposition, predict_exponent
-from .sampling import derive_rng, haar_frames, random_rotation
+# derive_rng stays a name here: perfbench/tracing.py patches it in this module
+from .sampling import derive_rng, haar_frames, random_rotation, seeded_rng  # noqa: F401
 from .sector import (
     AntiCap,
     Cap,
@@ -329,16 +330,11 @@ def _sampled_forms(ctx: DensityContext, margins: np.ndarray, rng):
     return frames, np.einsum("nij,nj,nkj->nik", frames, eig, frames)
 
 
-def _seeded(seed, label: str) -> np.random.Generator:
-    """The stream (seed, label) for an integer seed, numpy's included; a
-    Generator passes through, and any other seed raises."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    if seed is None:
-        raise ValueError("monte-carlo needs a seed")
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-        raise ValueError(f"seed must be an integer or a numpy Generator, not {seed!r}")
-    return derive_rng(int(seed), label)
+def _positive(ts: list) -> list:
+    """ts, if every threshold in it is a finite t > 0."""
+    if not all(math.isfinite(t) and t > 0 for t in ts):
+        raise ValueError("need a finite t > 0")
+    return ts
 
 
 def _sample_count(samples) -> int:
@@ -359,7 +355,7 @@ def _mc_series(
     seed,
     near_wall_c: Optional[float] = None,
 ):
-    rng = _seeded(seed, "volume-mc")
+    rng = seeded_rng(seed, "volume-mc")
     # the box is sized by frobenius radius, and |Q|_F <= d |Q|_max
     reach = max(ts) if norm == "frobenius" else ctx.d * max(ts)
     margins, weights = _grid_margins(ctx, reach, rng, samples)
@@ -390,7 +386,7 @@ def _volume(ctx, t_grid, method, frame, norm, samples, seed, near_wall_c=None) -
     """Volume per threshold of the region, or with near_wall_c of its
     near-wall slice (some margin <= c), by quadrature or MC."""
     norm = enumeration._check_norm(norm)
-    ts = enumeration.t_grid_values(t_grid)
+    ts = _positive(enumeration.t_grid_values(t_grid))
     n = len(ctx.cuts)
     if n == 0:
         raise ValueError("chamber must have at least one interior cut")
@@ -584,13 +580,12 @@ def wellroundedness_ratio(
     """
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError("need a finite epsilon > 0")
-    if not (math.isfinite(t) and t > 0):
-        raise ValueError("need a finite t > 0")
+    _positive([t])
     if any(dim != 1 for dim in ctx.blocks.dims):
         raise ValueError("thickened-boundary probes need all blocks one-dimensional")
     samples = _sample_count(samples)
     d = ctx.d
-    rng = _seeded(seed, "wellrounded")
+    rng = seeded_rng(seed, "wellrounded")
     spec = make_spec(ctx.blocks.dims, _block_signatures(ctx))
     margins, weights = _grid_margins(
         ctx, t, rng, samples, lo=-8.0 * epsilon, pad=0.25 + 2.0 * epsilon

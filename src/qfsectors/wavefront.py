@@ -157,12 +157,6 @@ class ProbeReport:
     detail: tuple[ProbeSample, ...] = ()
 
 
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, (int, np.integer)):
-        return sampling.derive_rng(int(seed), "wavefront-probe")
-    return seed
-
-
 def _unit_directions(d: int, n: int, rng) -> list[np.ndarray]:
     dirs = []
     for _ in range(n):
@@ -229,6 +223,8 @@ def fine_probe(
     if seed is None and directions is None:
         raise ValueError("give either a seed (int or Generator) or the directions")
     d = sum(signature)
+    if directions is None:
+        directions = _unit_directions(d, n, sampling.seeded_rng(seed, "wavefront-probe"))
     cuts = None if joined is None else BlockDecomposition.from_joined(d, joined).cuts
     base = kah_decompose(g, signature)
     base_log_a = np.log(base.a)
@@ -239,8 +235,6 @@ def fine_probe(
         ratio_ai, ratio_frame = 0.0, 0.0
     jmat = signature_matrix(*signature)
     h_inv = jmat @ base.h.T @ jmat  # exact inverse in H
-    if directions is None:
-        directions = _unit_directions(d, n, _as_rng(seed))
     detail, disp = [], []  # disp: (E_k, E_h) of each kept direction
     for x in directions:
         gp = scipy.linalg.expm(epsilon * x) @ g
@@ -368,7 +362,7 @@ def lipschitz_sweep(
     depth_grid,
     epsilon: float,
     n_per_cell: int,
-    seed: int,
+    seed,
     wall: int | None = None,
 ) -> list[SweepCell]:
     """Max displacement ratios over synthetic base points per (c, depth) cell.
@@ -380,7 +374,9 @@ def lipschitz_sweep(
     ratios and the coarse ratios that join exactly the pinned wall.
     Cells whose base-point construction fails are recorded as empty
     rather than fabricated; a negative or non-finite c or depth, or
-    n_per_cell below 1, is a ValueError.
+    n_per_cell below 1, is a ValueError.  seed follows
+    sampling.seeded_rng: an integer names a stream per base point, and a
+    numpy Generator is drawn from by every base point in turn.
     """
     p, q = signature
     d = p + q
@@ -404,7 +400,7 @@ def lipschitz_sweep(
             crossings = 0
             n_ok = 0
             for b in range(n_per_cell):
-                rng = sampling.derive_rng(seed, "sweep", c, depth, b)
+                rng = sampling.seeded_rng(seed, "sweep", c, depth, b)
                 wall_b = wall if wall is not None else int(rng.integers(1, d))
                 try:
                     margins = margins_for_depth(d, wall_b, c, depth)

@@ -109,6 +109,18 @@ def test_fit_recovers_cubic(tmp_path, capsys):
         assert err.startswith("error: b_fixed must be at least 1")
 
 
+@pytest.mark.parametrize("value", ("nan", "inf"))
+def test_fit_rejects_a_point_that_is_not_finite(tmp_path, capfd, value):
+    """A nan or inf row used to reach LAPACK, which printed DLASCL lines
+    before the CLI reported an SVD that did not converge."""
+    path = tmp_path / "counts.csv"
+    path.write_text("T,count\n2,40\n4,320\n8," + value + "\n16,20480\n32,163840\n")
+    code = main(["fit", "--in", str(path)])
+    out, err = capfd.readouterr()
+    assert (code, out) == (1, "")
+    assert err == f"error: non-finite (T, value) points: [(8.0, {value})]\n"
+
+
 # ----------------------------------------------------------------- artifacts
 
 
@@ -332,6 +344,29 @@ def test_monte_carlo_volume_needs_two_samples(tmp_path, capsys, samples):
                            "--out", str(out))
     assert code == 1
     assert err == "error: monte-carlo needs at least 2 samples\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("samples", ("2.5", "1e300"))
+def test_volume_samples_must_be_an_integer(tmp_path, capsys, samples):
+    """--samples 2.5 used to run 2 samples and exit 0, and 1e300 failed
+    past the C long; argparse now rejects both, before any output."""
+    out = tmp_path / "mc.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["volume", "--signature", "2,1", "--T-grid", "4,5", "--method", "mc",
+              "--samples", samples, "--seed", "1", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "invalid int value" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ("quadrature", "mc"))
+def test_volume_rejects_a_threshold_that_is_not_positive(tmp_path, capsys, method):
+    out = tmp_path / "vol.csv"
+    code, _, err = run(capsys, "volume", "--signature", "2,1", "--T-grid", "0,4",
+                       "--method", method, "--samples", "300", "--seed", "1", "--out", str(out))
+    assert code == 1
+    assert err == "error: need a finite t > 0\n"
     assert not out.exists()
 
 

@@ -2,6 +2,7 @@
 
 import collections
 import functools
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -17,7 +18,6 @@ from qfsectors.enumeration import (
     NORMS,
     TALLY_ROWS,
     QuadraticForm,
-    _det_split,
     _int_det,
     _scan,
     count_ball,
@@ -136,11 +136,7 @@ def test_laplace_split_matches_the_full_determinant(d, entries):
     mat = [[0] * d for _ in range(d)]
     for (i, j), v in zip(triangle_indices(d), entries):
         mat[i][j] = mat[j][i] = v
-    det = _int_det(mat)
-    assert det == _gauss_det(mat)
-    minor, const = _det_split(mat)
-    assert minor == _int_det([row[:-1] for row in mat[:-1]])
-    assert det == minor * mat[-1][-1] + const
+    assert _int_det(mat) == _gauss_det(mat)
 
 
 def test_each_form_is_valid():
@@ -317,16 +313,16 @@ def test_tally_over_the_reduced_scan_equals_the_full_traversal(norm, k):
 
 
 def _counting_solves(monkeypatch):
-    """Patch _det_split to record the candidates of every batch: the
-    points whose q_dd the exact division solves."""
+    """Patch _divide to record the candidates of every batch: the points
+    whose q_dd the exact division solves."""
     solved = []
+    divide = enumeration._divide
 
-    def counted(m):
-        minor, const = _det_split(m)
-        solved.append(np.broadcast(minor, const).size)
-        return minor, const
+    def counted(num, m):
+        solved.append(np.broadcast(num, m).size)
+        return divide(num, m)
 
-    monkeypatch.setattr(enumeration, "_det_split", counted)
+    monkeypatch.setattr(enumeration, "_divide", counted)
     return solved
 
 
@@ -361,6 +357,29 @@ def test_batch_budget_changes_no_candidate(monkeypatch, norm, t):
     small = np.concatenate([full for full, _ in _scan(3, t, norm, None)])
     assert len(solved) > batches and sum(solved) == candidates
     assert np.array_equal(np.unique(small, axis=0), np.unique(rows, axis=0))
+
+
+# sha256 of the scan's canonical rows (triangle, det, weight), lexsorted
+SCAN_DIGESTS = {
+    (2, 20.5, "max"): "d98e1cdacec95d3d1a7466b3a7f9aebac755eef31d8e15fe365fb0b0a4a6dd4e",
+    (2, 30.0, "frobenius"): "fdd7d3d096b476e46d50d41e173243ed5038826dab4937b73da08fbbd252f013",
+    (3, 12.5, "max"): "ddc330d7bffc7ce27b4f191fde52290165cf9976913efb973b9ccdb86299a011",
+    (3, 14.0, "frobenius"): "48447083782d47649370451f0199b6716097751808e5b6da2fe1c519325d7d48",
+    (4, 2.5, "max"): "1844af08c79b2fcc536e6eb9c215d8b001c0e122faea402f5092c1137a76beb0",
+    (4, math.sqrt(10), "frobenius"):
+        "0b50d9520d1bc782db1d38f77266c4e58c27c96ea1c8e466717961b3213d7298",
+}
+
+
+@pytest.mark.parametrize("d, t, norm", list(SCAN_DIGESTS))
+def test_scan_rows_and_weights_are_pinned(d, t, norm):
+    """The canonical rows and their weights, not only their counts, are
+    those of the pinned digests."""
+    parts = list(_scan(d, t, norm, None))
+    rows = np.concatenate([np.zeros((0, len(triangle_indices(d)) + 2), dtype=np.int64)]
+                          + [np.column_stack([full, weight]) for full, weight in parts])
+    rows = np.ascontiguousarray(rows[np.lexsort(rows.T[::-1])], dtype=np.int64)
+    assert hashlib.sha256(rows.tobytes()).hexdigest() == SCAN_DIGESTS[d, t, norm]
 
 
 def _minor(mat, rows, cols):

@@ -1,10 +1,11 @@
 """Seeded streams and the Haar rotation sampler."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfsectors.sampling import derive_rng, haar_frames, random_rotation
+from qfsectors.sampling import derive_rng, haar_frames, random_rotation, seeded_rng
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -45,3 +46,18 @@ def test_streams_are_reproducible_and_distinct():
     assert np.array_equal(a, derive_rng(11, "volume-mc").random(3))
     assert not np.array_equal(a, derive_rng(11, "wellrounded").random(3))
     assert not np.array_equal(a, derive_rng(12, "volume-mc").random(3))
+
+
+def test_seeded_rng_is_the_one_seed_rule():
+    """An integer, numpy's included, names derive_rng's stream; a
+    Generator is its own stream; anything else raises."""
+    want = derive_rng(7, "x", 2).random(4)
+    assert np.array_equal(seeded_rng(7, "x", 2).random(4), want)
+    assert np.array_equal(seeded_rng(np.int64(7), "x", 2).random(4), want)
+    rng = derive_rng(7, "y")
+    assert seeded_rng(rng, "x", 2) is rng
+    with pytest.raises(ValueError, match="needs a seed"):
+        seeded_rng(None, "x")
+    for bad in (1.5, "3", np.float64(2), True):
+        with pytest.raises(ValueError, match="seed must be an integer or a numpy Generator"):
+            seeded_rng(bad, "x")

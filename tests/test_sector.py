@@ -134,6 +134,15 @@ def test_membership_keeps_the_small_eigenvalue_of_a_2x2_form():
     assert sector_membership(huge, spec) == "member"
 
 
+def test_membership_rejects_entries_that_are_not_finite():
+    """An inf entry used to read "nonmember" after RuntimeWarnings, and a
+    nan one to fail as an asymmetric matrix."""
+    spec = make_spec((1, 1), "+-")
+    for q in (np.diag([np.inf, -1.0]), [[1.0, np.nan], [np.nan, -1.0]], [[np.inf, 0], [0, 1]]):
+        with pytest.raises(ValueError, match="^form entries must be finite$"):
+            sector_membership(q, spec)
+
+
 def test_membership_rejects_a_form_of_another_size():
     spec = make_spec((1, 1, 1), ["+", "+", "-"])
     with pytest.raises(ValueError, match="d = 3"):
@@ -735,6 +744,13 @@ def test_fit_requires_enough_positive_points():
         fit_exponent(([2.0, 3.0, 4.0, 5.0, 6.0], [0.0, 0.0, 1.0, 2.0, 3.0]))
     with pytest.raises(ValueError):
         fit_exponent(([0.5, 2.0, 3.0, 4.0], [1.0, 1.0, 1.0, 1.0]))
+
+
+def test_fit_rejects_points_that_are_not_finite():
+    ts = [3.0, 5.0, 9.0, 17.0, 33.0]
+    for bad_t, bad_v in ((np.nan, 1.0), (9.0, np.inf), (np.inf, np.nan)):
+        with pytest.raises(ValueError, match=r"^non-finite \(T, value\) points: "):
+            fit_exponent((ts + [bad_t], [5.0 * t**3 for t in ts] + [bad_v]))
 
 
 @pytest.mark.parametrize("b", [0, -2])

@@ -623,6 +623,21 @@ def test_monte_carlo_rejects_a_seed_that_is_not_an_integer(seed):
         wellroundedness_ratio(ctx, 0.1, 8.0, seed=seed, samples=300)
 
 
+@pytest.mark.parametrize("grid", ([0.0, 4.0], [-1.0, 4.0], [-3.0, -2.0]))
+def test_the_volume_layer_needs_positive_thresholds(grid):
+    """A T <= 0 used to raise a math domain error under quadrature and
+    return 0 under MC; the volume layer has wellroundedness_ratio's rule."""
+    ctx = context_for((1, 1, -1))
+    calls = [lambda: volume_series(ctx, grid),
+             lambda: volume_series(ctx, grid, method="mc", samples=300, seed=1),
+             lambda: singular_volume(ctx, 0.5, grid),
+             lambda: singular_volume(ctx, 0.5, grid, method="mc", samples=300, seed=1),
+             lambda: wellroundedness_ratio(ctx, 0.1, grid[0], seed=1, samples=300)]
+    for call in calls:
+        with pytest.raises(ValueError, match="^need a finite t > 0$"):
+            call()
+
+
 def test_a_generator_seed_is_its_stream():
     ctx = context_for((1, 1, -1))
     want = wellroundedness_ratio(ctx, 0.1, 8.0, seed=5, samples=300)

@@ -121,6 +121,33 @@ def test_fine_probe_needs_a_seed_or_directions():
         fine_probe(REGULAR_G, (2, 1), 1e-3, 3, None)
 
 
+@pytest.mark.parametrize("seed", (1.5, "3", np.float64(2), True))
+def test_the_probes_and_the_sweep_reject_a_seed_that_is_not_an_integer(seed):
+    """fine_probe used to fail inside numpy on a float or string seed,
+    and lipschitz_sweep to run 1.5 as seed 1 and "3" as seed 3."""
+    match = "seed must be an integer or a numpy Generator"
+    with pytest.raises(ValueError, match=match):
+        fine_probe(REGULAR_G, (2, 1), 1e-3, 2, seed)
+    with pytest.raises(ValueError, match=match):
+        lipschitz_sweep((2, 1), [0.5], [2.0], 1e-3, 1, seed=seed, wall=1)
+
+
+def test_the_sweep_needs_a_seed():
+    with pytest.raises(ValueError, match="needs a seed"):
+        lipschitz_sweep((2, 1), [0.5], [2.0], 1e-3, 1, seed=None, wall=1)
+
+
+def test_a_generator_seed_is_the_probes_stream():
+    """A Generator is the stream an integer seed names; the sweep's base
+    points draw from one Generator in turn."""
+    reports = [fine_probe(REGULAR_G, (2, 1), 1e-3, 2, seed)
+               for seed in (5, np.int64(5), derive_rng(5, "wavefront-probe"))]
+    assert reports[0].detail == reports[1].detail == reports[2].detail
+    runs = [lipschitz_sweep((2, 1), [0.5], [2.0], 1e-3, 2, seed=derive_rng(3, "g"), wall=1)
+            for _ in range(2)]
+    assert runs[0] == runs[1] and runs[0][0].n_points == 2
+
+
 def mp_matrix(a):
     return mpmath.matrix([[mpmath.mpf(float(v)) for v in row] for row in a])
 
