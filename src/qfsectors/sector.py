@@ -242,26 +242,37 @@ def _classify(tri: np.ndarray, d: int, spec: SectorSpec):
 def _spectral_verdict(lam_s: np.ndarray, spec: SectorSpec):
     """(member, degenerate) masks, frame left out, of spectra given in
     |eigenvalue|-descending slot order, one row per form.  A framed spec
-    needs a strict drop after slot 1 as after each cut."""
+    needs a strict drop after slot 1 as after each cut.  The spectra are
+    read one slot column at a time, each a vector over the rows."""
     alam_s = np.abs(lam_s)
     logs = np.log(np.maximum(alam_s, 1e-300))
-    cuts, dims = spec.block.cuts, np.asarray(spec.block.dims)
+    cuts = spec.block.cuts
     starts = (0,) + cuts
-    means = np.add.reduceat(logs, starts, axis=1) / dims[None, :]
+    stops = cuts + (lam_s.shape[1],)
+    # a block's log sum in np.add.reduceat's order: its first slot plus the rest's sum
+    means = [(logs[:, a] + logs[:, a + 1 : b].sum(axis=1)) / (b - a)
+             for a, b in zip(starts, stops)]
 
-    degenerate = np.any(alam_s < 1e-300, axis=1)
+    degenerate = alam_s[:, 0] < 1e-300
+    for c in range(1, lam_s.shape[1]):
+        degenerate |= alam_s[:, c] < 1e-300
     for c in cuts if isinstance(spec.frame_constraint, FullFrame) else (1,) + cuts:
         degenerate |= logs[:, c - 1] - logs[:, c] <= TIE_TOL
-    if len(dims) > 1:
-        degenerate |= np.any(means[:, :-1] - means[:, 1:] <= TIE_TOL, axis=1)
+    for upper, lower in zip(means, means[1:]):
+        degenerate |= upper - lower <= TIE_TOL
 
     member = ~degenerate
-    pos = np.add.reduceat((lam_s > 0).astype(np.int64), starts, axis=1)
-    member &= np.all(pos == [s[0] for s in spec.block_signatures], axis=1)
-    if spec.block_window is not None:
-        spread = np.abs(logs - np.repeat(means, dims, axis=1))
-        max_spread = np.maximum.reduceat(spread, starts, axis=1)
-        member &= ~np.any(max_spread[:, dims >= 2] > spec.block_window, axis=1)
+    window = spec.block_window
+    for a, b, mean, (p, _) in zip(starts, stops, means, spec.block_signatures):
+        pos = np.zeros(len(lam_s), dtype=np.int64)
+        for c in range(a, b):
+            pos += lam_s[:, c] > 0
+        member &= pos == p
+        if window is not None and b - a >= 2:
+            spread = np.abs(logs[:, a] - mean)
+            for c in range(a + 1, b):
+                spread = np.maximum(spread, np.abs(logs[:, c] - mean))
+            member &= ~(spread > window)
     return member, degenerate
 
 

@@ -80,9 +80,10 @@ class DensityContext:
             self, "_free_roots", tuple((i, j, int(s), int(not s)) for (i, j), s in zip(pairs, sinh))
         )
         # the evaluator's view of the roots: the blocks of their two ends
-        ends = np.asarray([(blk[i - 1], blk[j - 1]) for i, j in pairs], dtype=int)
-        object.__setattr__(self, "_root_ends", ends.reshape(-1, 2).T)
-        object.__setattr__(self, "_sinh_roots", np.asarray(sinh, dtype=bool))
+        object.__setattr__(
+            self, "_root_blocks",
+            tuple((int(blk[i - 1]), int(blk[j - 1]), s) for (i, j), s in zip(pairs, sinh)),
+        )
 
     @property
     def d(self) -> int:
@@ -103,10 +104,21 @@ class DensityContext:
     def block_logs(self, margins) -> np.ndarray:
         """Margins (N, n) -> (N, n+1) trace-free block logs; each row's bits ignore the batch."""
         m = np.atleast_2d(np.asarray(margins, dtype=float))
-        if m.shape[1] != len(self._cuts):
+        n = len(self._cuts)
+        if m.shape[1] != n:
             raise ValueError("one margin per interior cut required")
-        drop = np.concatenate([np.zeros((m.shape[0], 1)), np.cumsum(m, axis=1)], axis=1)
-        shift = (drop * self._dims).sum(axis=1) / self.d
+        # column by column, adding in the order of a cumsum and of a row
+        # sum; numpy sums a row of 8 or more pairwise, so those keep its sum
+        drop = np.zeros((len(m), n + 1))
+        for k in range(n):
+            np.add(drop[:, k], m[:, k], out=drop[:, k + 1])
+        if n + 1 >= 8:
+            shift = (drop * self._dims).sum(axis=1)
+        else:
+            shift = np.zeros(len(m))
+            for k in range(1, n + 1):
+                shift += drop[:, k] * self._dims[k]
+        shift /= self.d
         return shift[:, None] - drop
 
     def log_coords(self, margins) -> np.ndarray:
@@ -134,14 +146,13 @@ def context_pq(d: int, p: int, q: int, joined=()) -> DensityContext:
 def _log_abs_xi(ctx: DensityContext, margins: np.ndarray) -> np.ndarray:
     """log |xi| on a batch of margin vectors (N, n), no chamber check:
     -inf where a sinh root vanishes, so exp gives exactly 0 on a wall."""
-    b = ctx.block_logs(margins).T
-    hi, lo = ctx._root_ends
-    v = b[hi] - b[lo]  # (roots, N): the terms are summed root by root
-    sinh = ctx._sinh_roots
+    b = np.ascontiguousarray(ctx.block_logs(margins).T)
+    total = np.zeros(b.shape[1])
     with np.errstate(divide="ignore"):
-        v[sinh] = np.log(np.abs(np.sinh(v[sinh])))
-    v[~sinh] = np.log(np.cosh(v[~sinh]))
-    return v.sum(axis=0)
+        for hi, lo, sinh in ctx._root_blocks:  # the terms are summed root by root
+            v = b[hi] - b[lo]
+            total += np.log(np.abs(np.sinh(v))) if sinh else np.log(np.cosh(v))
+    return total
 
 
 def xi_density(ctx: DensityContext, log_a) -> float:
@@ -286,6 +297,22 @@ def _grid_bins(n: int) -> int:
     return bins - 1 if bins**n > _GRID_CELLS else bins
 
 
+def _draw_cells(rng, p_cell: np.ndarray, samples: int) -> np.ndarray:
+    """rng.choice(len(p_cell), size=samples, p=p_cell), the same indices
+    from the same draws: the cell CDF, normalized as choice normalizes it,
+    inverted at samples uniforms, which are searched in sorted order."""
+    if not (np.isfinite(p_cell).all() and (p_cell >= 0).all()
+            and abs(float(p_cell.sum()) - 1.0) <= math.sqrt(np.finfo(float).eps)):
+        raise ValueError("cell probabilities must be finite, non-negative and sum to 1")
+    cdf = p_cell.cumsum()
+    cdf /= cdf[-1]
+    u = rng.random(samples)
+    order = np.argsort(u)
+    idx = np.empty(samples, dtype=np.intp)
+    idx[order] = cdf.searchsorted(u[order], side="right")
+    return idx
+
+
 def _grid_margins(ctx, t: float, rng, samples: int, lo: float = 0.0, pad: float = 0.25):
     """Margin sample from a piecewise-constant sketch of |xi| on the box,
     with its importance weights |xi| / density.
@@ -315,7 +342,7 @@ def _grid_margins(ctx, t: float, rng, samples: int, lo: float = 0.0, pad: float 
     total = float(mass.sum())
     nkept = int(np.count_nonzero(keep))
     p_cell = 0.9 * mass / total + 0.1 * keep / nkept
-    idx = rng.choice(len(centers), size=samples, p=p_cell)
+    idx = _draw_cells(rng, p_cell, samples)
     jitter = rng.random((samples, n)) - 0.5
     margins = centers[idx] + jitter * widths[None, :]
     area = float(np.prod(widths))
@@ -611,18 +638,17 @@ def wellroundedness_ratio(
     mixed = np.zeros(samples, dtype=bool)
     mixed[rows] = inside.any(axis=0) & ~inside.all(axis=0)
 
-    num = float(np.sum(weights * mixed))
-    den = float(np.sum(weights * center))
+    w_mixed, w_center = weights * mixed, weights * center
+    num = float(np.sum(w_mixed))
+    den = float(np.sum(w_center))
     ratio = math.inf if den == 0.0 else num / den
-    nblk = 20
-    idx = np.array_split(np.arange(samples), nblk)
+    # a delete-a-block jackknife over at most 20 blocks, none of them empty
     parts = []
-    for block in idx:
-        mask = np.ones(samples, dtype=bool)
-        mask[block] = False
-        dsub = float(np.sum(weights[mask] * center[mask]))
+    for block in np.array_split(np.arange(samples), min(20, samples)):
+        a, b = block[0], block[-1] + 1
+        dsub = float(np.sum(np.concatenate((w_center[:a], w_center[b:]))))
         if dsub > 0:
-            parts.append(float(np.sum(weights[mask] * mixed[mask])) / dsub)
+            parts.append(float(np.sum(np.concatenate((w_mixed[:a], w_mixed[b:])))) / dsub)
     if len(parts) >= 2 and math.isfinite(ratio):
         parts_arr = np.asarray(parts)
         stderr = float(

@@ -5,7 +5,8 @@ internals: they walk the full integer box with numpy and decide det ±1
 from a rounded float determinant (entries are tiny, so the float det is
 exact to well under 0.5).  Norm thresholds are compared exactly, against
 the rational value of the float T.  spectral_data is the frame tests'
-per-form Jacobi oracle, independent of the batched classifier.
+per-form Jacobi oracle, independent of the batched classifier, and
+spectral_verdict_rowwise the spectral verdict as whole-row reductions.
 """
 
 import math
@@ -20,7 +21,7 @@ import pytest
 import qfsectors
 from qfsectors import enumeration
 from qfsectors.jacobi import jacobi_eigh, slot_order
-from qfsectors.sector import TIE_TOL
+from qfsectors.sector import TIE_TOL, FullFrame
 
 
 def brute_force_forms(d: int, t: float, norm: str = "max"):
@@ -78,6 +79,32 @@ def spectral_data(q) -> SpectralData:
         vec[:, -1] = -vec[:, -1]
     gaps = tuple(float(abs(lam[i]) - abs(lam[i + 1])) for i in range(len(lam) - 1))
     return SpectralData(eigenvalues=tuple(float(x) for x in lam), frame=vec, gaps=gaps)
+
+
+def spectral_verdict_rowwise(lam_s: np.ndarray, spec):
+    """(member, degenerate) masks, frame left out, of spectra given in
+    |eigenvalue|-descending slot order, one row per form.  A framed spec
+    needs a strict drop after slot 1 as after each cut."""
+    alam_s = np.abs(lam_s)
+    logs = np.log(np.maximum(alam_s, 1e-300))
+    cuts, dims = spec.block.cuts, np.asarray(spec.block.dims)
+    starts = (0,) + cuts
+    means = np.add.reduceat(logs, starts, axis=1) / dims[None, :]
+
+    degenerate = np.any(alam_s < 1e-300, axis=1)
+    for c in cuts if isinstance(spec.frame_constraint, FullFrame) else (1,) + cuts:
+        degenerate |= logs[:, c - 1] - logs[:, c] <= TIE_TOL
+    if len(dims) > 1:
+        degenerate |= np.any(means[:, :-1] - means[:, 1:] <= TIE_TOL, axis=1)
+
+    member = ~degenerate
+    pos = np.add.reduceat((lam_s > 0).astype(np.int64), starts, axis=1)
+    member &= np.all(pos == [s[0] for s in spec.block_signatures], axis=1)
+    if spec.block_window is not None:
+        spread = np.abs(logs - np.repeat(means, dims, axis=1))
+        max_spread = np.maximum.reduceat(spread, starts, axis=1)
+        member &= ~np.any(max_spread[:, dims >= 2] > spec.block_window, axis=1)
+    return member, degenerate
 
 
 def child_env():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_forms, spectral_data
+from conftest import brute_force_forms, spectral_data, spectral_verdict_rowwise
 from qfsectors import enumeration, sector
 from qfsectors.enumeration import enumerate_forms, iter_form_batches, triangle_indices
 from qfsectors.sector import (
@@ -311,6 +311,40 @@ def test_batched_frame_test_matches_jacobi_frames(data):
         cap, anticap = verdicts
         assert not np.any(cap & anticap)
         assert np.array_equal(cap | anticap, full & ~tied)
+
+
+@st.composite
+def _compositions(draw, d):
+    """A block pattern of d slots: the dims of one of its 2^(d-1) compositions."""
+    cuts = [c for c in range(1, d) if draw(st.booleans())]
+    return tuple(np.diff([0] + cuts + [d]).tolist())
+
+
+# |eigenvalues| with exact and near ties (a repeated root, or a +-lambda
+# pair once signed), zeros, and values that underflow the 1e-300 floor
+_MAGNITUDES = [0.0, 1e-320, 1e-300, 1e-12, 0.25, 1.0, 1.0, 1.0 + 1e-10, 1.0 + 1e-8, 2.0,
+               2.0 + 2e-9, 3.0, 7.5, 1e8]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_spectral_verdict_matches_the_rowwise_rule(data):
+    """The column-by-column verdict gives the masks of whole-row
+    reductions, for every d = 2..4 block pattern, with windows and frames."""
+    d = data.draw(st.integers(2, 4))
+    dims = data.draw(_compositions(d))
+    sigs = [(p, dim - p) for dim in dims for p in [data.draw(st.integers(0, dim))]]
+    frame = data.draw(st.sampled_from([None, Cap((1.0,) * d, 0.7), AntiCap((1.0,) * d, 0.7)]))
+    window = data.draw(st.sampled_from([None, 1e-9, 0.05, 0.7, 3.0]))
+    spec = make_spec(dims, sigs, frame=frame, block_window=window)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    rows = 400
+    lam = rng.choice(_MAGNITUDES, (rows, d)) * rng.choice([-1.0, 1.0], (rows, d))
+    spread = rng.random(rows) < 0.3
+    lam[spread] = rng.standard_normal((int(spread.sum()), d)) * 10.0 ** rng.integers(-3, 4)
+    lam = np.take_along_axis(lam, np.argsort(-np.abs(lam), axis=1, kind="stable"), axis=1)
+    got, want = sector._spectral_verdict(lam, spec), spectral_verdict_rowwise(lam, spec)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 # ------------------------------------------------- exact d = 3 sign verdict

@@ -1,6 +1,7 @@
 """Density closed forms, region volumes, and boundary-layer estimates."""
 
 import dataclasses
+import hashlib
 import itertools
 import math
 import subprocess
@@ -165,6 +166,137 @@ def test_block_logs_and_radius_from_scratch(signs, joined):
         assert np.array_equal(_ball_radius(ctx, m[None, :]), former)
     with pytest.raises(ValueError, match="one margin per interior cut"):
         ctx.block_logs(np.zeros((2, n + 1)))
+
+
+@pytest.mark.parametrize("d", range(2, 11))
+def test_block_logs_keep_the_bits_of_row_sums(d):
+    # the former whole-row cumsum and sum, which numpy sums pairwise from
+    # 8 columns on, on one-dimensional blocks and on a joined wall
+    rng = np.random.default_rng(d)
+    for joined in ((), (1,)):
+        ctx = context_for([1] * d, joined)
+        m = rng.random((500, len(ctx.cuts))) * 10.0 ** rng.integers(-300, 3, (500, 1))
+        drop = np.concatenate([np.zeros((len(m), 1)), np.cumsum(m, axis=1)], axis=1)
+        shift = (drop * np.asarray(ctx.blocks.dims, dtype=float)).sum(axis=1) / d
+        assert np.array_equal(ctx.block_logs(m), shift[:, None] - drop)
+
+
+def _digest(*arrays) -> str:
+    """sha256 of float arrays' bytes, every nan read as np.nan."""
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.asarray(a, dtype=float)
+        h.update(np.where(np.isnan(a), np.nan, a).tobytes())
+    return h.hexdigest()
+
+
+_EXTREME_MARGINS = [0.0, 1e-300, 1e-200, 1e-100, 1e-20, 1e-8, 0.1, 1.0, 7.5, 100.0, 1e3]
+
+
+@pytest.mark.parametrize(
+    "signs, joined, want",
+    [
+        ((1, -1), (), "67ac38b91a31b0b786f81d5a14c9b755d8ad6e442661a5dbb8847741d9b73596"),
+        ((1, 1, -1), (), "26affcf2f2f86f89163a90a085b7fa6e6b70a5c19fbff351278a1d60bd689196"),
+        ((1, -1, 1, -1), (2,),
+         "0c4cb66d3412f41d548a58a449a56ab6259ac023a4271390452030241a88d901"),
+        ((1, 1, -1, -1), (), "ce783b323771d19c616e3dc1b2be90a8d86704a640255e6a4e1ffbadea015e34"),
+        ((1, -1, 1, -1, 1), (),
+         "3b1b45c25fba21af0c1dd67a43da4126bd17a1b1ebc8b72d0f0c43d100f564f2"),
+    ],
+    ids=["d2", "d3", "d4-joined", "d4", "d5"],
+)
+def test_density_kernels_keep_their_bits(signs, joined, want):
+    # every margin row over exact zeros and 1e-300 .. 1e3, where the
+    # radius overflows and a term can be +inf against a wall's -inf
+    ctx = context_for(signs, joined)
+    m = np.asarray(list(itertools.product(_EXTREME_MARGINS, repeat=len(ctx.cuts))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        logs = ctx.block_logs(m)
+        lx = volume._log_abs_xi(ctx, m)
+        assert _digest(logs, lx, _ball_radius(ctx, m)) == want
+        y = ctx.log_coords(m)
+        wall = np.zeros(len(m), dtype=bool)
+        for i, j, lp, _ in ctx.free_roots():
+            wall |= bool(lp) & (y[:, i - 1] == y[:, j - 1])
+        # log |xi| is -inf exactly on a wall, so its density is exactly 0,
+        # unless an overflowed +inf term makes it nan
+        on_wall = wall & ~np.isnan(lx)
+        assert np.array_equal(np.isneginf(lx), on_wall)
+        assert not np.exp(lx[on_wall]).any()
+
+
+@pytest.mark.parametrize(
+    "case, want, state",
+    [
+        (((1, -1), (), 6.0, 0.0, 0.25),
+         "1181e8fd0ea2656d728ce33d59f2df7b709117dac118147d711575c1cde0d3ce",
+         264798458128845263461628144043567099612),
+        (((1, 1, -1), (), 8.0, 0.0, 0.25),
+         "d5bc00530c6a50ac79960db68226b518149b3a2cf32cda03b393597a799981b5",
+         314665095794900846228847993165888759055),
+        (((1, -1, 1, -1), (), 5.0, 0.0, 0.25),
+         "f91a63ff44001177f45f9ac1046693b34f648a8df2176355e06ae3e2a139d18f",
+         12700522737795923288137581714207822916),
+        (((1, 1, -1, -1, -1), (3,), 7.0, 0.0, 0.25),
+         "e559ea17c93c00c9e5068156253cbc72e36260963fba32e3c8e44a8b4f9d8dd9",
+         154320234945801507014665233199416161468),
+        # the well-roundedness ratio's collar at epsilon = 0.1
+        (((1, 1, -1), (), 8.0, -0.8, 0.45),
+         "fbcd691b8a6087c856b6cc0df98cad3af4822e5199774674c49016c17317cfb4",
+         314665095794900846228847993165888759055),
+    ],
+    ids=["d2", "d3", "d4", "d5-joined", "collar"],
+)
+def test_grid_margins_keep_their_bits(case, want, state):
+    """The margins, the weights and the generator's state after the draw,
+    as rng.choice(len(cells), size=samples, p=p_cell) left them."""
+    signs, joined, t, lo, pad = case
+    rng = np.random.default_rng(len(signs) + len(joined))
+    margins, weights = volume._grid_margins(context_for(signs, joined), t, rng, 5000, lo, pad)
+    assert _digest(margins, weights) == want
+    assert rng.bit_generator.state["state"]["state"] == state
+
+
+@st.composite
+def _cell_masses(draw):
+    """Cell probabilities as _grid_margins forms them, with empty cells,
+    ties and a wide range of masses."""
+    masses = draw(st.lists(st.sampled_from([0.0, 0.0, 1e-300, 1e-12, 0.5, 1.0, 1.0, 7.0, 1e6]),
+                           min_size=1, max_size=300))
+    mass = np.asarray(masses)
+    if not mass.any():
+        mass[0] = 1.0
+    keep = mass > 0
+    return 0.9 * mass / float(mass.sum()) + 0.1 * keep / int(np.count_nonzero(keep))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(p=_cell_masses(), samples=st.integers(1, 2000), seed=st.integers(0, 2**32 - 1),
+       philox=st.booleans())
+def test_cell_draw_is_rng_choice(p, samples, seed, philox):
+    """The sorted-search draw gives choice's indices and leaves the
+    generator where choice leaves it."""
+    def rng():
+        return derive_rng(seed, "cells") if philox else np.random.default_rng(seed)
+
+    ours, theirs = rng(), rng()
+    got = volume._draw_cells(ours, p, samples)
+    assert np.array_equal(got, theirs.choice(len(p), size=samples, p=p))
+    # str: a Philox state holds arrays
+    assert str(ours.bit_generator.state) == str(theirs.bit_generator.state)
+
+
+@pytest.mark.parametrize(
+    "p", [[0.5, np.nan, 0.5], [0.5, -0.1, 0.6], [0.5, np.inf], [0.3, 0.3]],
+    ids=["nan", "negative", "inf", "short"],
+)
+def test_cell_draw_refuses_what_choice_refuses(p):
+    p = np.asarray(p)
+    with pytest.raises(ValueError):
+        np.random.default_rng(0).choice(len(p), size=4, p=p)
+    with pytest.raises(ValueError, match="cell probabilities"):
+        volume._draw_cells(np.random.default_rng(0), p, 4)
 
 
 def test_context_validation():
@@ -703,9 +835,10 @@ def test_wellroundedness_takes_the_float_classifier(monkeypatch):
     assert sum(rows) == (1 + volume.WR_PROBES) * res.probed
 
 
-def _probe_everything(ctx, epsilon, t, seed, samples):
-    """The ratio as it was computed before the Ostrowski screen: every
-    sampled point's WR_PROBES images are built and classified."""
+def _probe_points(ctx, epsilon, t, seed, samples):
+    """Weights and inside and mixed masks of the sampled points, as they
+    were computed before the Ostrowski screen: every sampled point's
+    WR_PROBES images are built and classified."""
     d = ctx.d
     rng = derive_rng(seed, "wellrounded")
     spec = sector.make_spec(ctx.blocks.dims, volume._block_signatures(ctx))
@@ -720,14 +853,17 @@ def _probe_everything(ctx, epsilon, t, seed, samples):
     member, _ = sector._classify_batch(tri, d, spec)
     radii = np.sqrt(np.sum(stacked**2, axis=(1, 2)))
     inside = (member & (radii < t)).reshape(1 + volume.WR_PROBES, samples).T
-    center = inside[:, 0]
-    mixed = inside.any(axis=1) & (~inside).any(axis=1)
+    return weights, inside[:, 0], inside.any(axis=1) & (~inside).any(axis=1)
 
+
+def _probe_everything(ctx, epsilon, t, seed, samples):
+    """The ratio from _probe_points, with a jackknife over min(20, samples) blocks."""
+    weights, center, mixed = _probe_points(ctx, epsilon, t, seed, samples)
     num = float(np.sum(weights * mixed))
     den = float(np.sum(weights * center))
     ratio = math.inf if den == 0.0 else num / den
     parts = []
-    for block in np.array_split(np.arange(samples), 20):
+    for block in np.array_split(np.arange(samples), min(20, samples)):
         mask = np.ones(samples, dtype=bool)
         mask[block] = False
         dsub = float(np.sum(weights[mask] * center[mask]))
@@ -835,6 +971,28 @@ def test_ostrowski_bounds_the_congruence(problem):
     assert np.all(theta >= lo2 * (1 - tol)) and np.all(theta <= hi2 * (1 + tol))
     norm, image_norm = np.linalg.norm(s), np.linalg.norm(image)
     assert lo2 * norm * (1 - tol) <= image_norm <= hi2 * norm * (1 + tol)
+
+
+@pytest.mark.parametrize("samples", [3, 8])
+def test_jackknife_below_20_samples_leaves_out_one_point_at_a_time(samples):
+    """Below 20 samples each jackknife block is one point: n replicates,
+    each the ratio without one point, and no empty block that would
+    count the full-sample ratio as a replicate."""
+    ctx = context_pq(3, 2, 1)
+    got = wellroundedness_ratio(ctx, 0.2, 8.0, seed=2, samples=samples)
+    weights, center, mixed = _probe_points(ctx, 0.2, 8.0, 2, samples)
+    reps = []
+    for i in range(samples):
+        rest = np.arange(samples) != i
+        den = math.fsum(weights[rest & center])
+        if den > 0:
+            reps.append(math.fsum(weights[rest & mixed]) / den)
+    reps = np.asarray(reps)
+    want = math.sqrt((len(reps) - 1) / len(reps) * np.sum((reps - reps.mean()) ** 2))
+    assert got.stderr == pytest.approx(want, rel=1e-12)
+    if samples == 8:
+        # with 20 blocks, 12 of them empty, it read 0.6971
+        assert got.stderr == pytest.approx(0.6678, abs=1e-4)
 
 
 def test_screen_probes_few_points_at_the_benchmark_shape():
